@@ -137,6 +137,10 @@ def watson_g_quadrature(rel_tol: float = 1e-8) -> QuadratureValue:
     Even symmetry halves the range; [0, theta_c] is mapped by t = exp(-u)
     onto a finite smooth interval plus an analytically bounded tail.
     """
+    # NaN compares false everywhere, so without this check it would drive the
+    # subdivision to full depth (2^48 leaves); inf would accept one panel
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
     if rel_tol < 1e-10:
         raise ValueError("rel_tol below 1e-10 exceeds double-precision headroom")
     state = {"err": 0.0, "budget_ok": True}

@@ -9,8 +9,15 @@ enough to run the whole walk without a single rounding error.
 from __future__ import annotations
 
 import re as _re
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
+
+
+def _digits(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str limit
+    (4300 digits by default), which exact values reach near time 4300."""
+    return str(Decimal(n))
 
 
 @total_ordering
@@ -53,7 +60,7 @@ class DyadicRational:
         m = _re.fullmatch(r"\s*(-?\d+)/2\^(\d+)\s*", text)
         if m is None:
             raise ValueError(f"not a dyadic rational string: {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        return cls(int(Decimal(m.group(1))), int(m.group(2)))
 
     def to_fraction(self) -> Fraction:
         return Fraction(self._num, 1 << self._exp)
@@ -61,14 +68,14 @@ class DyadicRational:
     def to_decimal_string(self) -> str:
         """Exact terminating decimal expansion (n/2^k = n*5^k / 10^k)."""
         if self._exp == 0:
-            return str(self._num)
+            return _digits(self._num)
         digits = self._num * 5**self._exp
         sign = "-" if digits < 0 else ""
-        s = str(abs(digits)).rjust(self._exp + 1, "0")
+        s = _digits(abs(digits)).rjust(self._exp + 1, "0")
         return f"{sign}{s[:-self._exp]}.{s[-self._exp:]}"
 
     def __str__(self) -> str:
-        return f"{self._num}/2^{self._exp}"
+        return f"{_digits(self._num)}/2^{self._exp}"
 
     def __repr__(self) -> str:
         return f"DyadicRational({self._num}, {self._exp})"

@@ -9,7 +9,6 @@ have closed-form alternating binomial sums, evaluated here exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,23 +223,29 @@ def _vec_sum(parts):
 def path_sum_closed(steps: StepPair) -> PQRSVector:
     """Hadamard-coin closed forms for the four coefficients: three alternating
     binomial sums sharing the prefactor (1/sqrt2)^(n-1); valid for l, m >= 1.
+
+        p = sum_g (-1)^(m-g)   C(l-1, g)   C(m-1, g-1)
+        q = sum_g (-1)^(m-g-1) C(l-1, g-1) C(m-1, g)
+        r = sum_g (-1)^(m-g)   C(l-1, g-1) C(m-1, g-1)
+
+    The binomials advance by term ratios, C(k, g) = C(k, g-1) (k-g+1) / g,
+    with exact integer division; a term past the top of C(l-1, .) or
+    C(m-1, .) comes out zero.
     """
     l, m = steps.l, steps.m
     if min(l, m) < 1:
         raise ValueError("closed forms require at least one step each way")
     n = l + m
-    p = sum(
-        (-1) ** (m - g) * math.comb(l - 1, g) * math.comb(m - 1, g - 1)
-        for g in range(1, min(l - 1, m) + 1)
-    )
-    q = sum(
-        (-1) ** (m - g - 1) * math.comb(l - 1, g - 1) * math.comb(m - 1, g)
-        for g in range(1, min(l, m - 1) + 1)
-    )
-    r = sum(
-        (-1) ** (m - g) * math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1)
-        for g in range(1, min(l, m) + 1)
-    )
+    p = q = r = 0
+    a = b = 1  # C(l-1, g-1) and C(m-1, g-1)
+    sign = -1 if (m - 1) % 2 else 1  # (-1)^(m-g)
+    for g in range(1, min(l, m) + 1):
+        a_next = a * (l - g) // g  # C(l-1, g)
+        b_next = b * (m - g) // g  # C(m-1, g)
+        p += sign * a_next * b
+        q -= sign * a * b_next
+        r += sign * a * b
+        a, b, sign = a_next, b_next, -sign
     return PQRSVector(
         GaussianInteger(p),
         GaussianInteger(q),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
 import hadwalk
+from hadwalk import genfun
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -113,6 +115,18 @@ class TestReturnProb:
         code, _, err = run_cli(capsys, "return-prob", "-n", "5", "--method", "closed")
         assert code == 2
         assert "closed" in err
+
+    def test_exact_output_past_int_str_digit_limit(self, capsys):
+        # p_4400(0) has a 4400-digit decimal expansion, past the default
+        # 4300-digit limit of Python's int-to-str conversion
+        code, out, err = run_cli(capsys, "return-prob", "-n", "4400", "--method", "closed")
+        assert code == 0, err
+        _, _, exact, decimal_text = out.splitlines()[1].split()
+        value = DyadicRational.parse(exact)
+        assert value == genfun.p0_closed(1100)
+        whole, _, frac = decimal_text.partition(".")
+        assert whole == "0" and len(frac) == value.denom_exp > 4300
+        assert int(Decimal(frac)) == value.numerator * 5**value.denom_exp
 
     def test_plain_has_exact_decimal(self, capsys):
         code, out, _ = run_cli(capsys, "return-prob", "-n", "16", "--method", "direct")
@@ -260,6 +274,17 @@ class TestEntryPoint:
         doc = json.loads(result.stdout)
         assert doc["values"]
         assert all(v["exact"] == "9/2^7" for v in doc["values"])
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_watson_bad_tolerance_exit_2(self, tol):
+        # a child with a timeout, so a hang fails the test instead of the suite
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "watson", "--tol", tol],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "rel_tol must be a finite positive number" in result.stderr
+        assert result.stdout == ""
 
     def test_usage_error_exit_2(self):
         result = subprocess.run(

@@ -70,6 +70,12 @@ class TestDyadicRational:
         assert dr(-3, 1).to_decimal_string() == "-1.5"
         assert dr(5).to_decimal_string() == "5"
 
+    def test_formatting_past_int_str_digit_limit(self):
+        # 3^10001 has 4772 digits, past Python's default 4300-digit limit
+        x = dr(-(3**10001), 9)
+        assert DyadicRational.parse(str(x)) == x
+        assert dr(10**5000 + 1).to_decimal_string() == "1" + "0" * 4999 + "1"
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             DyadicRational(1, -1)

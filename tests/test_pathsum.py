@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -279,6 +280,33 @@ class TestPathSumClosed:
                 assert path_sum_closed(StepPair(l, m)).same_value(
                     path_sum_dp(StepPair(l, m), HADAMARD)
                 )
+
+
+def closed_by_comb(l, m):
+    """Oracle: the three alternating binomial sums with math.comb per term."""
+    p = sum(
+        (-1) ** (m - g) * math.comb(l - 1, g) * math.comb(m - 1, g - 1)
+        for g in range(1, min(l - 1, m) + 1)
+    )
+    q = sum(
+        (-1) ** (m - g - 1) * math.comb(l - 1, g - 1) * math.comb(m - 1, g)
+        for g in range(1, min(l, m - 1) + 1)
+    )
+    r = sum(
+        (-1) ** (m - g) * math.comb(l - 1, g - 1) * math.comb(m - 1, g - 1)
+        for g in range(1, min(l, m) + 1)
+    )
+    return p, q, r, r
+
+
+class TestClosedFormRecurrence:
+    def test_matches_comb_sums_on_grid(self):
+        pairs = [(l, m) for l in range(1, 21) for m in range(1, 21)]
+        pairs += [(1, 64), (64, 1), (2, 63), (63, 2), (40, 97), (97, 40), (304, 304)]
+        for l, m in pairs:
+            vec = path_sum_closed(StepPair(l, m))
+            assert (vec.p.re, vec.q.re, vec.r.re, vec.s.re) == closed_by_comb(l, m), (l, m)
+            assert (vec.p.im, vec.q.im, vec.r.im, vec.s.im, vec.scale_exp) == (0, 0, 0, 0, l + m - 1)
 
 
 class TestReturnProbability:

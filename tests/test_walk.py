@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from hadwalk.exactnum import DyadicRational, G_ZERO, GaussianInteger, ScaledAmplitude
+from hadwalk import genfun, walk
+from hadwalk.cli import main
+from hadwalk.exactnum import DyadicRational, G_ONE, G_ZERO, GaussianInteger, ScaledAmplitude
 from hadwalk.walk import (
+    MAX_EXACT_TIME,
     CoinMatrix,
     FloatWaveFunction,
     QubitState,
@@ -156,6 +159,102 @@ class TestExactEngine:
         float_coin = CoinMatrix.unitary(2**-0.5, 2**-0.5, 2**-0.5, -(2**-0.5))
         with pytest.raises(TypeError):
             step(psi, float_coin)
+
+
+def reference_step(pairs):
+    """Oracle: one Hadamard step over dense Gaussian-integer pairs on
+    [-n, n], position by position, as the unpacked engine did it."""
+    n = len(pairs)
+    new_l = [G_ZERO] * (n + 2)
+    new_r = [G_ZERO] * (n + 2)
+    for i in range(0, n, 2):
+        gl, gr = pairs[i]
+        new_l[i] = gl + gr
+        new_r[i + 2] = gl - gr
+    return list(zip(new_l, new_r))
+
+
+class TestPackedEngine:
+    @pytest.mark.parametrize("margin", [walk._WIDTH_MARGIN, 0])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            WaveFunction.point_mass(QubitState.symmetric()),
+            WaveFunction.point_mass(
+                QubitState(ScaledAmplitude(G_ONE, 0), ScaledAmplitude(G_ZERO))
+            ),
+            # not normalized, with negative components
+            WaveFunction(0, 0, [(GaussianInteger(3, 4), GaussianInteger(-7))]),
+            # one component equal to sqrt(norm) = 2^8 - 1: needs a ninth, sign bit
+            WaveFunction(0, 0, [(GaussianInteger(-255), G_ZERO)]),
+        ],
+        ids=["symmetric", "left-only", "unnormalized", "at-bound"],
+    )
+    def test_matches_reference_stepper(self, monkeypatch, start, margin):
+        monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
+        coin = CoinMatrix.hadamard()
+        psi = WaveFunction(start.time, start.scale_exp, start._pairs)
+        pairs = psi._pairs
+        widths = {psi._width}
+        for t in range(1, 151):
+            psi = psi.step(coin)
+            pairs = reference_step(pairs)
+            widths.add(psi._width)
+            assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
+            assert psi._pairs == pairs, t
+        assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
+
+    def test_single_slot_reads_match_unpacked_state(self):
+        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 41)
+        fresh = [psi.cores(x) for x in range(-41, 42)]  # one slot per call
+        assert psi._columns is None
+        assert fresh == psi._pairs
+
+    @pytest.mark.parametrize("n", [1002, 1600])
+    def test_deep_return_probability_matches_legendre(self, n):
+        assert return_probability_direct(n) == genfun.p0_legendre(n // 2)
+
+    @pytest.mark.parametrize("width", [8, 40, 72])
+    def test_pack_round_trip_at_slot_extremes(self, width):
+        top = (1 << (width - 1)) - 1
+        values = [top, -top, 0, -1, 1, top, top, -top, -top, 0]
+        packed = walk._pack(values, width)
+        assert walk._unpack(packed, width, len(values)) == values
+        assert [walk._read_slot(packed, width, k) for k in range(len(values))] == values
+        with pytest.raises(OverflowError):
+            walk._pack([1 << (width - 1)], width)
+
+    @pytest.mark.parametrize("width,count", [(8, 1), (8, 9), (40, 17), (536, 5)])
+    def test_bias_is_the_closed_form(self, width, count):
+        closed = (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
+        assert walk._bias(width, count) == closed
+
+    def test_constructor_rejects_off_parity_amplitude(self):
+        with pytest.raises(ValueError, match="parity"):
+            WaveFunction(1, 0, [(G_ZERO, G_ZERO), (G_ONE, G_ZERO), (G_ZERO, G_ZERO)])
+
+    def test_other_exact_cores_rejected(self):
+        r = 2**-0.5
+        flipped = CoinMatrix(r, r, -r, r, exact_cores=(G_ONE, G_ONE, -G_ONE, G_ONE))
+        with pytest.raises(TypeError, match="Hadamard"):
+            WaveFunction.point_mass(QubitState.symmetric()).step(flipped)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["return-prob", "-n", str(MAX_EXACT_TIME + 2)],
+            ["return-prob", "-n", str(MAX_EXACT_TIME + 2), "--method", "direct"],
+            ["simulate", "-n", str(MAX_EXACT_TIME + 2)],
+        ],
+    )
+    def test_time_above_limit_refused(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"MAX_EXACT_TIME = {MAX_EXACT_TIME}" in err
+        assert "--method prop1" in err and "--method closed" in err
+
+    def test_odd_time_above_limit_needs_no_evolution(self):
+        assert return_probability_direct(MAX_EXACT_TIME + 1) == 0
 
 
 class TestFloatEngine:
