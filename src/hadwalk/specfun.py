@@ -12,6 +12,10 @@ from fractions import Fraction
 
 _AGM_MAX_ITER = 64
 
+# Largest term count of the K(k) power series.  The series loop is linear
+# in the count; the cap keeps a typo in --terms from running for minutes.
+MAX_SERIES_TERMS = 1_000_000
+
 
 def central_binomial(n: int) -> int:
     """C(2n, n) exactly."""
@@ -66,10 +70,19 @@ def jacobi_p0(alpha: int, n: int) -> Fraction:
 
 
 def _check_modulus(k: float) -> None:
+    if math.isnan(k):
+        raise ValueError(f"modulus k must lie in [0, 1), got k={k}")
     if k < 0.0:
         raise ValueError(f"modulus k={k} is negative")
     if k >= 1.0:
         raise ValueError(f"K(k) diverges for k >= 1 (got k={k})")
+
+
+def _check_terms(terms: int) -> None:
+    if terms < 1:
+        raise ValueError("terms must be at least 1")
+    if terms > MAX_SERIES_TERMS:
+        raise ValueError(f"terms must be at most {MAX_SERIES_TERMS}, got {terms}")
 
 
 def elliptic_k_agm(k: float) -> float:
@@ -83,7 +96,7 @@ def elliptic_k_agm(k: float) -> float:
 
 def elliptic_k_from_complement(one_minus_k_sq: float) -> float:
     """K(k) given 1-k^2 directly; avoids cancellation near k = 1."""
-    if one_minus_k_sq <= 0.0 or one_minus_k_sq > 1.0:
+    if not 0.0 < one_minus_k_sq <= 1.0:  # NaN included
         raise ValueError(f"1-k^2 must lie in (0, 1], got {one_minus_k_sq}")
     a = 1.0
     b = math.sqrt(one_minus_k_sq)
@@ -102,8 +115,7 @@ def elliptic_k_series(k: float, terms: int) -> float:
     over 1-k^2 (see elliptic_k_series_tail).
     """
     _check_modulus(k)
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
+    _check_terms(terms)
     parts = []
     term = 1.0
     ksq = k * k
@@ -120,8 +132,7 @@ def elliptic_k_series_tail(k: float, terms: int) -> float:
     geometric series starting at term number 'terms'.
     """
     _check_modulus(k)
-    if terms < 1:
-        raise ValueError("terms must be at least 1")
+    _check_terms(terms)
     term = 1.0
     ksq = k * k
     for n in range(terms):

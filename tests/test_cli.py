@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -166,6 +167,17 @@ class TestEllipk:
         assert code == 2
         assert "diverges" in err
 
+    @pytest.mark.parametrize("k,message", [
+        ("nan", "must lie in [0, 1)"),
+        ("inf", "diverges"),
+        ("-0.1", "negative"),
+    ])
+    def test_non_finite_or_negative_modulus_exit_2(self, capsys, k, message):
+        code, out, err = run_cli(capsys, "ellipk", "--k", k)
+        assert code == 2, out
+        assert out == ""
+        assert message in err
+
 
 class TestGenfun:
     def test_fields(self, capsys):
@@ -190,6 +202,16 @@ class TestGenfun:
     def test_missing_argument(self, capsys):
         code, _, err = run_cli(capsys, "genfun")
         assert code == 2
+
+    def test_near_one_runs_in_linear_time(self, capsys):
+        # N = 24 655: a per-n Legendre loop takes over 30 s, the linear pass 0.1 s
+        start = time.perf_counter()
+        doc = run_json(capsys, "genfun", "--z", "0.999")
+        elapsed = time.perf_counter() - start
+        assert doc["truncation"] == 24655
+        assert doc["tail_bound"] <= 1e-12
+        assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
+        assert elapsed < 10.0, f"genfun --z 0.999 took {elapsed:.1f} s"
 
 
 class TestClassical:
@@ -284,6 +306,20 @@ class TestEntryPoint:
         )
         assert result.returncode == 2, result.stderr
         assert "rel_tol must be a finite positive number" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["ellipk", "--k", "0.5", "--method", "series", "--terms", "100000000"],
+        ["genfun", "--z", "0.5", "--truncate", "100000000"],
+    ])
+    def test_series_size_cap_exit_2(self, argv):
+        # refused before any work; the timeout turns a runaway loop into a failure
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "at most" in result.stderr
         assert result.stdout == ""
 
     def test_usage_error_exit_2(self):

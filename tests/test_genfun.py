@@ -1,8 +1,10 @@
+import math
 
 import pytest
 
 from hadwalk.exactnum import DyadicRational
 from hadwalk.genfun import (
+    MAX_TRUNCATION,
     gf_partial_sum,
     gf_point,
     gf_closed_form,
@@ -134,3 +136,66 @@ class TestGfPoint:
     def test_explicit_truncation_below_bound_hypothesis(self):
         with pytest.raises(ValueError):
             gf_point(0.5, 2)
+
+
+def legendre_partial_sum(z, truncation, probabilities):
+    """The Legendre-route sum gf_partial_sum replaced: float(p_n(0)) z^n, fsum."""
+    terms = []
+    zn = 1.0
+    for n in range(truncation + 1):
+        if n % 2 == 0:
+            terms.append(probabilities[n] * zn)
+        zn *= z
+    return math.fsum(terms)
+
+
+def scanned_truncation(z, target):
+    """The one-step scan truncation_for replaced."""
+    n = 4
+    while tail_bound(z, n) > target:
+        n += 1
+        if n > 100_000:
+            raise ValueError(f"tail bound does not reach {target} at z={z}")
+    return n
+
+
+class TestPairingRecurrence:
+    def test_partial_sum_equals_legendre_route(self):
+        # float(return_probability(n)) for every n, built once and shared by
+        # every z so the Legendre route's quadratic cost is paid once
+        top = 4921
+        probabilities = [float(return_probability(n)) for n in range(top + 1)]
+        for z in (0.0, 0.3, 0.77, 0.98, 0.995):
+            for n in [*range(61), 1221, top]:
+                assert gf_partial_sum(z, n) == legendre_partial_sum(z, n, probabilities), (z, n)
+
+    def test_exact_recurrence_matches_legendre(self):
+        square = 1
+        for m in range(1, 601):
+            square = square * (4 * m - 2) ** 2 // m // m
+            value = DyadicRational(square, 4 * m + 1)
+            assert value == p0_legendre(2 * m) == p0_legendre(2 * m + 1), m
+
+    def test_truncation_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="at most"):
+            gf_partial_sum(0.5, MAX_TRUNCATION + 1)
+
+
+class TestTruncationSolve:
+    @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 0.7, 0.9, 0.98, 0.995, 0.999, 0.9999])
+    def test_bisection_equals_scan(self, z):
+        for target in (1e-3, 1e-8, 1e-12, 1e-15, 1e-20, 1e-40):
+            try:
+                want = scanned_truncation(z, target)
+            except ValueError:
+                with pytest.raises(ValueError, match="does not reach"):
+                    truncation_for(z, target)
+            else:
+                assert truncation_for(z, target) == want, (z, target)
+
+    def test_unreachable_target_raises(self):
+        # the scan gives up past 100 000 here, so both must raise
+        with pytest.raises(ValueError):
+            scanned_truncation(0.9999, 1e-12)
+        with pytest.raises(ValueError, match="does not reach"):
+            truncation_for(0.9999, 1e-12)

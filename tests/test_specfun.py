@@ -6,6 +6,7 @@ import pytest
 import scipy.special
 
 from hadwalk.specfun import (
+    MAX_SERIES_TERMS,
     central_binomial,
     elliptic_k_agm,
     elliptic_k_from_complement,
@@ -141,7 +142,7 @@ class TestEllipticK:
                 long = elliptic_k_series(k, n + 400)
                 assert long - short <= elliptic_k_series_tail(k, n)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, math.inf, -math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             elliptic_k_agm(bad)
@@ -153,6 +154,16 @@ class TestEllipticK:
             assert elliptic_k_agm(k) == pytest.approx(
                 scipy.special.ellipk(k * k), rel=1e-14
             )
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.5, math.nan])
+    def test_complement_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            elliptic_k_from_complement(bad)
+
+    def test_series_terms_cap(self):
+        for fn in (elliptic_k_series, elliptic_k_series_tail):
+            with pytest.raises(ValueError, match="at most"):
+                fn(0.5, MAX_SERIES_TERMS + 1)
 
     def test_complement_form_matches(self):
         for k in (0.2, 0.6, 0.95):
