@@ -38,21 +38,27 @@ def legendre_p0(n: int) -> Fraction:
 def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fraction:
     """2F1(a,b;c;z) for a a nonpositive integer: the exact finite sum
     sum_{j=0}^{-a} (a)_j (b)_j / ((c)_j j!) z^j.
+
+    Horner's rule over the term ratios (a+j)(b+j)z / ((c+j)(j+1)), from
+    j = -a-1 down to 0, on one unreduced int numerator and denominator; the
+    only gcd is in the Fraction built at the end.
     """
     if a > 0:
         raise ValueError("first parameter must be a nonpositive integer")
     b, c, z = Fraction(b), Fraction(c), Fraction(z)
     if c.denominator == 1 and c <= 0 and c >= a:
         raise ValueError(f"c={c} is a forbidden nonpositive integer for a={a}")
-    m = -a
-    total = Fraction(0)
-    term = Fraction(1)
-    for j in range(m + 1):
-        total += term
-        if j == m:
-            break
-        term *= Fraction(a + j) * (b + j) * z / ((c + j) * (j + 1))
-    return total
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
+    # ratio_j = (a+j)(bn + j bd) zn cd / ((cn + j cd)(j+1) bd zd)
+    top_const = z.numerator * cd
+    bottom_const = bd * z.denominator
+    num = den = 1
+    for j in range(-a - 1, -1, -1):
+        step_den = (cn + j * cd) * (j + 1) * bottom_const
+        num = num * (a + j) * (bn + j * bd) * top_const + den * step_den
+        den *= step_den
+    return Fraction(num, den)
 
 
 def jacobi_p0(alpha: int, n: int) -> Fraction:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
 import hadwalk
-from hadwalk import genfun
+from hadwalk import genfun, pathsum
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -147,6 +148,22 @@ class TestXiCommand:
     def test_no_steps_rejected(self, capsys):
         code, _, err = run_cli(capsys, "xi", "--l", "0", "--m", "0")
         assert code == 2
+
+    def test_cores_pinned_to_binomial_sums(self, capsys):
+        # the JSON the DP prints at l = m = 58, core for core, against the
+        # alternating binomial sums with math.comb per term
+        n = 58
+        doc = run_json(capsys, "xi", "--l", str(n), "--m", str(n))
+        p = sum((-1) ** (n - g) * math.comb(n - 1, g) * math.comb(n - 1, g - 1)
+                for g in range(1, n))
+        r = sum((-1) ** (n - g) * math.comb(n - 1, g - 1) ** 2 for g in range(1, n + 1))
+        assert doc["sqrt2_exponent"] == 2 * n - 1
+        assert doc["coefficients"] == {
+            "p": {"re": str(p), "im": "0"},
+            "q": {"re": str(-p), "im": "0"},
+            "r": {"re": str(r), "im": "0"},
+            "s": {"re": str(r), "im": "0"},
+        }
 
 
 class TestEllipk:
@@ -320,6 +337,17 @@ class TestEntryPoint:
         )
         assert result.returncode == 2, result.stderr
         assert "at most" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("l,m", [(20000, 20000), (100000, 3)])
+    def test_xi_size_cap_exit_2(self, l, m):
+        # refused before any work; the timeout turns a runaway loop into a failure
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "xi", "--l", str(l), "--m", str(m)],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"MAX_DP_CELLS = {pathsum.MAX_DP_CELLS}" in result.stderr
         assert result.stdout == ""
 
     def test_usage_error_exit_2(self):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from hadwalk import pathsum
 from hadwalk.exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
 from hadwalk.pathsum import (
     PQRSVector,
@@ -359,3 +360,125 @@ class TestLargeArguments:
         grid = path_sum_grid(StepPair(60, 45), HADAMARD)
         for lm in ((60, 45), (37, 41), (60, 1), (1, 45)):
             assert path_sum_closed(StepPair(*lm)).same_value(grid[lm]), lm
+
+
+def dict_grid_reference(steps, coin):
+    """Oracle: the (i, j) dict grid of pqrs_compose calls that the rolling-row
+    DP replaced, S(i, j) = P S(i-1, j) + Q S(i, j-1) on coefficient vectors."""
+    exact = coin.is_exact
+    if exact:
+        one, zero = GaussianInteger(1), GaussianInteger(0)
+        pure_p, pure_q = PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0)
+    else:
+        pure_p, pure_q = PQRSVectorFloat(1.0, 0.0, 0.0, 0.0), PQRSVectorFloat(0.0, 1.0, 0.0, 0.0)
+    grid = {(1, 0): pure_p, (0, 1): pure_q}
+    for i in range(steps.l + 1):
+        for j in range(steps.m + 1):
+            if i + j < 2 or (i, j) in grid:
+                continue
+            parts = []
+            if i >= 1:
+                parts.append(pqrs_compose(pure_p, grid[(i - 1, j)], coin))
+            if j >= 1:
+                parts.append(pqrs_compose(pure_q, grid[(i, j - 1)], coin))
+            total = parts[0]
+            for vec in parts[1:]:
+                if exact:
+                    assert vec.scale_exp == total.scale_exp
+                    total = PQRSVector(total.p + vec.p, total.q + vec.q, total.r + vec.r,
+                                       total.s + vec.s, total.scale_exp)
+                else:
+                    total = PQRSVectorFloat(total.p + vec.p, total.q + vec.q,
+                                            total.r + vec.r, total.s + vec.s)
+            grid[(i, j)] = total
+    return grid
+
+
+def cells(vec):
+    return (vec.p, vec.q, vec.r, vec.s)
+
+
+class TestRollingRowDp:
+    def test_hadamard_cores_identical_to_dict_grid(self):
+        reference = dict_grid_reference(StepPair(25, 25), HADAMARD)
+        grid = path_sum_grid(StepPair(25, 25), HADAMARD)
+        assert grid.keys() == reference.keys()
+        for (l, m), want in reference.items():
+            # identical cores and exponent, not merely the same value
+            assert grid[(l, m)] == want, (l, m)
+            assert path_sum_dp(StepPair(l, m), HADAMARD) == want, (l, m)
+
+    def test_float_coin_equal_to_dict_grid(self):
+        for l, m in ((12, 17), (0, 9), (9, 0)):
+            reference = dict_grid_reference(StepPair(l, m), GENERIC)
+            grid = path_sum_grid(StepPair(l, m), GENERIC)
+            # the dict grid also seeded (1, 0) at l = 0 and (0, 1) at m = 0
+            assert grid.keys() == {(i, j) for i, j in reference if i <= l and j <= m}
+            for key, want in reference.items():
+                if key in grid:
+                    assert cells(grid[key]) == cells(want), key
+                assert cells(path_sum_dp(StepPair(*key), GENERIC)) == cells(want), key
+
+    def test_prepend_rows_match_product_table(self):
+        rng = random.Random(505)
+        one, zero = GaussianInteger(1), GaussianInteger(0)
+        pure = (PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0))
+        entries = tuple(g.re for g in HADAMARD.exact_cores)
+        for _ in range(50):
+            v = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
+            exp = rng.randrange(0, 9)
+            vec = PQRSVector(*(GaussianInteger(x) for x in v), exp)
+            for k, got in enumerate((pathsum._prepend(v, (0,) * 4, entries),
+                                     pathsum._prepend((0,) * 4, v, entries))):
+                want = pqrs_compose(pure[k], vec, HADAMARD)
+                assert tuple(GaussianInteger(x) for x in got) == cells(want)
+                assert want.scale_exp == exp + 1
+        pure_f = (PQRSVectorFloat(1.0, 0.0, 0.0, 0.0), PQRSVectorFloat(0.0, 1.0, 0.0, 0.0))
+        entries_f = (GENERIC.a, GENERIC.b, GENERIC.c, GENERIC.d)
+        for _ in range(50):
+            v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+            for k, got in enumerate((pathsum._prepend(v, (0.0,) * 4, entries_f),
+                                     pathsum._prepend((0.0,) * 4, v, entries_f))):
+                assert got == cells(pqrs_compose(pure_f[k], PQRSVectorFloat(*v), GENERIC))
+
+    def test_dp_independent_of_closed_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the DP route called the closed-form route")
+
+        want = path_sum_closed(StepPair(11, 13))
+        monkeypatch.setattr(pathsum, "path_sum_closed", forbidden)
+        assert path_sum_dp(StepPair(11, 13), HADAMARD).same_value(want)
+        assert path_sum_grid(StepPair(11, 13), HADAMARD)[(11, 13)].same_value(want)
+
+    def test_other_exact_cores_rejected(self):
+        r = 2.0**-0.5
+        flipped = CoinMatrix(r, r, -r, r, exact_cores=(
+            GaussianInteger(1), GaussianInteger(1), GaussianInteger(-1), GaussianInteger(1)))
+        for fn in (path_sum_dp, path_sum_grid):
+            with pytest.raises(TypeError):
+                fn(StepPair(2, 2), flipped)
+
+
+class TestDpSizeCap:
+    def test_refused_above_the_cap(self):
+        cap = pathsum.MAX_DP_CELLS
+        side = math.isqrt(cap)
+        for steps in (StepPair(side, side), StepPair(cap, 0), StepPair(0, cap)):
+            for fn in (path_sum_dp, path_sum_grid):
+                with pytest.raises(ValueError, match=f"MAX_DP_CELLS = {cap}"):
+                    fn(steps, HADAMARD)
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(pathsum, "MAX_DP_CELLS", 12)
+        assert path_sum_dp(StepPair(2, 3), HADAMARD) == dict_grid_reference(
+            StepPair(2, 3), HADAMARD)[(2, 3)]
+        assert len(path_sum_grid(StepPair(3, 2), GENERIC)) == 11
+        for fn in (path_sum_dp, path_sum_grid):
+            with pytest.raises(ValueError, match="13 cells"):
+                fn(StepPair(12, 0), HADAMARD)
+
+    def test_largest_square_runs(self):
+        side = math.isqrt(pathsum.MAX_DP_CELLS) - 1
+        vec = path_sum_dp(StepPair(side, side), HADAMARD)
+        assert vec.scale_exp == 2 * side - 1
+        assert vec.same_value(path_sum_closed(StepPair(side, side)))

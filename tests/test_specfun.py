@@ -26,6 +26,24 @@ def legendre_p0_recurrence(n_max):
     return values[: n_max + 1]
 
 
+def hyp2f1_fraction_loop(a, b, c, z):
+    """Oracle: the term-by-term Fraction loop that the Horner form replaced."""
+    if a > 0:
+        raise ValueError("first parameter must be a nonpositive integer")
+    b, c, z = Fraction(b), Fraction(c), Fraction(z)
+    if c.denominator == 1 and c <= 0 and c >= a:
+        raise ValueError(f"c={c} is a forbidden nonpositive integer for a={a}")
+    m = -a
+    total = Fraction(0)
+    term = Fraction(1)
+    for j in range(m + 1):
+        total += term
+        if j == m:
+            break
+        term *= Fraction(a + j) * (b + j) * z / ((c + j) * (j + 1))
+    return total
+
+
 class TestCentralBinomial:
     @pytest.mark.parametrize("n,expected", [(0, 1), (1, 2), (10, 184756)])
     def test_values(self, n, expected):
@@ -98,13 +116,54 @@ class TestHyp2F1:
             hyp2f1_terminating(1, Fraction(1), Fraction(2), Fraction(1, 2))
 
 
+    def test_horner_equals_fraction_loop(self):
+        rng = random.Random(7101)
+        kinds = dict.fromkeys(("early_end", "negative_z", "non_integer_c"), 0)
+        count = 0
+        while count < 2000:
+            m = rng.randrange(0, 31)
+            if rng.random() < 0.2:
+                b = Fraction(-rng.randrange(0, m + 1))  # the series ends at j = -b
+            else:
+                b = Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
+            c = Fraction(rng.randrange(-60, 61), rng.randrange(1, 8))
+            z = Fraction(rng.randrange(-30, 31), rng.randrange(1, 8))
+            if c.denominator == 1 and -m <= c <= 0:
+                continue
+            assert hyp2f1_terminating(-m, b, c, z) == hyp2f1_fraction_loop(-m, b, c, z), (
+                m, b, c, z)
+            kinds["early_end"] += b.denominator == 1 and -m < b <= 0
+            kinds["negative_z"] += z < 0
+            kinds["non_integer_c"] += c.denominator != 1
+            count += 1
+        assert min(kinds.values()) >= 200, kinds
+
+    def test_result_is_reduced_fraction(self):
+        got = hyp2f1_terminating(-6, Fraction(5, 3), Fraction(7, 2), Fraction(-4, 5))
+        assert isinstance(got, Fraction)
+        assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+
+    @pytest.mark.parametrize("a,b,c,z", [
+        (-4, Fraction(1), Fraction(-2), Fraction(1, 2)),
+        (-4, Fraction(1), Fraction(0), Fraction(1, 2)),
+        (-4, Fraction(3, 2), Fraction(-4), Fraction(-3)),
+        (1, Fraction(1), Fraction(2), Fraction(1, 2)),
+        (3, Fraction(-1), Fraction(5, 2), Fraction(2)),
+    ])
+    def test_same_errors_as_fraction_loop(self, a, b, c, z):
+        with pytest.raises(ValueError) as reference:
+            hyp2f1_fraction_loop(a, b, c, z)
+        with pytest.raises(type(reference.value)):
+            hyp2f1_terminating(a, b, c, z)
+
+
 class TestJacobiAtZero:
     def test_degree_zero(self):
         assert jacobi_p0(0, 0) == 1
         assert jacobi_p0(1, 0) == 1
 
     def test_alpha_zero_is_legendre(self):
-        for n in range(120):
+        for n in range(401):
             assert jacobi_p0(0, n) == legendre_p0(n)
 
     def test_downward_recurrence(self):
