@@ -12,7 +12,7 @@ from .classical import (
     watson_g_quadrature,
     watson_return_prob,
 )
-from .exactnum import DyadicRational, GaussianInteger, ScaledAmplitude, amplitude_prob
+from .exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
 from .genfun import (
     GfPoint,
     gf_partial_sum,
@@ -25,7 +25,6 @@ from .genfun import (
 )
 from .pathsum import (
     PQRSVector,
-    PQRSVectorFloat,
     StepPair,
     pqrs_compose,
     return_probability_paths,
@@ -64,7 +63,6 @@ __all__ = [
     "GaussianInteger",
     "GfPoint",
     "PQRSVector",
-    "PQRSVectorFloat",
     "QuadratureConvergenceError",
     "QubitState",
     "ScaledAmplitude",
@@ -73,7 +71,6 @@ __all__ = [
     "VerifyReport",
     "WatsonResult",
     "WaveFunction",
-    "amplitude_prob",
     "central_binomial",
     "distribution",
     "elliptic_k_agm",

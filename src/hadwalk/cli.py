@@ -15,7 +15,13 @@ import sys
 
 from . import classical, genfun, pathsum, specfun, verify, walk
 from .classical import QuadratureConvergenceError
-from .exactnum import DyadicRational
+from .exactnum import _digits
+
+
+#: Largest point count of genfun --sweep.  Near z = 1 a point costs about
+#: 10 ms (100 points on [0.99, 0.999] took 0.9 s on one core of a 2-vCPU
+#: x86-64 host), so a sweep at the cap takes up to about 90 s.
+MAX_SWEEP_POINTS = 10_000
 
 
 def _fmt_float(value: float, precision: int) -> str:
@@ -89,38 +95,18 @@ def _cmd_simulate(args, em: Emitter) -> int:
     return 0
 
 
-_METHOD_HYPOTHESES = {
-    "direct": lambda n: True,
-    "xi": lambda n: n >= 2 and n % 2 == 0,
-    "prop1": lambda n: n % 2 == 0,
-    "closed": lambda n: n >= 4 and n % 2 == 0,
-}
-
-
-def _return_prob_by(method: str, n: int) -> DyadicRational:
-    if method == "direct":
-        return walk.return_probability_direct(n)
-    if method == "xi":
-        return pathsum.return_probability_paths(n // 2)
-    if method == "prop1":
-        return genfun.p0_legendre(n // 2)
-    if method == "closed":
-        return genfun.p0_closed(n // 4 if n % 4 == 0 else (n - 2) // 4)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _cmd_return_prob(args, em: Emitter) -> int:
     n = args.time
     if args.method == "all":
-        methods = [m for m, ok in _METHOD_HYPOTHESES.items() if ok(n)]
+        routes = [r for r in verify.ROUTES if r.covers(n)]
     else:
-        methods = [args.method]
-        if not _METHOD_HYPOTHESES[args.method](n):
+        routes = [r for r in verify.ROUTES if r.name == args.method]
+        if not routes[0].covers(n):
             raise ValueError(
                 f"method {args.method!r} does not cover time {n}: "
-                "xi needs even n >= 2, prop1 even n, closed even n >= 4"
+                f"it needs {routes[0].needs}"
             )
-    values = {m: _return_prob_by(m, n) for m in methods}
+    values = {r.name: r.value(n) for r in routes}
     if args.method == "all" and len(set(values.values())) > 1:
         print(f"method disagreement at time {n}: {values}", file=sys.stderr)
         return 1
@@ -140,7 +126,6 @@ def _cmd_return_prob(args, em: Emitter) -> int:
 
 def _cmd_xi(args, em: Emitter) -> int:
     vec = pathsum.path_sum_dp(pathsum.StepPair(args.l, args.m), walk.CoinMatrix.hadamard())
-    assert isinstance(vec, pathsum.PQRSVector)
     floats = vec.to_complex()
     names = ("p", "q", "r", "s")
     cores = (vec.p, vec.q, vec.r, vec.s)
@@ -215,15 +200,16 @@ def _cmd_classical(args, em: Emitter) -> int:
         raise ValueError("classical requires exactly one of --time or --gf")
     if args.time is not None:
         p = classical.rw_return_prob(args.dim, args.time)
+        exact = f"{_digits(p.numerator)}/{_digits(p.denominator)}"
         doc = {
             "dim": args.dim,
             "time": args.time,
-            "probability_exact": f"{p.numerator}/{p.denominator}",
+            "probability_exact": exact,
             "probability_float": float(p),
         }
         em.table(
             ["dim", "time", "probability_exact", "probability_float"],
-            [[args.dim, args.time, f"{p.numerator}/{p.denominator}", em.fl(float(p))]],
+            [[args.dim, args.time, exact, em.fl(float(p))]],
             json_doc=doc,
         )
     else:
@@ -282,6 +268,10 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise argparse.ArgumentTypeError("sweep count must be positive")
+    if count > MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"sweep count {count} is above the limit MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}"
+        )
     return start, stop, count
 
 
@@ -318,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("return-prob", parents=[common],
                        help="exact return probability by each method")
     p.add_argument("-n", "--time", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "xi", "prop1", "closed", "all"),
+    p.add_argument("--method", choices=(*(r.name for r in verify.ROUTES), "all"),
                    default="all")
     p.set_defaults(handler=_cmd_return_prob)
 

@@ -131,10 +131,6 @@ class DyadicRational:
         return self._num != 0
 
 
-DYADIC_ZERO = DyadicRational(0)
-DYADIC_ONE = DyadicRational(1)
-
-
 class GaussianInteger:
     """Element of Z[i] with arbitrary-precision components."""
 
@@ -189,12 +185,6 @@ class GaussianInteger:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> GaussianInteger:
-        return GaussianInteger(self.re, -self.im)
-
-    def times_i(self) -> GaussianInteger:
-        return GaussianInteger(-self.im, self.re)
-
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
@@ -233,10 +223,6 @@ class ScaledAmplitude:
                 scale_exp -= 2
         self.core = core
         self.scale_exp = scale_exp
-
-    @classmethod
-    def zero(cls) -> ScaledAmplitude:
-        return cls(G_ZERO, 0)
 
     def rescaled(self, scale_exp: int) -> ScaledAmplitude:
         """Same value at a larger exponent of matching parity."""
@@ -298,8 +284,3 @@ class ScaledAmplitude:
 
     def __complex__(self) -> complex:
         return complex(self.core) * 2.0 ** (-self.scale_exp / 2.0)
-
-
-def amplitude_prob(a: ScaledAmplitude) -> DyadicRational:
-    """Exact Born probability of an amplitude."""
-    return a.probability()

@@ -46,14 +46,22 @@ class StepPair:
 
 @dataclass(frozen=True)
 class PQRSVector:
-    """Exact coefficient vector w.r.t. (P, Q, R, S), Hadamard scalars:
-    each coefficient is core * (1/sqrt2)^scale_exp."""
+    """Coefficient vector w.r.t. (P, Q, R, S).
 
-    p: GaussianInteger
-    q: GaussianInteger
-    r: GaussianInteger
-    s: GaussianInteger
-    scale_exp: int
+    An exact vector (Hadamard scalars) holds Gaussian-integer cores, each
+    coefficient core * (1/sqrt2)^scale_exp.  A float vector, for arbitrary
+    unitary coins, holds the complex coefficients themselves with scale_exp 0.
+    """
+
+    p: GaussianInteger | complex
+    q: GaussianInteger | complex
+    r: GaussianInteger | complex
+    s: GaussianInteger | complex
+    scale_exp: int = 0
+
+    @property
+    def is_exact(self) -> bool:
+        return isinstance(self.p, GaussianInteger)
 
     def canonical(self) -> PQRSVector:
         p, q, r, s, e = self.p, self.q, self.r, self.s, self.scale_exp
@@ -68,26 +76,12 @@ class PQRSVector:
             e -= 2
         return PQRSVector(p, q, r, s, e)
 
-    def coefficients(self) -> tuple[ScaledAmplitude, ...]:
-        e = self.scale_exp
-        return tuple(ScaledAmplitude(g, e) for g in (self.p, self.q, self.r, self.s))
-
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
         scale = 2.0 ** (-self.scale_exp / 2.0)
         return tuple(complex(g) * scale for g in (self.p, self.q, self.r, self.s))
 
     def same_value(self, other: PQRSVector) -> bool:
         return self.canonical() == other.canonical()
-
-
-@dataclass(frozen=True)
-class PQRSVectorFloat:
-    """Float coefficient vector for arbitrary unitary coins."""
-
-    p: complex
-    q: complex
-    r: complex
-    s: complex
 
 
 def basis_matrices(coin: CoinMatrix):
@@ -100,13 +94,10 @@ def basis_matrices(coin: CoinMatrix):
     return p, q, r, s
 
 
-def pqrs_to_matrix(vec: PQRSVector | PQRSVectorFloat, coin: CoinMatrix):
+def pqrs_to_matrix(vec: PQRSVector, coin: CoinMatrix):
     """Reconstruct the 2x2 matrix p P + q Q + r R + s S."""
     pm, qm, rm, sm = basis_matrices(coin)
-    if isinstance(vec, PQRSVector):
-        p, q, r, s = vec.to_complex()
-    else:
-        p, q, r, s = vec.p, vec.q, vec.r, vec.s
+    p, q, r, s = vec.to_complex()
     return p * pm + q * qm + r * rm + s * sm
 
 
@@ -119,22 +110,18 @@ def pqrs_to_matrix(vec: PQRSVector | PQRSVectorFloat, coin: CoinMatrix):
 #   s' = c q1 p2 + d q1 s2 + a s1 p2 + b s1 s2
 
 
-def pqrs_compose(
-    left: PQRSVector | PQRSVectorFloat,
-    right: PQRSVector | PQRSVectorFloat,
-    coin: CoinMatrix,
-) -> PQRSVector | PQRSVectorFloat:
+def pqrs_compose(left: PQRSVector, right: PQRSVector, coin: CoinMatrix) -> PQRSVector:
     """Coefficient vector of the matrix product (left applied after right)."""
-    if isinstance(left, PQRSVector) and isinstance(right, PQRSVector):
-        if not coin.is_exact:
-            raise TypeError("exact composition needs the exact coin")
-        return PQRSVector(
-            *_bilinear(left, right, coin.exact_cores),
-            left.scale_exp + right.scale_exp + 1,
-        )
-    if isinstance(left, PQRSVectorFloat) and isinstance(right, PQRSVectorFloat):
-        return PQRSVectorFloat(*_bilinear(left, right, (coin.a, coin.b, coin.c, coin.d)))
-    raise TypeError("cannot compose exact with float coefficient vectors")
+    if left.is_exact != right.is_exact:
+        raise TypeError("cannot compose exact with float coefficient vectors")
+    if not left.is_exact:
+        return PQRSVector(*_bilinear(left, right, (coin.a, coin.b, coin.c, coin.d)))
+    if not coin.is_exact:
+        raise TypeError("exact composition needs the exact coin")
+    return PQRSVector(
+        *_bilinear(left, right, coin.exact_cores),
+        left.scale_exp + right.scale_exp + 1,
+    )
 
 
 def _bilinear(left, right, entries) -> tuple:
@@ -205,15 +192,15 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
         yield row
 
 
-def _wrap(cell: tuple, exact: bool, scale_exp: int) -> PQRSVector | PQRSVectorFloat:
+def _wrap(cell: tuple, exact: bool, scale_exp: int) -> PQRSVector:
     if exact:
         return PQRSVector(*(GaussianInteger(x) for x in cell), scale_exp)
-    return PQRSVectorFloat(*cell)
+    return PQRSVector(*cell)
 
 
 def path_sum_grid(
     steps: StepPair, coin: CoinMatrix
-) -> dict[tuple[int, int], PQRSVector | PQRSVectorFloat]:
+) -> dict[tuple[int, int], PQRSVector]:
     """Coefficient vectors for every (i, j) with i <= l, j <= m, i+j >= 1,
     filled by the prepend-a-step recursion S(l, m) = P S(l-1, m) + Q S(l, m-1).
     """
@@ -226,7 +213,7 @@ def path_sum_grid(
     }
 
 
-def path_sum_dp(steps: StepPair, coin: CoinMatrix) -> PQRSVector | PQRSVectorFloat:
+def path_sum_dp(steps: StepPair, coin: CoinMatrix) -> PQRSVector:
     """Sum over all step orderings, keeping one row of the recursion at a time."""
     for row in _dp_rows(steps, coin):
         pass
@@ -281,7 +268,6 @@ def apply_to_qubit(vec: PQRSVector, qubit: QubitState) -> tuple[ScaledAmplitude,
 def path_sum_probability(steps: StepPair) -> DyadicRational:
     """Squared norm of the path-sum applied to the symmetric qubit (DP route)."""
     vec = path_sum_dp(steps, CoinMatrix.hadamard())
-    assert isinstance(vec, PQRSVector)
     top, bottom = apply_to_qubit(vec, QubitState.symmetric())
     return top.probability() + bottom.probability()
 

@@ -160,7 +160,7 @@ def test_criterion_6_identity_suite():
                      walk.CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)):
             mats = pathsum.basis_matrices(coin)
             units = [
-                pathsum.PQRSVectorFloat(*(1 if i == j else 0 for j in range(4)))
+                pathsum.PQRSVector(*(1 if i == j else 0 for j in range(4)))
                 for i in range(4)
             ]
             for i, j in itertools.product(range(4), repeat=2):

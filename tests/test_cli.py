@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
 import hadwalk
-from hadwalk import genfun, pathsum
+from hadwalk import classical, cli, genfun, pathsum, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -81,6 +82,15 @@ class TestSimulate:
         )
         assert code == 2
         assert "|a|^2+|c|^2" in err
+
+    @pytest.mark.parametrize("entries", ["nan,nan,nan,nan", "1,0,0,nan"])
+    def test_non_finite_coin_exit_2(self, capsys, entries):
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "2", "--coin", "custom", "--entries", entries
+        )
+        assert code == 2
+        assert out == ""
+        assert "is not finite" in err
 
     def test_determinism(self, capsys):
         first = run_cli(capsys, "--format", "json", "simulate", "-n", "20")
@@ -220,6 +230,14 @@ class TestGenfun:
         code, _, err = run_cli(capsys, "genfun")
         assert code == 2
 
+    def test_sweep_count_limit_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+        assert len(run_json(capsys, "genfun", "--sweep", "0:0.5:3")["sweep"]) == 3
+        with pytest.raises(SystemExit) as exit_info:
+            main(["genfun", "--sweep", "0:0.5:4"])
+        assert exit_info.value.code == 2
+        assert "MAX_SWEEP_POINTS = 3" in capsys.readouterr().err
+
     def test_near_one_runs_in_linear_time(self, capsys):
         # N = 24 655: a per-n Legendre loop takes over 30 s, the linear pass 0.1 s
         start = time.perf_counter()
@@ -239,6 +257,26 @@ class TestClassical:
     def test_generating_function(self, capsys):
         doc = run_json(capsys, "classical", "--dim", "1", "--gf", "0.6")
         assert doc["value"] == pytest.approx(1.0 / (1 - 0.36) ** 0.5)
+
+    @pytest.mark.parametrize("dim,time", [(1, 15000), (2, 8000)])
+    def test_exact_output_past_int_str_digit_limit(self, capsys, dim, time):
+        # both parts of the reduced fraction run past Python's default
+        # 4300-digit limit of int-to-str conversion
+        doc = run_json(capsys, "classical", "--dim", str(dim), "--time", str(time))
+        k = time // 2
+        want = Fraction(math.comb(2 * k, k), 4**k) ** dim
+        num, _, den = doc["probability_exact"].partition("/")
+        assert min(len(num), len(den)) > 4300
+        assert num[0] != "0" and den[0] != "0"
+        assert int(Decimal(num)) == want.numerator
+        assert int(Decimal(den)) == want.denominator
+
+    def test_time_limit_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(classical, "MAX_RW_TIME", 10)
+        assert run_json(capsys, "classical", "--dim", "2", "--time", "10")["time"] == 10
+        code, out, err = run_cli(capsys, "classical", "--dim", "2", "--time", "11")
+        assert code == 2 and out == ""
+        assert "MAX_RW_TIME = 10" in err
 
     def test_requires_exactly_one_mode(self, capsys):
         code, _, _ = run_cli(capsys, "classical", "--dim", "1")
@@ -348,6 +386,24 @@ class TestEntryPoint:
         )
         assert result.returncode == 2, result.stderr
         assert f"MAX_DP_CELLS = {pathsum.MAX_DP_CELLS}" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("argv,limit", [
+        (["classical", "--dim", "2", "--time", "100000000"],
+         f"MAX_RW_TIME = {classical.MAX_RW_TIME}"),
+        (["simulate", "--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6", "-n", "1000000"],
+         f"MAX_FLOAT_TIME = {walk.MAX_FLOAT_TIME}"),
+        (["genfun", "--sweep", "0:0.5:100000000"],
+         f"MAX_SWEEP_POINTS = {cli.MAX_SWEEP_POINTS}"),
+    ])
+    def test_size_cap_exit_2(self, argv, limit):
+        # refused before any work; the timeout turns a runaway loop into a failure
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 2, result.stderr
+        assert limit in result.stderr
         assert result.stdout == ""
 
     def test_usage_error_exit_2(self):

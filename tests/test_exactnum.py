@@ -7,7 +7,6 @@ from hadwalk.exactnum import (
     DyadicRational,
     GaussianInteger,
     ScaledAmplitude,
-    amplitude_prob,
 )
 
 
@@ -120,9 +119,9 @@ class TestGaussianInteger:
 
 class TestScaledAmplitude:
     def test_probability_examples(self):
-        assert amplitude_prob(ScaledAmplitude(GaussianInteger(1, 1), 2)) == dr(1, 1)
-        assert amplitude_prob(ScaledAmplitude(GaussianInteger(0, 0), 9)) == dr(0)
-        assert amplitude_prob(ScaledAmplitude(GaussianInteger(3, -1), 7)) == dr(5, 6)
+        assert ScaledAmplitude(GaussianInteger(1, 1), 2).probability() == dr(1, 1)
+        assert ScaledAmplitude(GaussianInteger(0, 0), 9).probability() == dr(0)
+        assert ScaledAmplitude(GaussianInteger(3, -1), 7).probability() == dr(5, 6)
 
     def test_probability_rescaling_invariant(self):
         rng = random.Random(17)
@@ -132,7 +131,7 @@ class TestScaledAmplitude:
             a = ScaledAmplitude(core, exp)
             bumped = ScaledAmplitude(core * (1 << 3), exp + 6)
             assert a == bumped
-            assert amplitude_prob(a) == amplitude_prob(bumped)
+            assert a.probability() == bumped.probability()
 
     def test_add_same_parity(self):
         a = ScaledAmplitude(GaussianInteger(1, 0), 1)
@@ -149,4 +148,4 @@ class TestScaledAmplitude:
         a = ScaledAmplitude(GaussianInteger(1, 1), 1)
         b = ScaledAmplitude(GaussianInteger(1, -1), 2)
         assert a * b == ScaledAmplitude(GaussianInteger(2, 0), 3)
-        assert amplitude_prob(a * b) == amplitude_prob(a) * amplitude_prob(b)
+        assert (a * b).probability() == a.probability() * b.probability()

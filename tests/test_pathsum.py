@@ -9,7 +9,6 @@ from hadwalk import pathsum
 from hadwalk.exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
 from hadwalk.pathsum import (
     PQRSVector,
-    PQRSVectorFloat,
     StepPair,
     basis_matrices,
     path_sum_closed,
@@ -100,8 +99,8 @@ class TestCompose:
                     GaussianInteger(0), 0,
                 )
             else:
-                pure_p = PQRSVectorFloat(1, 0, 0, 0)
-                pure_q = PQRSVectorFloat(0, 1, 0, 0)
+                pure_p = PQRSVector(1, 0, 0, 0)
+                pure_q = PQRSVector(0, 1, 0, 0)
             got = pqrs_to_matrix(pqrs_compose(pure_p, pure_q, coin), coin)
             expected = coin.b * basis_matrices(coin)[2]
             assert np.abs(got - expected).max() < 1e-15
@@ -110,7 +109,7 @@ class TestCompose:
         for coin in (HADAMARD, GENERIC):
             mats = basis_matrices(coin)
             units = [
-                PQRSVectorFloat(*(1 if i == j else 0 for j in range(4)))
+                PQRSVector(*(1 if i == j else 0 for j in range(4)))
                 for i in range(4)
             ]
             for i, j in itertools.product(range(4), repeat=2):
@@ -150,7 +149,7 @@ class TestCompose:
     def test_mixed_variants_rejected(self):
         exact = path_sum_dp(StepPair(1, 1), HADAMARD)
         with pytest.raises(TypeError):
-            pqrs_compose(exact, PQRSVectorFloat(1, 0, 0, 0), HADAMARD)
+            pqrs_compose(exact, PQRSVector(1, 0, 0, 0), HADAMARD)
 
     def test_coefficients_unique_via_trace_projection(self):
         rng = random.Random(8)
@@ -370,7 +369,7 @@ def dict_grid_reference(steps, coin):
         one, zero = GaussianInteger(1), GaussianInteger(0)
         pure_p, pure_q = PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0)
     else:
-        pure_p, pure_q = PQRSVectorFloat(1.0, 0.0, 0.0, 0.0), PQRSVectorFloat(0.0, 1.0, 0.0, 0.0)
+        pure_p, pure_q = PQRSVector(1.0, 0.0, 0.0, 0.0), PQRSVector(0.0, 1.0, 0.0, 0.0)
     grid = {(1, 0): pure_p, (0, 1): pure_q}
     for i in range(steps.l + 1):
         for j in range(steps.m + 1):
@@ -388,8 +387,8 @@ def dict_grid_reference(steps, coin):
                     total = PQRSVector(total.p + vec.p, total.q + vec.q, total.r + vec.r,
                                        total.s + vec.s, total.scale_exp)
                 else:
-                    total = PQRSVectorFloat(total.p + vec.p, total.q + vec.q,
-                                            total.r + vec.r, total.s + vec.s)
+                    total = PQRSVector(total.p + vec.p, total.q + vec.q,
+                                       total.r + vec.r, total.s + vec.s)
             grid[(i, j)] = total
     return grid
 
@@ -433,13 +432,13 @@ class TestRollingRowDp:
                 want = pqrs_compose(pure[k], vec, HADAMARD)
                 assert tuple(GaussianInteger(x) for x in got) == cells(want)
                 assert want.scale_exp == exp + 1
-        pure_f = (PQRSVectorFloat(1.0, 0.0, 0.0, 0.0), PQRSVectorFloat(0.0, 1.0, 0.0, 0.0))
+        pure_f = (PQRSVector(1.0, 0.0, 0.0, 0.0), PQRSVector(0.0, 1.0, 0.0, 0.0))
         entries_f = (GENERIC.a, GENERIC.b, GENERIC.c, GENERIC.d)
         for _ in range(50):
             v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
             for k, got in enumerate((pathsum._prepend(v, (0.0,) * 4, entries_f),
                                      pathsum._prepend((0.0,) * 4, v, entries_f))):
-                assert got == cells(pqrs_compose(pure_f[k], PQRSVectorFloat(*v), GENERIC))
+                assert got == cells(pqrs_compose(pure_f[k], PQRSVector(*v), GENERIC))
 
     def test_dp_independent_of_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):

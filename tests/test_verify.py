@@ -1,0 +1,98 @@
+import json
+
+import pytest
+
+from hadwalk import verify
+from hadwalk.cli import main
+from hadwalk.exactnum import DyadicRational
+
+FAST_CHECKS = [
+    "value table p_0..p_18",
+    "four-oracle equality p_2n, n<=30",
+    "normalization n<=30",
+    "symmetry n<=30",
+    "odd-time return zero n<=29",
+    "pairing p_4m = p_4m+2, m<=15",
+    "closed-form coefficients = DP, l,m<=12",
+    "product table vs literal 2x2 products (16 pairs, 2 coins)",
+    "jacobi downward recurrence n<=50",
+    "hypergeometric chain n<=20",
+    "generating function identity z=0.5",
+    "2d random-walk generating function z=0.3",
+    "watson G closed form, 5-decimal prefix",
+    "3d return probability F, 5-decimal prefix",
+]
+
+FULL_CHECKS = [
+    "value table p_0..p_18",
+    "four-oracle equality p_2n, n<=100",
+    "normalization n<=100",
+    "symmetry n<=100",
+    "odd-time return zero n<=99",
+    "pairing p_4m = p_4m+2, m<=50",
+    "closed-form coefficients = DP, l,m<=30",
+    "product table vs literal 2x2 products (16 pairs, 2 coins)",
+    "jacobi downward recurrence n<=200",
+    "hypergeometric chain n<=50",
+    "generating function identity z=0.1",
+    "generating function identity z=0.3",
+    "generating function identity z=0.5",
+    "generating function identity z=0.7",
+    "2d random-walk generating function z=0.3",
+    "2d random-walk generating function z=0.6",
+    "watson G closed form, 5-decimal prefix",
+    "3d return probability F, 5-decimal prefix",
+    "watson G quadrature vs closed",
+]
+
+
+def with_route_off(monkeypatch, route, at, delta):
+    """Replace one row of verify.ROUTES by one whose value is off by delta at
+    the given time and right everywhere else."""
+
+    def value(n, right=route.value):
+        return right(n) + delta if n == at else right(n)
+
+    rows = tuple(r._replace(value=value) if r is route else r for r in verify.ROUTES)
+    monkeypatch.setattr(verify, "ROUTES", rows)
+
+
+@pytest.mark.parametrize("scope,names", [("fast", FAST_CHECKS), ("full", FULL_CHECKS)])
+def test_check_names_in_report_order(scope, names):
+    report = verify.run_verify(scope)
+    assert [c.name for c in report.checks] == names
+    assert report.passed
+
+
+def test_route_rows_in_report_order():
+    assert [r.name for r in verify.ROUTES] == ["direct", "xi", "prop1", "closed"]
+    covered = {r.name: [n for n in range(-2, 9) if r.covers(n)] for r in verify.ROUTES}
+    assert covered == {
+        "direct": list(range(-2, 9)),
+        "xi": [2, 4, 6, 8],
+        "prop1": [-2, 0, 2, 4, 6, 8],
+        "closed": [4, 6, 8],
+    }
+
+
+@pytest.mark.parametrize("route", verify.ROUTES[1:], ids=lambda r: r.name)
+def test_wrong_route_fails_only_the_four_oracle_check(monkeypatch, capsys, route):
+    with_route_off(monkeypatch, route, 20, DyadicRational(1, 70))
+    report = verify.run_verify("fast")
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["four-oracle equality p_2n, n<=30"]
+    assert failed[0].actual == f"mismatches: [(20, {route.name!r})]"
+    assert main(["--format", "json", "verify", "--scope", "fast"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [failed[0].name]
+
+
+@pytest.mark.parametrize("route", verify.ROUTES, ids=lambda r: r.name)
+def test_wrong_route_makes_return_prob_all_disagree(monkeypatch, capsys, route):
+    with_route_off(monkeypatch, route, 8, DyadicRational(1, 40))
+    code = main(["return-prob", "-n", "8", "--method", "all"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "method disagreement at time 8" in captured.err
+    assert captured.out == ""

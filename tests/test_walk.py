@@ -51,6 +51,16 @@ class TestCoinMatrix:
         with pytest.raises(ValueError, match=r"conj"):
             CoinMatrix.unitary(2**-0.5, 2**-0.5, 2**-0.5, 2**-0.5)
 
+    @pytest.mark.parametrize("entries,name", [
+        ((float("nan"),) * 4, "a"),
+        ((1, 0, 0, float("nan")), "d"),
+        ((1, complex(0, float("nan")), 0, 1), "b"),
+        ((1, 0, float("-inf"), 1), "c"),
+    ])
+    def test_non_finite_entry_named(self, entries, name):
+        with pytest.raises(ValueError, match=f"coin entry {name} = .* is not finite"):
+            CoinMatrix.unitary(*entries)
+
 
 class TestQubitState:
     def test_symmetric_is_normalized(self):
@@ -283,3 +293,10 @@ class TestFloatEngine:
         psi = FloatWaveFunction.point_mass(QubitState.symmetric())
         out = step(psi, CoinMatrix.hadamard())
         assert isinstance(out, FloatWaveFunction)
+
+    def test_time_limit_boundary(self, monkeypatch):
+        coin = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
+        monkeypatch.setattr(walk, "MAX_FLOAT_TIME", 5)
+        assert evolve(QubitState.symmetric(), coin, 5).time == 5
+        with pytest.raises(ValueError, match="MAX_FLOAT_TIME = 5"):
+            evolve(QubitState.symmetric(), coin, 6)
