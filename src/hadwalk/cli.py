@@ -102,9 +102,11 @@ def _cmd_return_prob(args, em: Emitter) -> int:
     else:
         routes = [r for r in verify.ROUTES if r.name == args.method]
         if not routes[0].covers(n):
+            # every integer time is covered by direct (odd or small n) or prop1
+            others = " or ".join(f"--method {r.name}" for r in verify.ROUTES if r.covers(n))
             raise ValueError(
                 f"method {args.method!r} does not cover time {n}: "
-                f"it needs {routes[0].needs}"
+                f"it needs {routes[0].needs}; use {others}"
             )
     values = {r.name: r.value(n) for r in routes}
     if args.method == "all" and len(set(values.values())) > 1:

@@ -38,11 +38,13 @@ class Route(NamedTuple):
     value: Callable[[int], DyadicRational]
 
 
-#: The four independent routes, in report order.  Each value looks up its
-#: module function when called, so a patched or traced function is the one
-#: that runs.
+#: The four independent routes, in report order.  Each value and the direct
+#: row's cap are looked up when called, so a patched or traced function is the
+#: one that runs.  The direct row covers only the times the exact engine
+#: evolves to; odd times need no evolution.
 ROUTES = (
-    Route("direct", "n >= 0", lambda n: True,
+    Route("direct", f"odd n, or n <= MAX_EXACT_TIME = {walk.MAX_EXACT_TIME}",
+          lambda n: n % 2 == 1 or n <= walk.MAX_EXACT_TIME,
           lambda n: walk.return_probability_direct(n)),
     Route("xi", "even n >= 2", lambda n: n >= 2 and n % 2 == 0,
           lambda n: pathsum.return_probability_paths(n // 2)),

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -107,6 +108,34 @@ class TestSimulate:
         assert total == DyadicRational(1)
         assert len(rows) == 201
 
+
+    # sha256 of the stdout the full-width float engine printed.  Each entry of
+    # these coins has a zero real or imaginary part, so every product in a step
+    # is rounded once, with or without fused multiply-adds.
+    FLOAT_STDOUT_SHA256 = {
+        ("0.6,0.8j,0.8j,0.6", 249, "json"): "84c18ea69ade8cdbc415a9ae9ec31122593bb988640064014ea735e96b4b880d",
+        ("0.6,0.8j,0.8j,0.6", 249, "csv"): "a60531019d042251917d9c0a38995e904dab9671f8f3da43b6fe504931b98027",
+        ("0.6,0.8j,0.8j,0.6", 249, "plain"): "6c47559f57f210823072f07fc761121b5877857d73d4e8b625ba8e59a21a4e55",
+        ("0.6,0.8j,0.8j,0.6", 250, "json"): "64098fa5289dd5a65be307be471451e13609a10f8da29ec2cf65bf248f0055ed",
+        ("0.6,0.8j,0.8j,0.6", 250, "csv"): "78bc6839a87e0996e97d662d4d76fa89d200c28fd69502028aefc9503361b42b",
+        ("0.6,0.8j,0.8j,0.6", 250, "plain"): "3d90b4c2980b10b46bf8082e22994d6c7447061e001d4e7189505454a78f1bf9",
+        ("0.6,0.8,0.8,-0.6", 249, "json"): "faa36b57206591d722d54071ceb5ea349c97c83e71dc08ab7cb7383fa96388c0",
+        ("0.6,0.8,0.8,-0.6", 249, "csv"): "0280f319cd7f253480255414c67a28515dedd405e437f4aba3ee7e3ea830bce6",
+        ("0.6,0.8,0.8,-0.6", 249, "plain"): "e57d12e9f8f339b7fedcbde8e004f0b60841c8e369baf9919269ba61a8f2238d",
+        ("0.6,0.8,0.8,-0.6", 250, "json"): "4d54cdb60dd4c5dae4c3772e2cce2daa1d6e5061dca1cef94792e3f2eb002edf",
+        ("0.6,0.8,0.8,-0.6", 250, "csv"): "f8adb7d1f7d50b67be49226012ec7af6c193d1fb1751e71c04f266020ef0e1ca",
+        ("0.6,0.8,0.8,-0.6", 250, "plain"): "c6be38819ceb379d0411edaa5bb507efa801cb8ddfd08efcd4b50f2dea8f16a8",
+    }
+
+    @pytest.mark.parametrize("entries,time,fmt", FLOAT_STDOUT_SHA256)
+    def test_float_stdout_pinned(self, capsys, entries, time, fmt):
+        code, out, err = run_cli(
+            capsys, "--format", fmt, "simulate", "-n", str(time),
+            "--coin", "custom", "--entries", entries,
+        )
+        assert code == 0, err
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.FLOAT_STDOUT_SHA256[entries, time, fmt]
 
 class TestReturnProb:
     def test_all_methods_agree_on_table_value(self, capsys):

@@ -1,9 +1,12 @@
+import cmath
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
-from hadwalk import genfun, walk
+from hadwalk import genfun, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational, G_ONE, G_ZERO, GaussianInteger, ScaledAmplitude
 from hadwalk.walk import (
@@ -252,9 +255,11 @@ class TestPackedEngine:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["return-prob", "-n", str(MAX_EXACT_TIME + 2)],
-            ["return-prob", "-n", str(MAX_EXACT_TIME + 2), "--method", "direct"],
-            ["simulate", "-n", str(MAX_EXACT_TIME + 2)],
+            pytest.param(
+                ["return-prob", "-n", str(MAX_EXACT_TIME + 2), "--method", "direct"],
+                id="argv1",
+            ),
+            pytest.param(["simulate", "-n", str(MAX_EXACT_TIME + 2)], id="argv2"),
         ],
     )
     def test_time_above_limit_refused(self, capsys, argv):
@@ -263,8 +268,180 @@ class TestPackedEngine:
         assert f"MAX_EXACT_TIME = {MAX_EXACT_TIME}" in err
         assert "--method prop1" in err and "--method closed" in err
 
+    def test_return_prob_all_above_limit_uses_the_other_routes(self, capsys):
+        direct = verify.ROUTES[0]
+        assert [direct.covers(MAX_EXACT_TIME + d) for d in (0, 1, 2)] == [True, True, False]
+        n = MAX_EXACT_TIME + 2
+        assert main(["--format", "json", "return-prob", "-n", str(n)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [v["method"] for v in doc["values"]] == ["xi", "prop1", "closed"]
+        assert doc["all_equal"] is True
+        assert {v["exact"] for v in doc["values"]} == {str(genfun.p0_closed(n // 4))}
+
     def test_odd_time_above_limit_needs_no_evolution(self):
         assert return_probability_direct(MAX_EXACT_TIME + 1) == 0
+
+
+def full_width_step(left, right, coin):
+    """Oracle: one float step over all 2t + 1 positions of [-t, t], the
+    zeros off the time's parity included, as the uncompressed engine did it."""
+    n = left.size
+    new_left = np.zeros(n + 2, complex)
+    new_right = np.zeros(n + 2, complex)
+    new_left[:-2] = coin.a * left + coin.b * right
+    new_right[2:] = coin.c * left + coin.d * right
+    return new_left, new_right
+
+
+def full_width_probabilities(t, left, right):
+    probs = (np.abs(left) ** 2 + np.abs(right) ** 2).real
+    return {x: float(probs[x + t]) for x in range(-t, t + 1, 2)}
+
+
+def _general_phase_coin():
+    """e^{i phi} [[cos th e^{i al}, sin th e^{i be}], [-sin th e^{-i be}, cos th e^{-i al}]]"""
+    phi, th, al, be = 0.4, 0.3, 0.7, -1.1
+    g = cmath.exp(1j * phi)
+    return CoinMatrix.unitary(
+        g * math.cos(th) * cmath.exp(1j * al),
+        g * math.sin(th) * cmath.exp(1j * be),
+        -g * math.sin(th) * cmath.exp(-1j * be),
+        g * math.cos(th) * cmath.exp(-1j * al),
+    )
+
+
+R2 = 2**-0.5
+FLOAT_COINS = {
+    "hadamard": CoinMatrix.unitary(R2, R2, R2, -R2),
+    "0.6,0.8j": CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6),
+    "real": CoinMatrix.unitary(0.6, 0.8, 0.8, -0.6),
+    "phases": _general_phase_coin(),
+}
+
+#: unit roundoff of IEEE binary64
+U = 2.0**-53
+#: |fl(x1 y1 + x2 y2) - (x1 y1 + x2 y2)| <= ETA (|x1||y1| + |x2||y2|) for
+#: complex x, y, with or without fused multiply-adds: each product is off by
+#: at most sqrt(2) gamma_2 |x||y| (Higham, Accuracy and Stability of
+#: Numerical Algorithms, 2nd ed., Lemma 3.5) and the sum by u of its size;
+#: sqrt(2) gamma_2 + u (1 + sqrt(2) gamma_2) = 3.83 u, rounded up.  A single
+#: product obeys the same bound.
+ETA = 4 * U
+#: |fl(e^{i k~}) a - e^{i k} a| <= BETA |a| for k = 2 pi j / M computed as
+#: 2 * np.pi * j / M: k~ = k (1 + theta_3) is off by at most 2 pi gamma_3,
+#: cos and sin are within one ulp (2 sqrt(2) u for the pair), and the
+#: product adds sqrt(2) gamma_2: 18.85 u + 2.83 u + 2.83 u, rounded up.
+BETA = 26 * U
+#: relative error of numpy's inverse FFT of length M is at most
+#: FFT_C u log2 M.  Higham's Theorem 24.2 gives about 6.7 (eta = mu +
+#: gamma_4 (sqrt(2) + mu), twiddle error mu ~ u) for radix-2 Cooley-Tukey
+#: with accurate twiddles; pocketfft's mixed-radix and
+#: Bluestein plans have the same form with a few more passes, and 64 covers
+#: them with room.  This is the one constant of the bound taken from the
+#: literature instead of derived line by line below.
+FFT_C = 64
+
+
+def coin_growth(t):
+    """Upper bound on ||C||_2^t.  A coin that passed validation has
+    ||C^H C - I||_F <= 2 UNITARITY_TOL up to the check's own rounding, so
+    ||C||_2^2 <= 1 + 2 UNITARITY_TOL + O(u) and ||C||_2 <= 1 + 2 UNITARITY_TOL."""
+    return math.exp(t * 2 * walk.UNITARITY_TOL)
+
+
+def coin_array(coin):
+    return np.array([[coin.a, coin.b], [coin.c, coin.d]])
+
+
+def engine_error_bound(coin, qubit, t):
+    """Bound on ||psi~_t - psi_t||_2, the stepped state against the exact
+    walk with the same float coin C and float initial qubit.
+
+    A step computes each new slot as fl(a L + b R) or fl(c L + d R), so its
+    local error is at most ETA |C| (|L|, |R|) slot by slot, of 2-norm at most
+    ETA ||C||_F ||psi~_t||.  The exact step S has ||S||_2 = ||C||_2 <= c, so
+    e_{t+1} <= c e_t + ETA ||C||_F (c^t nu_0 + e_t), which gives
+    e_t <= nu_0 ((c + x)^t - c^t) <= nu_0 c^t expm1(t x) for x = ETA ||C||_F
+    and c >= 1 (coin_growth)."""
+    nu0 = math.hypot(*map(abs, qubit)) * (1 + 2 * U)
+    return nu0 * coin_growth(t) * math.expm1(t * ETA * np.linalg.norm(coin_array(coin)))
+
+
+def fourier_walk(coin, qubit, t):
+    """Independent float oracle for the walk, and a bound on its error.
+
+    The walk is translation invariant (Ambainis, Bach, Nayak, Vishwanath and
+    Watrous, "One-dimensional quantum walks", STOC 2001): with
+    psi^(k) = sum_x psi(x) e^{-ikx}, one step psi'(x) = P psi(x+1) +
+    Q psi(x-1) is psi^'(k) = U(k) psi^(k) with U(k) = diag(e^{ik}, e^{-ik}) C.
+    So psi^_t(k) = U(k)^t psi^_0 with psi^_0 the initial qubit.  The state
+    lives on |x| <= t, so M = 2t + 2 frequencies k_j = 2 pi j / M determine
+    it without aliasing, and psi_t(x) = ifft(psi^_t)[x mod M].  U(k)^t comes
+    from one batched eigendecomposition U~ V = V diag(w); each eigenvalue is
+    normalised to w/|w| before its power, taken as exp(i t arg w).
+
+    Returns (psi, bound): psi[x mod M] = (left, right) amplitude at x, and
+    bound >= ||psi - psi_t||_2 against the exact walk with the float coin.
+
+    Derivation, per frequency j (all norms 2-norms unless marked F):
+    - U~ is the computed U(k_j): ||U~ - U(k_j)|| <= BETA ||C||_F.
+    - sigma_1 <= F := ||V||_F and sigma_2 >= |det V| / F, both made
+      one-sided for their own rounding; kappa = F / sigma_2 bounds the
+      condition number of V.
+    - A := V diag(w/|w|) V^{-1}, with the computed V and w, is the matrix
+      whose power is taken.  From U~ V - V diag(w) = R,
+      ||U~ - A|| <= ||R|| / sigma_2 + kappa max_l | |w_l| - 1 | =: rho, and
+      ||R|| is at most the computed residual plus 2 ETA (||U~||_F + max|w|) F.
+    - ||A^n|| <= kappa for every n and ||U(k_j)^n|| <= ||C||^n, so
+      A^t - U^t = sum_n A^(t-1-n) (A - U) U^n has norm at most
+      t kappa (rho + BETA ||C||_F) coin_growth: the dominant term.
+    - What is computed is V (ph * c~) with c~ = solve(V, psi^_0) and
+      ph = exp(i t arg w).  ||c~ - V^{-1} psi^_0|| <= ||V c~ - psi^_0|| /
+      sigma_2, the residual again made one-sided.  arg w is within one ulp
+      (4u, as |arg w| <= pi), t arg w adds u t pi and exp one ulp per part,
+      so |ph - (w/|w|)^t| <= (4 + pi) u t + 3u.  Forming ph * c~ and the
+      product with V rounds by at most 3 ETA F ||c~||.
+    Summing: E_j = t kappa (rho + BETA ||C||_F) coin_growth ||psi^_0||
+    + F ((ph error + 3 ETA) ||c~|| + ||c~ - c||).  By Parseval the inverse
+    DFT maps an error E in 2-norm over the M frequencies to E / sqrt(M), and
+    the FFT itself adds at most FFT_C u log2(M) ||psi||.  ETA and BETA,
+    which carry the terms that grow with t, are rounded up by over 4 %; that
+    also covers the relative O(u) rounding of the bound's own evaluation."""
+    m = 2 * t + 2
+    c_mat = coin_array(coin)
+    z = np.exp(1j * (2 * np.pi * np.arange(m) / m))
+    u_k = np.empty((m, 2, 2), complex)
+    u_k[:, 0, :] = z[:, None] * c_mat[0]
+    u_k[:, 1, :] = z.conj()[:, None] * c_mat[1]
+    w, v = np.linalg.eig(u_k)
+    psi0 = np.broadcast_to(np.array(qubit, complex), (m, 2))
+    c = np.linalg.solve(v, psi0[..., None])[..., 0]
+    ph = np.exp(1j * (t * np.angle(w)))
+    psi_hat = (v @ (ph * c)[..., None])[..., 0]
+    psi = np.fft.ifft(psi_hat, axis=0)
+
+    def fro(a):
+        return np.linalg.norm(a, axis=(-2, -1))
+
+    f = fro(v) * (1 + 4 * U)
+    prods = np.abs(v[:, 0, 0] * v[:, 1, 1]) + np.abs(v[:, 0, 1] * v[:, 1, 0])
+    det = np.abs(v[:, 0, 0] * v[:, 1, 1] - v[:, 0, 1] * v[:, 1, 0])
+    sigma2 = (det * (1 - 4 * U) - 2 * ETA * prods) / f
+    assert (sigma2 > 0).all()
+    kappa = f / sigma2
+    resid = fro(u_k @ v - v * w[:, None, :])
+    resid += 2 * ETA * (fro(u_k) + np.abs(w).max(axis=1)) * f
+    rho = resid / sigma2 + kappa * (np.abs(np.abs(w) - 1).max(axis=1) + 2 * U)
+    n0 = np.linalg.norm(psi0, axis=1) * (1 + 2 * U)
+    c_norm = np.linalg.norm(c, axis=1) * (1 + 2 * U)
+    resid_c = np.linalg.norm((v @ c[..., None])[..., 0] - psi0, axis=1)
+    resid_c += 2 * ETA * (f * c_norm + n0)
+    ph_err = (4 + math.pi) * U * t + 3 * U
+    e_j = t * kappa * (rho + BETA * fro(c_mat)) * coin_growth(t) * n0
+    e_j += f * ((ph_err + 3 * ETA) * c_norm + resid_c / sigma2)
+    fft_err = FFT_C * U * math.log2(m)
+    bound = math.sqrt((e_j**2).sum() / m) + fft_err * np.linalg.norm(psi) / (1 - fft_err)
+    return psi, bound
 
 
 class TestFloatEngine:
@@ -293,6 +470,55 @@ class TestFloatEngine:
         psi = FloatWaveFunction.point_mass(QubitState.symmetric())
         out = step(psi, CoinMatrix.hadamard())
         assert isinstance(out, FloatWaveFunction)
+
+    @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
+    def test_bit_identical_to_full_width_stepper(self, coin):
+        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        left, right = psi.left, psi.right
+        for t in range(1, 3001):
+            psi = psi.step(coin)
+            left, right = full_width_step(left, right, coin)
+            if t <= 200 or t in (1001, 3000):
+                want = full_width_probabilities(t, left, right)
+                got = psi.probabilities()
+                assert list(got) == list(want), t
+                assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()], t
+
+    def test_step_leaves_its_source_unchanged(self):
+        coin = FLOAT_COINS["phases"]
+        psi = evolve(QubitState.symmetric(), coin, 50)
+        left, right = psi.left.copy(), psi.right.copy()
+        first, second = psi.step(coin), psi.step(coin)
+        assert np.array_equal(psi.left, left) and np.array_equal(psi.right, right)
+        assert np.array_equal(first.left, second.left)
+        assert np.array_equal(first.right, second.right)
+        assert not np.shares_memory(first.left, psi.left)
+        assert not np.shares_memory(first.right, psi.right)
+        assert first.left.size == first.right.size == 52
+
+    def test_slot_count_must_match_time(self):
+        with pytest.raises(ValueError, match="time \\+ 1 = 3 slots"):
+            FloatWaveFunction(2, np.zeros(5, complex), np.zeros(5, complex))
+
+    @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
+    @pytest.mark.parametrize("t", [1, 2, 7, 100, 1001, 2000])
+    def test_matches_fourier_oracle_within_roundoff_bound(self, coin, t):
+        qubit = QubitState.symmetric().to_complex()
+        psi = evolve(QubitState.symmetric(), coin, t)
+        oracle, oracle_bound = fourier_walk(coin, qubit, t)
+        bound = engine_error_bound(coin, qubit, t) + oracle_bound
+        slots = (2 * np.arange(t + 1) - t) % (2 * t + 2)  # position x at x mod M
+        stepped = np.zeros_like(oracle)
+        stepped[slots, 0], stepped[slots, 1] = psi.left, psi.right
+        assert np.linalg.norm(stepped - oracle) <= bound
+        # sum_x | |u_x|^2 - |v_x|^2 | <= (||u|| + ||v||) ||u - v||, plus the
+        # rounding of each side's |L|^2 + |R|^2 (under 6u of it, 8u taken)
+        probs = np.zeros(2 * t + 2)
+        probs[slots] = list(psi.probabilities().values())
+        oracle_probs = (np.abs(oracle) ** 2).sum(axis=1)
+        norms = np.linalg.norm(stepped) + np.linalg.norm(oracle)
+        slack = 8 * U * (probs.sum() + oracle_probs.sum())
+        assert np.abs(probs - oracle_probs).sum() <= norms * bound + slack
 
     def test_time_limit_boundary(self, monkeypatch):
         coin = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
