@@ -50,7 +50,6 @@ from .walk import (
     distribution,
     evolve,
     return_probability_direct,
-    step,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "run_verify",
     "rw_gf",
     "rw_return_prob",
-    "step",
     "tail_bound",
     "watson_g_closed",
     "watson_g_quadrature",

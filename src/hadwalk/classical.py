@@ -116,26 +116,26 @@ def _simpson(f, a, fa, b, fb):
     return mid, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _adaptive(f, a, fa, b, fb, whole, tol, depth, state):
-    m = 0.5 * (a + b)
-    fmid = f(m)
-    _, _, left = _simpson(f, a, fa, m, fmid)
-    _, _, right = _simpson(f, m, fmid, b, fb)
+def _adaptive(f, a, fa, m, fm, b, fb, whole, tol, depth, state):
+    """Adaptive Simpson on [a, b], whose midpoint m and Simpson value `whole`
+    the caller has already computed; each abscissa is evaluated once."""
+    lm, flm, left = _simpson(f, a, fa, m, fm)
+    rm, frm, right = _simpson(f, m, fm, b, fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * tol or depth >= _MAX_DEPTH:
         if depth >= _MAX_DEPTH and abs(delta) > 15.0 * tol:
             state["budget_ok"] = False
         state["err"] += abs(delta) / 15.0
         return left + right + delta / 15.0
-    return _adaptive(f, a, fa, m, fmid, left, 0.5 * tol, depth + 1, state) + _adaptive(
-        f, m, fmid, b, fb, right, 0.5 * tol, depth + 1, state
+    return _adaptive(f, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth + 1, state) + _adaptive(
+        f, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth + 1, state
     )
 
 
 def _integrate(f, a, b, tol, state) -> float:
     fa, fb = f(a), f(b)
-    _, _, whole = _simpson(f, a, fa, b, fb)
-    return _adaptive(f, a, fa, b, fb, whole, tol, 0, state)
+    m, fm, whole = _simpson(f, a, fa, b, fb)
+    return _adaptive(f, a, fa, m, fm, b, fb, whole, tol, 0, state)
 
 
 def watson_g_quadrature(rel_tol: float = 1e-8) -> QuadratureValue:

@@ -76,20 +76,13 @@ def _cmd_simulate(args, em: Emitter) -> int:
     columns = ["position", "probability_exact", "probability_float"]
     rows: list[list] = []
     entries = []
-    if coin.is_exact:
-        dist = walk.distribution(psi)
-        for x in sorted(dist.probs):
-            p = dist.probs[x]
-            rows.append([x, str(p), em.fl(float(p))])
-            entries.append(
-                {"position": x, "probability_exact": str(p), "probability_float": float(p)}
-            )
-    else:
-        for x, p in sorted(walk.distribution(psi).items()):
-            rows.append([x, None, em.fl(p)])
-            entries.append(
-                {"position": x, "probability_exact": None, "probability_float": p}
-            )
+    dist = walk.distribution(psi)
+    probs = dist.probs if coin.is_exact else dist
+    for x, p in sorted(probs.items()):
+        exact = str(p) if coin.is_exact else None
+        value = float(p)
+        rows.append([x, exact, em.fl(value)])
+        entries.append({"position": x, "probability_exact": exact, "probability_float": value})
     doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
     em.table(columns, rows, json_doc=doc)
     return 0
@@ -97,13 +90,16 @@ def _cmd_simulate(args, em: Emitter) -> int:
 
 def _cmd_return_prob(args, em: Emitter) -> int:
     n = args.time
+    covering = [r for r in verify.ROUTES if r.covers(n)]
+    if not covering:
+        needs = "; ".join(f"{r.name} needs {r.needs}" for r in verify.ROUTES)
+        raise ValueError(f"no method covers time {n}: {needs}")
     if args.method == "all":
-        routes = [r for r in verify.ROUTES if r.covers(n)]
+        routes = covering
     else:
         routes = [r for r in verify.ROUTES if r.name == args.method]
         if not routes[0].covers(n):
-            # every integer time is covered by direct (odd or small n) or prop1
-            others = " or ".join(f"--method {r.name}" for r in verify.ROUTES if r.covers(n))
+            others = " or ".join(f"--method {r.name}" for r in covering)
             raise ValueError(
                 f"method {args.method!r} does not cover time {n}: "
                 f"it needs {routes[0].needs}; use {others}"
@@ -357,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision < 0:
+        parser.error(f"argument --precision: must be nonnegative, got {args.precision}")
     em = Emitter(args.format, args.precision)
     try:
         return args.handler(args, em)

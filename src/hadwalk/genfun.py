@@ -20,11 +20,24 @@ from .specfun import central_binomial, elliptic_k_agm, legendre_p0
 # at the cap on a 2-vCPU x86-64 host.
 MAX_TRUNCATION = 100_000
 
+#: Largest time of p0_legendre and p0_closed, the same as classical.MAX_RW_TIME.
+#: Building and printing the exact value takes time growing as about T^2:
+#: return-prob --method closed took 0.49 / 1.6 / 5.3 / 33 s and --method prop1
+#: 0.64 / 1.4 / 5.1 / 33 s at T = 10^5 / 2*10^5 / 4*10^5 / 10^6 (2.6 MB of
+#: output at 10^6), on one core of a 2-vCPU x86-64 host.
+MAX_P0_TIME = 1_000_000
+
+
+def _check_p0_time(time: int) -> None:
+    if time > MAX_P0_TIME:
+        raise ValueError(f"time {time} is above the limit MAX_P0_TIME = {MAX_P0_TIME}")
+
 
 def p0_legendre(n: int) -> DyadicRational:
     """Exact p_{2n}(0) = (1/2) [P_{n-1}(0)^2 + P_n(0)^2], with p_0(0) = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_p0_time(2 * n)
     if n == 0:
         return DyadicRational(1)
     value = (legendre_p0(n - 1) ** 2 + legendre_p0(n) ** 2) / 2
@@ -35,6 +48,7 @@ def p0_closed(m: int) -> DyadicRational:
     """Exact p_{4m}(0) = p_{4m+2}(0) = C(2m,m)^2 / 2^(4m+1), for m >= 1."""
     if m < 1:
         raise ValueError("the pairing closed form starts at m = 1")
+    _check_p0_time(4 * m)
     return DyadicRational(central_binomial(m) ** 2, 4 * m + 1)
 
 

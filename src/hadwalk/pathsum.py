@@ -13,15 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import G_ONE, DyadicRational, GaussianInteger, ScaledAmplitude
-from .walk import CoinMatrix, QubitState
+from .exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
+from .walk import HADAMARD_CORES, CoinMatrix, QubitState
 
 #: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
 #: under it, l = m = 499, path_sum_dp took 0.3 s and path_sum_grid 2.8 s and
 #: 175 MiB on one core of a 2-vCPU x86-64 host.
 MAX_DP_CELLS = 250_000
 
-_HADAMARD_CORES = (G_ONE, G_ONE, G_ONE, -G_ONE)
+#: Largest time 2n of return_probability_paths.  Its big-int work grows as
+#: about T^2.6: return-prob --method xi took 1.8 / 9.4 / 16 / 121 s at
+#: T = 20 000 / 40 000 / 50 000 / 100 000 on one core of a 2-vCPU x86-64 host.
+MAX_PATHS_TIME = 50_000
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ def pqrs_compose(left: PQRSVector, right: PQRSVector, coin: CoinMatrix) -> PQRSV
     if not coin.is_exact:
         raise TypeError("exact composition needs the exact coin")
     return PQRSVector(
-        *_bilinear(left, right, coin.exact_cores),
+        *_bilinear(left, right, HADAMARD_CORES),
         left.scale_exp + right.scale_exp + 1,
     )
 
@@ -173,9 +176,7 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
             f"MAX_DP_CELLS = {MAX_DP_CELLS}"
         )
     if coin.is_exact:
-        if coin.exact_cores != _HADAMARD_CORES:
-            raise TypeError("the path-sum DP runs only the Hadamard cores (1, 1, 1, -1)")
-        entries, one, zero = tuple(g.re for g in _HADAMARD_CORES), 1, 0
+        entries, one, zero = HADAMARD_CORES, 1, 0
     else:
         entries, one, zero = (coin.a, coin.b, coin.c, coin.d), 1.0, 0.0
     nothing = (zero, zero, zero, zero)
@@ -276,6 +277,8 @@ def return_probability_paths(n: int) -> DyadicRational:
     """Exact p_{2n}(0) from the closed-form coefficients at l = m = n."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if 2 * n > MAX_PATHS_TIME:
+        raise ValueError(f"time {2 * n} is above the limit MAX_PATHS_TIME = {MAX_PATHS_TIME}")
     vec = path_sum_closed(StepPair(n, n))
     top, bottom = apply_to_qubit(vec, QubitState.symmetric())
     return top.probability() + bottom.probability()

@@ -38,19 +38,22 @@ class Route(NamedTuple):
     value: Callable[[int], DyadicRational]
 
 
-#: The four independent routes, in report order.  Each value and the direct
-#: row's cap are looked up when called, so a patched or traced function is the
-#: one that runs.  The direct row covers only the times the exact engine
-#: evolves to; odd times need no evolution.
+#: The four independent routes, in report order.  Each value and each cap is
+#: looked up when called, so a patched or traced function is the one that
+#: runs.  Each row covers only the times up to its route's cap, except that
+#: the direct row covers every odd time: those need no evolution.
 ROUTES = (
     Route("direct", f"odd n, or n <= MAX_EXACT_TIME = {walk.MAX_EXACT_TIME}",
           lambda n: n % 2 == 1 or n <= walk.MAX_EXACT_TIME,
           lambda n: walk.return_probability_direct(n)),
-    Route("xi", "even n >= 2", lambda n: n >= 2 and n % 2 == 0,
+    Route("xi", f"even n with 2 <= n <= MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}",
+          lambda n: 2 <= n <= pathsum.MAX_PATHS_TIME and n % 2 == 0,
           lambda n: pathsum.return_probability_paths(n // 2)),
-    Route("prop1", "even n", lambda n: n % 2 == 0,
+    Route("prop1", f"even n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
+          lambda n: n <= genfun.MAX_P0_TIME and n % 2 == 0,
           lambda n: genfun.p0_legendre(n // 2)),
-    Route("closed", "even n >= 4", lambda n: n >= 4 and n % 2 == 0,
+    Route("closed", f"even n with 4 <= n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
+          lambda n: 4 <= n <= genfun.MAX_P0_TIME and n % 2 == 0,
           lambda n: genfun.p0_closed(n // 4)),
 )
 

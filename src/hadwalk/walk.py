@@ -52,8 +52,11 @@ MAX_FLOAT_TIME = 20_000
 #: comes only about every 2 * _WIDTH_MARGIN steps.
 _WIDTH_MARGIN = 32
 
+#: The Hadamard coin's entries a, b, c, d over 1/sqrt(2).  Every exact
+#: amplitude is a Gaussian integer times a power of 1/sqrt(2) because of them.
+HADAMARD_CORES = (1, 1, 1, -1)
+
 _ZERO_PAIR = (G_ZERO, G_ZERO)
-_HADAMARD_CORES = (G_ONE, G_ONE, G_ONE, -G_ONE)
 
 
 def _fits(norm: int, width: int) -> bool:
@@ -97,31 +100,26 @@ def _read_slot(packed: int, width: int, k: int) -> int:
 class CoinMatrix:
     """2x2 unitary coin [[a, b], [c, d]].
 
-    The exact variant stores every entry as core * (1/sqrt2) with the core a
-    Gaussian-integer unit or zero; only the Hadamard coin is built that way.
+    Only the coin from hadamard() is exact: its entries are HADAMARD_CORES
+    times 1/sqrt(2), and the exact engine steps it on those integer cores.
     """
 
-    __slots__ = ("a", "b", "c", "d", "exact_cores")
+    __slots__ = ("a", "b", "c", "d", "_exact")
 
-    def __init__(
-        self,
-        a: complex,
-        b: complex,
-        c: complex,
-        d: complex,
-        exact_cores: tuple[GaussianInteger, ...] | None = None,
-    ) -> None:
+    def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
         self.a = complex(a)
         self.b = complex(b)
         self.c = complex(c)
         self.d = complex(d)
-        self.exact_cores = exact_cores
+        self._exact = False
         self._validate_unitary()
 
     @classmethod
     def hadamard(cls) -> CoinMatrix:
         r = 2.0**-0.5
-        return cls(r, r, r, -r, exact_cores=(G_ONE, G_ONE, G_ONE, -G_ONE))
+        coin = cls(*(core * r for core in HADAMARD_CORES))
+        coin._exact = True
+        return coin
 
     @classmethod
     def unitary(cls, a: complex, b: complex, c: complex, d: complex) -> CoinMatrix:
@@ -130,7 +128,7 @@ class CoinMatrix:
 
     @property
     def is_exact(self) -> bool:
-        return self.exact_cores is not None
+        return self._exact
 
     def _validate_unitary(self) -> None:
         for name, entry in zip("abcd", (self.a, self.b, self.c, self.d)):
@@ -188,10 +186,10 @@ class QubitState:
 class WaveFunction:
     """Exact walk state on [-n, n] under one shared power of 1/sqrt(2).
 
-    The real and imaginary parts of the left and right cores are four
-    packed integers, one signed slot per position of the time's parity
-    (slot k holds position 2k - n); positions off that parity hold no
-    amplitude.
+    `pairs` holds the (left, right) cores of the time + 1 positions of the
+    time's parity (slot k is position 2k - time); positions off that parity
+    hold no amplitude.  The cores' real and imaginary parts are packed into
+    four integers, one signed slot per position.
     """
 
     __slots__ = ("time", "scale_exp", "_norm", "_width", "_parts", "_columns")
@@ -202,16 +200,13 @@ class WaveFunction:
         scale_exp: int,
         pairs: list[tuple[GaussianInteger, GaussianInteger]],
     ) -> None:
-        if len(pairs) != 2 * time + 1:
-            raise ValueError("amplitude storage must cover [-time, time]")
-        if not all(gl.is_zero() and gr.is_zero() for gl, gr in pairs[1::2]):
-            raise ValueError("nonzero amplitude at a position off the time's parity")
-        on = pairs[0::2]
+        if len(pairs) != time + 1:
+            raise ValueError(f"time {time} needs {time + 1} slot pairs, got {len(pairs)}")
         columns = (
-            [gl.re for gl, _ in on],
-            [gl.im for gl, _ in on],
-            [gr.re for _, gr in on],
-            [gr.im for _, gr in on],
+            [gl.re for gl, _ in pairs],
+            [gl.im for gl, _ in pairs],
+            [gr.re for _, gr in pairs],
+            [gr.im for _, gr in pairs],
         )
         norm = sum(v * v for column in columns for v in column)
         width = _slot_width(norm)
@@ -278,8 +273,6 @@ class WaveFunction:
     def step(self, coin: CoinMatrix) -> WaveFunction:
         if not coin.is_exact:
             raise TypeError("exact wavefunction stepped with a float coin")
-        if coin.exact_cores != _HADAMARD_CORES:
-            raise TypeError("the exact engine steps only the Hadamard cores (1, 1, 1, -1)")
         # |l+r|^2 + |l-r|^2 = 2(|l|^2 + |r|^2): each step doubles the norm
         norm = self._norm << 1
         width, parts = self._width, self._parts
@@ -296,10 +289,6 @@ class WaveFunction:
             width,
             (lre + rre, lim + rim, (lre - rre) << width, (lim - rim) << width),
         )
-
-    def norm_sq_total(self) -> DyadicRational:
-        total = sum(v * v for column in self._components() for v in column)
-        return DyadicRational(total, self.scale_exp)
 
 
 class FloatWaveFunction:
@@ -323,11 +312,8 @@ class FloatWaveFunction:
         self.right = right
 
     @classmethod
-    def point_mass(cls, qubit: QubitState | tuple[complex, complex]) -> FloatWaveFunction:
-        if isinstance(qubit, QubitState):
-            l0, r0 = qubit.to_complex()
-        else:
-            l0, r0 = qubit
+    def point_mass(cls, qubit: QubitState) -> FloatWaveFunction:
+        l0, r0 = qubit.to_complex()
         return cls(0, np.array([l0], complex), np.array([r0], complex))
 
     def step(self, coin: CoinMatrix) -> FloatWaveFunction:
@@ -366,16 +352,6 @@ class Distribution:
 
     def at(self, x: int) -> DyadicRational:
         return self.probs.get(x, DyadicRational(0))
-
-
-def step(psi: WaveFunction | FloatWaveFunction, coin: CoinMatrix):
-    """One time step; exact state requires the exact (Hadamard) coin."""
-    if isinstance(psi, WaveFunction) and not coin.is_exact:
-        raise TypeError("exact wavefunction stepped with a float coin")
-    if isinstance(psi, FloatWaveFunction) and coin.is_exact:
-        # exact coins carry float entries too, so demotion is well defined
-        coin = CoinMatrix.unitary(coin.a, coin.b, coin.c, coin.d)
-    return psi.step(coin)
 
 
 def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | FloatWaveFunction:

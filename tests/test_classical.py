@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hadwalk import classical
 from hadwalk.classical import (
     WATSON_MODULUS,
     QuadratureValue,
@@ -116,6 +117,76 @@ class TestWatson:
             1e-6, result.quadrature_error_estimate
         )
         assert result.f_return == 1.0 - 1.0 / result.g_closed
+
+
+def reference_adaptive(f, a, fa, b, fb, whole, tol, depth, state):
+    """Oracle: the adaptive Simpson recursion that evaluates each panel's
+    midpoint again, although its caller's Simpson rule already did."""
+
+    def simpson(a, fa, b, fb):
+        fm = f(0.5 * (a + b))
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    m = 0.5 * (a + b)
+    fmid = f(m)
+    left = simpson(a, fa, m, fmid)
+    right = simpson(m, fmid, b, fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol or depth >= classical._MAX_DEPTH:
+        if depth >= classical._MAX_DEPTH and abs(delta) > 15.0 * tol:
+            state["budget_ok"] = False
+        state["err"] += abs(delta) / 15.0
+        return left + right + delta / 15.0
+    return reference_adaptive(f, a, fa, m, fmid, left, 0.5 * tol, depth + 1, state) + (
+        reference_adaptive(f, m, fmid, b, fb, right, 0.5 * tol, depth + 1, state)
+    )
+
+
+def reference_integrate(f, a, b, tol, state):
+    fa, fb = f(a), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * f(0.5 * (a + b)) + fb)
+    return reference_adaptive(f, a, fa, b, fb, whole, tol, 0, state)
+
+
+def integrate_recording(monkeypatch, integrate):
+    """Route watson_g_quadrature's integrals through `integrate`, recording
+    the abscissas of each integral in a list of its own."""
+    seen = []
+
+    def recording(f, a, b, tol, state):
+        xs = []
+        seen.append(xs)
+
+        def counted(x):
+            xs.append(x)
+            return f(x)
+
+        return integrate(counted, a, b, tol, state)
+
+    monkeypatch.setattr(classical, "_integrate", recording)
+    return seen
+
+
+class TestQuadratureNodes:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    def test_bit_identical_to_reference_recursion(self, monkeypatch, rel_tol):
+        got = watson_g_quadrature(rel_tol)
+        monkeypatch.setattr(classical, "_integrate", reference_integrate)
+        want = watson_g_quadrature(rel_tol)
+        assert got.value.hex() == want.value.hex()
+        assert got.error_estimate.hex() == want.error_estimate.hex()
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    def test_each_abscissa_evaluated_once(self, monkeypatch, rel_tol):
+        seen = integrate_recording(monkeypatch, classical._integrate)
+        watson_g_quadrature(rel_tol)
+        reference = integrate_recording(monkeypatch, reference_integrate)
+        watson_g_quadrature(rel_tol)
+        assert len(seen) == len(reference) == 2
+        for xs, ref in zip(seen, reference):
+            assert len(xs) == len(set(xs))
+            # the same nodes as the reference, which visits some twice
+            assert set(xs) == set(ref) and len(xs) < len(ref)
 
 
 class TestMonteCarloSanity:

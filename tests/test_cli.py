@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
 import hadwalk
-from hadwalk import classical, cli, genfun, pathsum, walk
+from hadwalk import classical, cli, genfun, pathsum, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -174,6 +174,79 @@ class TestReturnProb:
         assert code == 0
         assert "1225/2^15" in out
         assert "0.037384033203125" in out
+
+
+class TestRouteCaps:
+    def test_each_route_refuses_far_above_its_cap_at_once(self):
+        # any work at these sizes would not finish
+        with pytest.raises(ValueError, match=f"MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}"):
+            pathsum.return_probability_paths(10**18)
+        for fn in (genfun.p0_legendre, genfun.p0_closed):
+            with pytest.raises(ValueError, match=f"MAX_P0_TIME = {genfun.MAX_P0_TIME}"):
+                fn(10**18)
+
+    def test_cap_boundaries(self, monkeypatch):
+        monkeypatch.setattr(pathsum, "MAX_PATHS_TIME", 10)
+        monkeypatch.setattr(genfun, "MAX_P0_TIME", 20)
+        assert pathsum.return_probability_paths(5) == genfun.p0_legendre(5)
+        assert genfun.p0_legendre(10) == genfun.p0_closed(5)
+        with pytest.raises(ValueError, match="time 12 .* MAX_PATHS_TIME = 10"):
+            pathsum.return_probability_paths(6)
+        with pytest.raises(ValueError, match="time 22 .* MAX_P0_TIME = 20"):
+            genfun.p0_legendre(11)
+        with pytest.raises(ValueError, match="time 24 .* MAX_P0_TIME = 20"):
+            genfun.p0_closed(6)
+
+    def test_rows_read_the_caps_when_called(self, monkeypatch, capsys):
+        monkeypatch.setattr(walk, "MAX_EXACT_TIME", 4)
+        monkeypatch.setattr(pathsum, "MAX_PATHS_TIME", 10)
+        monkeypatch.setattr(genfun, "MAX_P0_TIME", 20)
+        covered = {r.name: [n for n in range(2, 25, 2) if r.covers(n)] for r in verify.ROUTES}
+        assert covered == {
+            "direct": [2, 4],
+            "xi": [2, 4, 6, 8, 10],
+            "prop1": list(range(2, 21, 2)),
+            "closed": list(range(4, 21, 2)),
+        }
+        doc = run_json(capsys, "return-prob", "-n", "12")
+        assert [v["method"] for v in doc["values"]] == ["prop1", "closed"]
+        assert doc["all_equal"] is True
+        code, out, err = run_cli(capsys, "return-prob", "-n", "22")
+        assert (code, out) == (2, "")
+        assert "no method covers time 22" in err
+        for limit in ("MAX_EXACT_TIME", "MAX_PATHS_TIME", "MAX_P0_TIME"):
+            assert limit in err
+
+    def test_all_above_the_path_sum_cap_uses_the_other_routes(self):
+        n = pathsum.MAX_PATHS_TIME + 2
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "--format", "json", "return-prob", "-n", str(n)],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert [v["method"] for v in doc["values"]] == ["prop1", "closed"]
+        assert doc["all_equal"] is True
+
+    def test_no_route_above_every_cap_exit_2(self):
+        n = genfun.MAX_P0_TIME + 2
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "return-prob", "-n", str(n)],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert f"no method covers time {n}" in result.stderr
+        for limit in (f"MAX_EXACT_TIME = {walk.MAX_EXACT_TIME}",
+                      f"MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}",
+                      f"MAX_P0_TIME = {genfun.MAX_P0_TIME}"):
+            assert limit in result.stderr
+
+    def test_single_method_above_its_cap_names_the_others(self, capsys):
+        n = pathsum.MAX_PATHS_TIME + 2
+        code, out, err = run_cli(capsys, "return-prob", "-n", str(n), "--method", "xi")
+        assert (code, out) == (2, "")
+        assert f"MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}" in err
+        assert err.rstrip().endswith("use --method prop1 or --method closed")
 
 
 class TestXiCommand:
@@ -344,6 +417,21 @@ class TestGlobalFlagPlacement:
         assert code == 0
         assert "1.073" in out
         assert "1.0731820" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--precision", "-1", "genfun", "--z", "0.5"],
+        ["genfun", "--z", "0.5", "--precision", "-1"],
+    ])
+    def test_negative_precision_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --precision: must be nonnegative, got -1" in capsys.readouterr().err
+
+    def test_zero_precision_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "--precision", "0", "genfun", "--z", "0.5")
+        assert code == 0
+        assert out.splitlines()[1].split()[:3] == ["0.5", "1", "1"]
 
 
 def child_env():

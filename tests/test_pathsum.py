@@ -19,7 +19,7 @@ from hadwalk.pathsum import (
     pqrs_to_matrix,
     return_probability_paths,
 )
-from hadwalk.walk import CoinMatrix, QubitState, distribution, evolve
+from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, distribution, evolve
 
 HADAMARD = CoinMatrix.hadamard()
 GENERIC = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
@@ -422,7 +422,7 @@ class TestRollingRowDp:
         rng = random.Random(505)
         one, zero = GaussianInteger(1), GaussianInteger(0)
         pure = (PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0))
-        entries = tuple(g.re for g in HADAMARD.exact_cores)
+        entries = HADAMARD_CORES
         for _ in range(50):
             v = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
             exp = rng.randrange(0, 9)
@@ -448,14 +448,6 @@ class TestRollingRowDp:
         monkeypatch.setattr(pathsum, "path_sum_closed", forbidden)
         assert path_sum_dp(StepPair(11, 13), HADAMARD).same_value(want)
         assert path_sum_grid(StepPair(11, 13), HADAMARD)[(11, 13)].same_value(want)
-
-    def test_other_exact_cores_rejected(self):
-        r = 2.0**-0.5
-        flipped = CoinMatrix(r, r, -r, r, exact_cores=(
-            GaussianInteger(1), GaussianInteger(1), GaussianInteger(-1), GaussianInteger(1)))
-        for fn in (path_sum_dp, path_sum_grid):
-            with pytest.raises(TypeError):
-                fn(StepPair(2, 2), flipped)
 
 
 class TestDpSizeCap:
