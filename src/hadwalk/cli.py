@@ -35,13 +35,9 @@ class Emitter:
         self.fmt = fmt
         self.precision = precision
 
-    def table(self, columns: list[str], rows: list[list], json_doc=None) -> None:
+    def table(self, columns: list[str], rows: list[list], json_doc: dict) -> None:
         if self.fmt == "json":
-            doc = json_doc if json_doc is not None else {
-                "columns": columns,
-                "rows": rows,
-            }
-            print(json.dumps(doc))
+            print(json.dumps(json_doc))
         elif self.fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(columns)
@@ -92,7 +88,7 @@ def _cmd_return_prob(args, em: Emitter) -> int:
     n = args.time
     covering = [r for r in verify.ROUTES if r.covers(n)]
     if not covering:
-        needs = "; ".join(f"{r.name} needs {r.needs}" for r in verify.ROUTES)
+        needs = "; ".join(f"{r.name} needs {r.needs()}" for r in verify.ROUTES)
         raise ValueError(f"no method covers time {n}: {needs}")
     if args.method == "all":
         routes = covering
@@ -102,7 +98,7 @@ def _cmd_return_prob(args, em: Emitter) -> int:
             others = " or ".join(f"--method {r.name}" for r in covering)
             raise ValueError(
                 f"method {args.method!r} does not cover time {n}: "
-                f"it needs {routes[0].needs}; use {others}"
+                f"it needs {routes[0].needs()}; use {others}"
             )
     values = {r.name: r.value(n) for r in routes}
     if args.method == "all" and len(set(values.values())) > 1:
@@ -129,7 +125,7 @@ def _cmd_xi(args, em: Emitter) -> int:
     cores = (vec.p, vec.q, vec.r, vec.s)
     columns = ["coefficient", "core_re", "core_im", "sqrt2_exponent", "float_re", "float_im"]
     rows = [
-        [name, str(g.re), str(g.im), vec.scale_exp, em.fl(f.real), em.fl(f.imag)]
+        [name, str(g), "0", vec.scale_exp, em.fl(f.real), em.fl(f.imag)]
         for name, g, f in zip(names, cores, floats)
     ]
     doc = {
@@ -137,7 +133,7 @@ def _cmd_xi(args, em: Emitter) -> int:
         "m": args.m,
         "sqrt2_exponent": vec.scale_exp,
         "coefficients": {
-            name: {"re": str(g.re), "im": str(g.im)} for name, g in zip(names, cores)
+            name: {"re": str(g), "im": "0"} for name, g in zip(names, cores)
         },
         "floats": {name: [f.real, f.imag] for name, f in zip(names, floats)},
     }

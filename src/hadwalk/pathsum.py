@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
+from .exactnum import DyadicRational
 from .walk import HADAMARD_CORES, CoinMatrix, QubitState
 
 #: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
-#: under it, l = m = 499, path_sum_dp took 0.3 s and path_sum_grid 2.8 s and
-#: 175 MiB on one core of a 2-vCPU x86-64 host.
+#: under it, l = m = 499, path_sum_dp took 0.2 s and path_sum_grid 1.1 s and
+#: 129 MiB on one core of a 2-vCPU x86-64 host.
 MAX_DP_CELLS = 250_000
 
 #: Largest time 2n of return_probability_paths.  Its big-int work grows as
@@ -49,33 +49,26 @@ class StepPair:
 
 @dataclass(frozen=True)
 class PQRSVector:
-    """Coefficient vector w.r.t. (P, Q, R, S).
+    """Coefficient vector w.r.t. (P, Q, R, S), on the coin's own scalars.
 
-    An exact vector (Hadamard scalars) holds Gaussian-integer cores, each
-    coefficient core * (1/sqrt2)^scale_exp.  A float vector, for arbitrary
-    unitary coins, holds the complex coefficients themselves with scale_exp 0.
+    For the exact coin, whose entries are real, each coefficient is an int
+    core times (1/sqrt2)^scale_exp.  For any other unitary coin the vector
+    holds the complex coefficients themselves with scale_exp 0.
     """
 
-    p: GaussianInteger | complex
-    q: GaussianInteger | complex
-    r: GaussianInteger | complex
-    s: GaussianInteger | complex
+    p: int | complex
+    q: int | complex
+    r: int | complex
+    s: int | complex
     scale_exp: int = 0
 
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.p, GaussianInteger)
-
     def canonical(self) -> PQRSVector:
+        """The same exact value with the smallest scale exponent."""
         p, q, r, s, e = self.p, self.q, self.r, self.s, self.scale_exp
-        if all(g.is_zero() for g in (p, q, r, s)):
+        if not (p or q or r or s):
             return PQRSVector(p, q, r, s, 0)
-        while e >= 2 and all(
-            g.re % 2 == 0 and g.im % 2 == 0 for g in (p, q, r, s)
-        ):
-            p, q, r, s = (
-                GaussianInteger(g.re // 2, g.im // 2) for g in (p, q, r, s)
-            )
+        while e >= 2 and all(x % 2 == 0 for x in (p, q, r, s)):
+            p, q, r, s = (x // 2 for x in (p, q, r, s))
             e -= 2
         return PQRSVector(p, q, r, s, e)
 
@@ -114,17 +107,17 @@ def pqrs_to_matrix(vec: PQRSVector, coin: CoinMatrix):
 
 
 def pqrs_compose(left: PQRSVector, right: PQRSVector, coin: CoinMatrix) -> PQRSVector:
-    """Coefficient vector of the matrix product (left applied after right)."""
-    if left.is_exact != right.is_exact:
-        raise TypeError("cannot compose exact with float coefficient vectors")
-    if not left.is_exact:
-        return PQRSVector(*_bilinear(left, right, (coin.a, coin.b, coin.c, coin.d)))
-    if not coin.is_exact:
-        raise TypeError("exact composition needs the exact coin")
-    return PQRSVector(
-        *_bilinear(left, right, HADAMARD_CORES),
-        left.scale_exp + right.scale_exp + 1,
-    )
+    """Coefficient vector of the matrix product (left applied after right).
+
+    The exact coin runs on HADAMARD_CORES, one more factor 1/sqrt2; any other
+    coin runs on its entries, so its operands must have scale_exp 0.
+    """
+    if coin.is_exact:
+        e = left.scale_exp + right.scale_exp + 1
+        return PQRSVector(*_bilinear(left, right, HADAMARD_CORES), e)
+    if left.scale_exp or right.scale_exp:
+        raise TypeError("a float coin composes only vectors with scale_exp 0")
+    return PQRSVector(*_bilinear(left, right, (coin.a, coin.b, coin.c, coin.d)))
 
 
 def _bilinear(left, right, entries) -> tuple:
@@ -164,7 +157,7 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
 
     The exact coin runs on the Python-int Hadamard cores, so an exact cell is
     the cores of a PQRSVector with scale exponent i+j-1; a float coin runs on
-    complex entries.
+    complex entries.  The int units seed both.
     """
     l, m = steps.l, steps.m
     if l + m < 1:
@@ -175,28 +168,19 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
             f"path-sum DP needs (l+1)(m+1) = {cells} cells, above the limit "
             f"MAX_DP_CELLS = {MAX_DP_CELLS}"
         )
-    if coin.is_exact:
-        entries, one, zero = HADAMARD_CORES, 1, 0
-    else:
-        entries, one, zero = (coin.a, coin.b, coin.c, coin.d), 1.0, 0.0
-    nothing = (zero, zero, zero, zero)
+    entries = HADAMARD_CORES if coin.is_exact else (coin.a, coin.b, coin.c, coin.d)
+    nothing = (0, 0, 0, 0)
     row = [None]
     for j in range(1, m + 1):
-        row.append((zero, one, zero, zero) if j == 1 else _prepend(nothing, row[-1], entries))
+        row.append((0, 1, 0, 0) if j == 1 else _prepend(nothing, row[-1], entries))
     yield row
     for i in range(1, l + 1):
-        cell = (one, zero, zero, zero) if i == 1 else _prepend(row[0], nothing, entries)
+        cell = (1, 0, 0, 0) if i == 1 else _prepend(row[0], nothing, entries)
         above, row = row, [cell]
         for up in above[1:]:
             cell = _prepend(up, cell, entries)
             row.append(cell)
         yield row
-
-
-def _wrap(cell: tuple, exact: bool, scale_exp: int) -> PQRSVector:
-    if exact:
-        return PQRSVector(*(GaussianInteger(x) for x in cell), scale_exp)
-    return PQRSVector(*cell)
 
 
 def path_sum_grid(
@@ -207,7 +191,7 @@ def path_sum_grid(
     """
     exact = coin.is_exact
     return {
-        (i, j): _wrap(cell, exact, i + j - 1)
+        (i, j): PQRSVector(*cell, i + j - 1 if exact else 0)
         for i, row in enumerate(_dp_rows(steps, coin))
         for j, cell in enumerate(row)
         if i + j >= 1
@@ -218,7 +202,7 @@ def path_sum_dp(steps: StepPair, coin: CoinMatrix) -> PQRSVector:
     """Sum over all step orderings, keeping one row of the recursion at a time."""
     for row in _dp_rows(steps, coin):
         pass
-    return _wrap(row[steps.m], coin.is_exact, steps.time - 1)
+    return PQRSVector(*row[steps.m], steps.time - 1 if coin.is_exact else 0)
 
 
 def path_sum_closed(steps: StepPair) -> PQRSVector:
@@ -247,30 +231,24 @@ def path_sum_closed(steps: StepPair) -> PQRSVector:
         q -= sign * a * b_next
         r += sign * a * b
         a, b, sign = a_next, b_next, -sign
-    return PQRSVector(
-        GaussianInteger(p),
-        GaussianInteger(q),
-        GaussianInteger(r),
-        GaussianInteger(r),
-        n - 1,
-    )
+    return PQRSVector(p, q, r, r, n - 1)
 
 
-def apply_to_qubit(vec: PQRSVector, qubit: QubitState) -> tuple[ScaledAmplitude, ScaledAmplitude]:
-    """Amplitude pair (path-sum matrix) * qubit, Hadamard basis matrices."""
-    gl, gr, e = qubit.common_scale()
-    # matrix rows: ((p+r), (p-r)) and ((q+s), (s-q)), all times (1/sqrt2)
+def _symmetric_probability(vec: PQRSVector) -> DyadicRational:
+    """Squared norm of (path-sum matrix) * (symmetric qubit), for an exact vector.
+
+    The matrix rows are (p + r, p - r) and (q + s, s - q), times
+    (1/sqrt2)^(scale_exp + 1).
+    """
+    gl, gr, e = QubitState.symmetric().common_scale()
     top = (vec.p + vec.r) * gl + (vec.p - vec.r) * gr
     bottom = (vec.q + vec.s) * gl + (vec.s - vec.q) * gr
-    scale = vec.scale_exp + 1 + e
-    return ScaledAmplitude(top, scale), ScaledAmplitude(bottom, scale)
+    return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 1 + e)
 
 
 def path_sum_probability(steps: StepPair) -> DyadicRational:
     """Squared norm of the path-sum applied to the symmetric qubit (DP route)."""
-    vec = path_sum_dp(steps, CoinMatrix.hadamard())
-    top, bottom = apply_to_qubit(vec, QubitState.symmetric())
-    return top.probability() + bottom.probability()
+    return _symmetric_probability(path_sum_dp(steps, CoinMatrix.hadamard()))
 
 
 def return_probability_paths(n: int) -> DyadicRational:
@@ -279,6 +257,4 @@ def return_probability_paths(n: int) -> DyadicRational:
         raise ValueError("n must be at least 1")
     if 2 * n > MAX_PATHS_TIME:
         raise ValueError(f"time {2 * n} is above the limit MAX_PATHS_TIME = {MAX_PATHS_TIME}")
-    vec = path_sum_closed(StepPair(n, n))
-    top, bottom = apply_to_qubit(vec, QubitState.symmetric())
-    return top.probability() + bottom.probability()
+    return _symmetric_probability(path_sum_closed(StepPair(n, n)))

@@ -33,26 +33,27 @@ class Route(NamedTuple):
     the times it covers in words and as a predicate, and its value."""
 
     name: str
-    needs: str
+    needs: Callable[[], str]
     covers: Callable[[int], bool]
     value: Callable[[int], DyadicRational]
 
 
 #: The four independent routes, in report order.  Each value and each cap is
-#: looked up when called, so a patched or traced function is the one that
-#: runs.  Each row covers only the times up to its route's cap, except that
-#: the direct row covers every odd time: those need no evolution.
+#: looked up when called, also for the wording of a limit, so a patched or
+#: traced function is the one that runs and a message names the cap in force.
+#: Each row covers only the times up to its route's cap, except that the
+#: direct row covers every odd time: those need no evolution.
 ROUTES = (
-    Route("direct", f"odd n, or n <= MAX_EXACT_TIME = {walk.MAX_EXACT_TIME}",
+    Route("direct", lambda: f"odd n, or n <= MAX_EXACT_TIME = {walk.MAX_EXACT_TIME}",
           lambda n: n % 2 == 1 or n <= walk.MAX_EXACT_TIME,
           lambda n: walk.return_probability_direct(n)),
-    Route("xi", f"even n with 2 <= n <= MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}",
+    Route("xi", lambda: f"even n with 2 <= n <= MAX_PATHS_TIME = {pathsum.MAX_PATHS_TIME}",
           lambda n: 2 <= n <= pathsum.MAX_PATHS_TIME and n % 2 == 0,
           lambda n: pathsum.return_probability_paths(n // 2)),
-    Route("prop1", f"even n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
+    Route("prop1", lambda: f"even n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
           lambda n: n <= genfun.MAX_P0_TIME and n % 2 == 0,
           lambda n: genfun.p0_legendre(n // 2)),
-    Route("closed", f"even n with 4 <= n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
+    Route("closed", lambda: f"even n with 4 <= n <= MAX_P0_TIME = {genfun.MAX_P0_TIME}",
           lambda n: 4 <= n <= genfun.MAX_P0_TIME and n % 2 == 0,
           lambda n: genfun.p0_closed(n // 4)),
 )
@@ -84,9 +85,10 @@ def _add(report: VerifyReport, name: str, passed: bool, expected, actual, tolera
 
 
 def _check_value_table(report: VerifyReport) -> None:
+    """The direct row against the table of exact values."""
     bad = []
     for n, expected in sorted(VALUE_TABLE.items()):
-        got = walk.return_probability_direct(n)
+        got = ROUTES[0].value(n)
         if got != expected:
             bad.append((n, got))
     _add(
@@ -99,7 +101,9 @@ def _check_value_table(report: VerifyReport) -> None:
 
 
 def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
-    """Every route but the first against one incremental exact walk."""
+    """Every route but the first against one incremental exact walk.  The
+    direct row runs the same engine, so the value table and the odd-time
+    check test it instead."""
     bad = []
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     coin = walk.CoinMatrix.hadamard()
@@ -135,7 +139,7 @@ def _check_conservation(report: VerifyReport, n_max: int) -> None:
 
 
 def _check_odd_times(report: VerifyReport, n_max: int) -> None:
-    bad = [n for n in range(1, n_max + 1, 2) if walk.return_probability_direct(n) != 0]
+    bad = [n for n in range(1, n_max + 1, 2) if ROUTES[0].value(n) != 0]
     _add(report, f"odd-time return zero n<={n_max}", not bad, "0", "holds" if not bad else f"{bad}")
 
 

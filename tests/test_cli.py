@@ -214,7 +214,7 @@ class TestRouteCaps:
         code, out, err = run_cli(capsys, "return-prob", "-n", "22")
         assert (code, out) == (2, "")
         assert "no method covers time 22" in err
-        for limit in ("MAX_EXACT_TIME", "MAX_PATHS_TIME", "MAX_P0_TIME"):
+        for limit in ("MAX_EXACT_TIME = 4", "MAX_PATHS_TIME = 10", "MAX_P0_TIME = 20"):
             assert limit in err
 
     def test_all_above_the_path_sum_cap_uses_the_other_routes(self):

@@ -53,7 +53,11 @@ def matadd(x, y):
 
 
 def exact_vec_matrix(vec: PQRSVector):
-    coeffs = [ScaledAmplitude(g, vec.scale_exp) for g in (vec.p, vec.q, vec.r, vec.s)]
+    # pathsum's exact cores are ints; a test's own Gaussian-integer cores pass as they are
+    coeffs = [
+        ScaledAmplitude(g if isinstance(g, GaussianInteger) else GaussianInteger(g), vec.scale_exp)
+        for g in (vec.p, vec.q, vec.r, vec.s)
+    ]
     out = (sa(0), sa(0), sa(0), sa(0))
     for coeff, base in zip(coeffs, (HP, HQ, HR, HS)):
         out = matadd(out, tuple(coeff * e for e in base))
@@ -129,27 +133,24 @@ class TestCompose:
 
     def test_identity_decomposition(self):
         # I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries
-        identity = PQRSVector(
-            GaussianInteger(1), GaussianInteger(-1), GaussianInteger(1),
-            GaussianInteger(1), 1,
-        )
+        identity = PQRSVector(1, -1, 1, 1, 1)
         ident_mat = exact_vec_matrix(identity)
         assert ident_mat[0] == sa(1) and ident_mat[3] == sa(1)
         assert ident_mat[1] == sa(0) and ident_mat[2] == sa(0)
         rng = random.Random(31)
         for _ in range(20):
-            vec = PQRSVector(
-                *(GaussianInteger(rng.randrange(-9, 10), rng.randrange(-9, 10))
-                  for _ in range(4)),
-                rng.randrange(0, 5),
-            )
+            vec = PQRSVector(*(rng.randrange(-9, 10) for _ in range(4)), rng.randrange(0, 5))
             assert pqrs_compose(identity, vec, HADAMARD).same_value(vec)
             assert pqrs_compose(vec, identity, HADAMARD).same_value(vec)
 
-    def test_mixed_variants_rejected(self):
+    def test_float_coin_refuses_scaled_operands(self):
+        # a float coin multiplies on its entries, which would drop the factor
+        # (1/sqrt2)^scale_exp of an exact vector
         exact = path_sum_dp(StepPair(1, 1), HADAMARD)
-        with pytest.raises(TypeError):
-            pqrs_compose(exact, PQRSVector(1, 0, 0, 0), HADAMARD)
+        assert exact.scale_exp == 1
+        for left, right in ((exact, PQRSVector(1, 0, 0, 0)), (PQRSVector(1, 0, 0, 0), exact)):
+            with pytest.raises(TypeError, match="scale_exp 0"):
+                pqrs_compose(left, right, GENERIC)
 
     def test_coefficients_unique_via_trace_projection(self):
         rng = random.Random(8)
@@ -217,14 +218,8 @@ class TestPathSumDp:
     def test_append_step_recursion_agrees(self):
         # independent recursion S(l,m) = S(l-1,m) P + S(l,m-1) Q
         n_max = 40
-        pure_p = PQRSVector(
-            GaussianInteger(1), GaussianInteger(0), GaussianInteger(0),
-            GaussianInteger(0), 0,
-        )
-        pure_q = PQRSVector(
-            GaussianInteger(0), GaussianInteger(1), GaussianInteger(0),
-            GaussianInteger(0), 0,
-        )
+        pure_p = PQRSVector(1, 0, 0, 0, 0)
+        pure_q = PQRSVector(0, 1, 0, 0, 0)
         grid = {(1, 0): pure_p, (0, 1): pure_q}
         for n in range(2, n_max + 1):
             for l in range(n + 1):
@@ -305,8 +300,10 @@ class TestClosedFormRecurrence:
         pairs += [(1, 64), (64, 1), (2, 63), (63, 2), (40, 97), (97, 40), (304, 304)]
         for l, m in pairs:
             vec = path_sum_closed(StepPair(l, m))
-            assert (vec.p.re, vec.q.re, vec.r.re, vec.s.re) == closed_by_comb(l, m), (l, m)
-            assert (vec.p.im, vec.q.im, vec.r.im, vec.s.im, vec.scale_exp) == (0, 0, 0, 0, l + m - 1)
+            cores = (vec.p, vec.q, vec.r, vec.s)
+            assert cores == closed_by_comb(l, m), (l, m)
+            assert all(type(x) is int for x in cores), (l, m)
+            assert vec.scale_exp == l + m - 1, (l, m)
 
 
 class TestReturnProbability:

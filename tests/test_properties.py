@@ -1,0 +1,59 @@
+"""Property tests for the exact path-sum layer and the dyadic wire format.
+
+hypothesis is a test-only dependency.  The runs are derandomized and keep no
+example database, so every run checks the same examples.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hadwalk.exactnum import DyadicRational
+from hadwalk.pathsum import PQRSVector, StepPair, path_sum_closed, path_sum_dp, pqrs_compose
+from hadwalk.walk import CoinMatrix
+
+HADAMARD = CoinMatrix.hadamard()
+PROPERTY = settings(deadline=None, database=None, derandomize=True)
+
+cores = st.integers(-(10**12), 10**12)
+exact_vectors = st.builds(PQRSVector, cores, cores, cores, cores, st.integers(0, 12))
+
+#: I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries
+IDENTITY = PQRSVector(1, -1, 1, 1, 1)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_closed_form_equals_dp(l, m):
+    # both carry scale exponent l + m - 1, so equal values need equal cores
+    closed = path_sum_closed(StepPair(l, m))
+    dp = path_sum_dp(StepPair(l, m), HADAMARD)
+    assert closed == dp
+    assert all(type(x) is int for v in (closed, dp) for x in (v.p, v.q, v.r, v.s))
+
+
+@PROPERTY
+@given(exact_vectors, exact_vectors, exact_vectors)
+def test_exact_compose_is_associative(x, y, z):
+    # P, Q, R, S are a basis of the 2x2 matrices and both sides carry the
+    # scale exponent sum + 2, so the cores must agree too
+    left = pqrs_compose(pqrs_compose(x, y, HADAMARD), z, HADAMARD)
+    right = pqrs_compose(x, pqrs_compose(y, z, HADAMARD), HADAMARD)
+    assert left == right
+
+
+@PROPERTY
+@given(exact_vectors)
+def test_exact_identity_gives_back_the_value(vec):
+    assert pqrs_compose(IDENTITY, vec, HADAMARD).same_value(vec)
+    assert pqrs_compose(vec, IDENTITY, HADAMARD).same_value(vec)
+
+
+#: up to 3^20000, 9543 digits: past Python's default 4300-digit str limit
+big_numerators = st.builds(lambda k, sign: sign * 3**k, st.integers(0, 20_000), st.sampled_from((1, -1)))
+
+
+@PROPERTY
+@given(st.one_of(st.integers(), big_numerators), st.integers(0, 20_000))
+def test_dyadic_string_round_trip(numerator, denom_exp):
+    x = DyadicRational(numerator, denom_exp)
+    assert DyadicRational.parse(str(x)) == x

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hadwalk import verify
+from hadwalk import pathsum, verify
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -86,6 +86,28 @@ def test_wrong_route_fails_only_the_four_oracle_check(monkeypatch, capsys, route
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is False
     assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [failed[0].name]
+
+
+@pytest.mark.parametrize(
+    "at,check", [(8, "value table p_0..p_18"), (3, "odd-time return zero n<=29")]
+)
+def test_wrong_direct_row_fails_its_own_check(monkeypatch, capsys, at, check):
+    with_route_off(monkeypatch, verify.ROUTES[0], at, DyadicRational(1, 40))
+    report = verify.run_verify("fast")
+    assert [c.name for c in report.checks if not c.passed] == [check]
+    assert main(["--format", "json", "verify", "--scope", "fast"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [check]
+
+
+def test_wrong_exact_cores_fail_the_product_table(monkeypatch):
+    # the integer DP and exact pqrs_compose both read pathsum.HADAMARD_CORES
+    monkeypatch.setattr(pathsum, "HADAMARD_CORES", (1, 1, 1, 1))
+    report = verify.run_verify("fast")
+    assert [c.name for c in report.checks if not c.passed] == [
+        "closed-form coefficients = DP, l,m<=12",
+        "product table vs literal 2x2 products (16 pairs, 2 coins)",
+    ]
 
 
 @pytest.mark.parametrize("route", verify.ROUTES, ids=lambda r: r.name)
