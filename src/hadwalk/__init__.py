@@ -12,7 +12,7 @@ from .classical import (
     watson_g_quadrature,
     watson_return_prob,
 )
-from .exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
+from .exactnum import DyadicRational, GaussianInteger
 from .genfun import (
     GfPoint,
     gf_partial_sum,
@@ -64,7 +64,6 @@ __all__ = [
     "PQRSVector",
     "QuadratureConvergenceError",
     "QubitState",
-    "ScaledAmplitude",
     "StepPair",
     "VerifyCheck",
     "VerifyReport",

@@ -66,7 +66,7 @@ def _cmd_simulate(args, em: Emitter) -> int:
         parts = [complex(p.strip()) for p in args.entries.split(",")]
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
-        coin = walk.CoinMatrix.unitary(*parts)
+        coin = walk.CoinMatrix(*parts)
     psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
 
     columns = ["position", "probability_exact", "probability_float"]

@@ -1,9 +1,10 @@
-"""Exact arithmetic substrate: dyadic rationals, Gaussian integers, and
-amplitudes of the form g * (1/sqrt(2))^s with g a Gaussian integer.
+"""Exact arithmetic substrate: dyadic rationals and Gaussian integers.
 
 Every probability produced by the Hadamard walk is an exact dyadic rational,
-and every amplitude lives in Z[i] * (1/sqrt(2))^s, so these three types are
-enough to run the whole walk without a single rounding error.
+and every amplitude is a Gaussian integer times a power of 1/sqrt(2).  Each
+exact container keeps that power once, as one exponent shared by all of its
+cores, so these two types are enough to run the whole walk without a single
+rounding error.
 """
 
 from __future__ import annotations
@@ -198,89 +199,3 @@ class GaussianInteger:
 G_ZERO = GaussianInteger(0, 0)
 G_ONE = GaussianInteger(1, 0)
 G_I = GaussianInteger(0, 1)
-
-
-class ScaledAmplitude:
-    """core * (1/sqrt(2))^scale_exp, core a Gaussian integer.
-
-    The ring is not closed under addition across an odd exponent gap
-    (that would need sqrt(2) in the coefficients), so addition demands
-    matching exponent parity.  The Hadamard walk always stays on one
-    parity, which is why this representation suffices.
-    """
-
-    __slots__ = ("core", "scale_exp")
-
-    def __init__(self, core: GaussianInteger, scale_exp: int = 0) -> None:
-        if scale_exp < 0:
-            raise ValueError("scale_exp must be nonnegative")
-        # canonical: absorb factors of 2 into the exponent, zero at exponent 0
-        if core.is_zero():
-            scale_exp = 0
-        else:
-            while scale_exp >= 2 and core.re % 2 == 0 and core.im % 2 == 0:
-                core = GaussianInteger(core.re // 2, core.im // 2)
-                scale_exp -= 2
-        self.core = core
-        self.scale_exp = scale_exp
-
-    def rescaled(self, scale_exp: int) -> ScaledAmplitude:
-        """Same value at a larger exponent of matching parity."""
-        diff = scale_exp - self.scale_exp
-        if not self.core.is_zero():
-            if diff < 0:
-                raise ValueError("cannot lower the exponent of a canonical amplitude")
-            if diff % 2 != 0:
-                raise ValueError("exponent parity mismatch: sqrt(2) is not in Z[i]")
-        out = ScaledAmplitude.__new__(ScaledAmplitude)
-        out.core = self.core * (1 << (diff // 2)) if diff > 0 else self.core
-        out.scale_exp = scale_exp
-        return out
-
-    def __repr__(self) -> str:
-        return f"ScaledAmplitude({self.core!r}, {self.scale_exp})"
-
-    def __str__(self) -> str:
-        return f"({self.core}) * (1/sqrt2)^{self.scale_exp}"
-
-    def __hash__(self) -> int:
-        return hash((self.core, self.scale_exp))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScaledAmplitude):
-            return NotImplemented
-        return self.core == other.core and self.scale_exp == other.scale_exp
-
-    def __add__(self, other: ScaledAmplitude) -> ScaledAmplitude:
-        if not isinstance(other, ScaledAmplitude):
-            return NotImplemented
-        if self.core.is_zero():
-            return other
-        if other.core.is_zero():
-            return self
-        if (self.scale_exp - other.scale_exp) % 2 != 0:
-            raise ValueError("exponent parity mismatch: sqrt(2) is not in Z[i]")
-        e = max(self.scale_exp, other.scale_exp)
-        return ScaledAmplitude(
-            self.rescaled(e).core + other.rescaled(e).core, e
-        )
-
-    def __neg__(self) -> ScaledAmplitude:
-        return ScaledAmplitude(-self.core, self.scale_exp)
-
-    def __sub__(self, other: ScaledAmplitude) -> ScaledAmplitude:
-        return self + (-other)
-
-    def __mul__(self, other: ScaledAmplitude | GaussianInteger | int) -> ScaledAmplitude:
-        if isinstance(other, (GaussianInteger, int)):
-            return ScaledAmplitude(self.core * other, self.scale_exp)
-        if not isinstance(other, ScaledAmplitude):
-            return NotImplemented
-        return ScaledAmplitude(self.core * other.core, self.scale_exp + other.scale_exp)
-
-    def probability(self) -> DyadicRational:
-        """|value|^2 = norm_sq(core) / 2^scale_exp, exactly."""
-        return DyadicRational(self.core.norm_sq(), self.scale_exp)
-
-    def __complex__(self) -> complex:
-        return complex(self.core) * 2.0 ** (-self.scale_exp / 2.0)

@@ -240,10 +240,11 @@ def _symmetric_probability(vec: PQRSVector) -> DyadicRational:
     The matrix rows are (p + r, p - r) and (q + s, s - q), times
     (1/sqrt2)^(scale_exp + 1).
     """
-    gl, gr, e = QubitState.symmetric().common_scale()
+    qubit = QubitState.symmetric()
+    gl, gr = qubit.left, qubit.right
     top = (vec.p + vec.r) * gl + (vec.p - vec.r) * gr
     bottom = (vec.q + vec.s) * gl + (vec.s - vec.q) * gr
-    return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 1 + e)
+    return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 1 + qubit.scale_exp)
 
 
 def path_sum_probability(steps: StepPair) -> DyadicRational:

@@ -101,9 +101,10 @@ def _check_value_table(report: VerifyReport) -> None:
 
 
 def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
-    """Every route but the first against one incremental exact walk.  The
-    direct row runs the same engine, so the value table and the odd-time
-    check test it instead."""
+    """Every route but the first against one incremental exact walk at each
+    even time up to 2 n_max.  The direct row runs the same engine from
+    scratch, so it is compared once, at the top time; the value table and the
+    odd-time check test it below."""
     bad = []
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     coin = walk.CoinMatrix.hadamard()
@@ -112,6 +113,9 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
         gl, gr = psi.cores(0)
         direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
         bad += [(n, r.name) for r in ROUTES[1:] if r.covers(n) and r.value(n) != direct]
+    row = ROUTES[0]
+    if row.covers(psi.time) and row.value(psi.time) != direct:
+        bad.append((psi.time, row.name))
     _add(
         report,
         f"four-oracle equality p_2n, n<={n_max}",
@@ -169,7 +173,7 @@ def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
 def _check_table1(report: VerifyReport) -> None:
     coins = [
         walk.CoinMatrix.hadamard(),
-        walk.CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6),
+        walk.CoinMatrix(0.6, 0.8j, 0.8j, 0.6),
     ]
     worst = 0.0
     for coin in coins:

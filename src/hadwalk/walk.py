@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactnum import (
-    G_I,
-    G_ONE,
-    G_ZERO,
-    DyadicRational,
-    GaussianInteger,
-    ScaledAmplitude,
-)
+from .exactnum import G_I, G_ONE, G_ZERO, DyadicRational, GaussianInteger
 
 UNITARITY_TOL = 1e-12
 
@@ -102,6 +95,8 @@ class CoinMatrix:
 
     Only the coin from hadamard() is exact: its entries are HADAMARD_CORES
     times 1/sqrt(2), and the exact engine steps it on those integer cores.
+    Any other coin is a float coin; the constructor raises ValueError naming
+    any violated unitarity condition.
     """
 
     __slots__ = ("a", "b", "c", "d", "_exact")
@@ -120,11 +115,6 @@ class CoinMatrix:
         coin = cls(*(core * r for core in HADAMARD_CORES))
         coin._exact = True
         return coin
-
-    @classmethod
-    def unitary(cls, a: complex, b: complex, c: complex, d: complex) -> CoinMatrix:
-        """Float coin; raises ValueError naming any violated unitarity condition."""
-        return cls(a, b, c, d)
 
     @property
     def is_exact(self) -> bool:
@@ -152,35 +142,29 @@ class CoinMatrix:
 
 
 class QubitState:
-    """Chirality qubit (left, right) with exactly unit norm."""
+    """Chirality qubit (left, right) * (1/sqrt2)^scale_exp with exactly unit
+    norm: left and right are Gaussian-integer cores under one exponent."""
 
-    __slots__ = ("left", "right")
+    __slots__ = ("left", "right", "scale_exp")
 
-    def __init__(self, left: ScaledAmplitude, right: ScaledAmplitude) -> None:
-        total = left.probability() + right.probability()
+    def __init__(self, left: GaussianInteger, right: GaussianInteger, scale_exp: int) -> None:
+        if scale_exp < 0:
+            raise ValueError("scale_exp must be nonnegative")
+        total = DyadicRational(left.norm_sq() + right.norm_sq(), scale_exp)
         if total != 1:
             raise ValueError(f"initial qubit not normalized: |L|^2+|R|^2 = {total}")
         self.left = left
         self.right = right
+        self.scale_exp = scale_exp
 
     @classmethod
     def symmetric(cls) -> QubitState:
         """(1/sqrt2) [1, i]: the initial qubit giving a symmetric distribution."""
-        return cls(ScaledAmplitude(G_ONE, 1), ScaledAmplitude(G_I, 1))
-
-    def common_scale(self) -> tuple[GaussianInteger, GaussianInteger, int]:
-        """Both cores under one shared exponent (parity permitting)."""
-        e = max(self.left.scale_exp, self.right.scale_exp)
-        try:
-            return self.left.rescaled(e).core, self.right.rescaled(e).core, e
-        except ValueError as exc:
-            raise ValueError(
-                "qubit components have incompatible scale parity; "
-                "exact evolution cannot mix them"
-            ) from exc
+        return cls(G_ONE, G_I, 1)
 
     def to_complex(self) -> tuple[complex, complex]:
-        return complex(self.left), complex(self.right)
+        scale = 2.0 ** (-self.scale_exp / 2.0)
+        return complex(self.left) * scale, complex(self.right) * scale
 
 
 class WaveFunction:
@@ -232,8 +216,7 @@ class WaveFunction:
 
     @classmethod
     def point_mass(cls, qubit: QubitState) -> WaveFunction:
-        gl, gr, exp = qubit.common_scale()
-        return cls(0, exp, [(gl, gr)])
+        return cls(0, qubit.scale_exp, [(qubit.left, qubit.right)])
 
     def _components(self) -> tuple[list[int], ...]:
         """Left re, left im, right re, right im, one entry per position of
@@ -248,13 +231,6 @@ class WaveFunction:
         """Dense (left, right) core pairs on [-time, time]."""
         self._components()
         return [self.cores(x) for x in range(-self.time, self.time + 1)]
-
-    def amplitude(self, x: int) -> tuple[ScaledAmplitude, ScaledAmplitude]:
-        gl, gr = self.cores(x)
-        return (
-            ScaledAmplitude(gl, self.scale_exp),
-            ScaledAmplitude(gr, self.scale_exp),
-        )
 
     def cores(self, x: int) -> tuple[GaussianInteger, GaussianInteger]:
         if abs(x) > self.time or (x + self.time) % 2:

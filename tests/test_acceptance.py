@@ -157,7 +157,7 @@ def test_criterion_6_identity_suite():
 
         # product table against literal 2x2 products, all 16 basis pairs
         for coin in (walk.CoinMatrix.hadamard(),
-                     walk.CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)):
+                     walk.CoinMatrix(0.6, 0.8j, 0.8j, 0.6)):
             mats = pathsum.basis_matrices(coin)
             units = [
                 pathsum.PQRSVector(*(1 if i == j else 0 for j in range(4)))

@@ -3,11 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hadwalk.exactnum import (
-    DyadicRational,
-    GaussianInteger,
-    ScaledAmplitude,
-)
+from hadwalk.exactnum import DyadicRational, GaussianInteger
 
 
 def dr(num, exp=0):
@@ -116,36 +112,3 @@ class TestGaussianInteger:
             assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
             assert a.norm_sq() >= 0
 
-
-class TestScaledAmplitude:
-    def test_probability_examples(self):
-        assert ScaledAmplitude(GaussianInteger(1, 1), 2).probability() == dr(1, 1)
-        assert ScaledAmplitude(GaussianInteger(0, 0), 9).probability() == dr(0)
-        assert ScaledAmplitude(GaussianInteger(3, -1), 7).probability() == dr(5, 6)
-
-    def test_probability_rescaling_invariant(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            core = GaussianInteger(rng.randrange(-99, 100), rng.randrange(-99, 100))
-            exp = rng.randrange(0, 10)
-            a = ScaledAmplitude(core, exp)
-            bumped = ScaledAmplitude(core * (1 << 3), exp + 6)
-            assert a == bumped
-            assert a.probability() == bumped.probability()
-
-    def test_add_same_parity(self):
-        a = ScaledAmplitude(GaussianInteger(1, 0), 1)
-        b = ScaledAmplitude(GaussianInteger(1, 0), 3)
-        assert a + b == ScaledAmplitude(GaussianInteger(3, 0), 3)
-
-    def test_add_parity_mismatch_raises(self):
-        a = ScaledAmplitude(GaussianInteger(1, 0), 0)
-        b = ScaledAmplitude(GaussianInteger(1, 0), 1)
-        with pytest.raises(ValueError):
-            a + b
-
-    def test_mul_adds_exponents(self):
-        a = ScaledAmplitude(GaussianInteger(1, 1), 1)
-        b = ScaledAmplitude(GaussianInteger(1, -1), 2)
-        assert a * b == ScaledAmplitude(GaussianInteger(2, 0), 3)
-        assert (a * b).probability() == a.probability() * b.probability()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hadwalk import pathsum
-from hadwalk.exactnum import DyadicRational, GaussianInteger, ScaledAmplitude
+from hadwalk.exactnum import DyadicRational, GaussianInteger
 from hadwalk.pathsum import (
     PQRSVector,
     StepPair,
@@ -22,19 +22,18 @@ from hadwalk.pathsum import (
 from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, distribution, evolve
 
 HADAMARD = CoinMatrix.hadamard()
-GENERIC = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
+GENERIC = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
 
 
-# -- exact 2x2 matrices over ScaledAmplitude, used as the literal-product oracle
+# -- exact 2x2 matrices, used as the literal-product oracle.  A value is an
+# integer matrix (a, b, c, d) = [[a, b], [c, d]] with one exponent e, standing
+# for (1/sqrt2)^e times it.  The Hadamard P, Q, R, S below are (1/sqrt2) times
+# these integer matrices, so a product of n of them has exponent n.
 
-def sa(re, im=0, exp=0):
-    return ScaledAmplitude(GaussianInteger(re, im), exp)
-
-
-HP = (sa(1, 0, 1), sa(1, 0, 1), sa(0), sa(0))
-HQ = (sa(0), sa(0), sa(1, 0, 1), sa(-1, 0, 1))
-HR = (sa(1, 0, 1), sa(-1, 0, 1), sa(0), sa(0))
-HS = (sa(0), sa(0), sa(1, 0, 1), sa(1, 0, 1))
+HP = (1, 1, 0, 0)
+HQ = (0, 0, 1, -1)
+HR = (1, -1, 0, 0)
+HS = (0, 0, 1, 1)
 
 
 def matmul(x, y):
@@ -52,16 +51,25 @@ def matadd(x, y):
     return tuple(u + v for u, v in zip(x, y))
 
 
+def same_value(x, y):
+    """Whether two (integer matrix, exponent) values are equal.  The one with
+    the smaller exponent is lifted by whole powers of 2; across an odd gap the
+    values differ by a factor sqrt2 times a rational, so they are equal only
+    when both are zero."""
+    (mx, ex), (my, ey) = sorted((x, y), key=lambda value: value[1])
+    gap = ey - ex
+    if gap % 2:
+        return not any(mx) and not any(my)
+    return all((u << (gap // 2)) == v for u, v in zip(mx, my))
+
+
 def exact_vec_matrix(vec: PQRSVector):
-    # pathsum's exact cores are ints; a test's own Gaussian-integer cores pass as they are
-    coeffs = [
-        ScaledAmplitude(g if isinstance(g, GaussianInteger) else GaussianInteger(g), vec.scale_exp)
-        for g in (vec.p, vec.q, vec.r, vec.s)
-    ]
-    out = (sa(0), sa(0), sa(0), sa(0))
-    for coeff, base in zip(coeffs, (HP, HQ, HR, HS)):
-        out = matadd(out, tuple(coeff * e for e in base))
-    return out
+    """p P + q Q + r R + s S for an exact vector: its int cores times the
+    integer matrices, at exponent scale_exp + 1."""
+    out = (0, 0, 0, 0)
+    for core, base in zip((vec.p, vec.q, vec.r, vec.s), (HP, HQ, HR, HS)):
+        out = matadd(out, tuple(core * e for e in base))
+    return out, vec.scale_exp + 1
 
 
 def literal_ordering_sum_exact(l, m):
@@ -74,7 +82,7 @@ def literal_ordering_sum_exact(l, m):
             factor = HP if slot in p_slots else HQ
             prod = factor if prod is None else matmul(prod, factor)
         total = prod if total is None else matadd(total, prod)
-    return total
+    return total, n
 
 
 def literal_ordering_sum_float(l, m, coin):
@@ -122,21 +130,19 @@ class TestCompose:
 
     def test_sixteen_products_exact(self):
         bases_vec = [
-            PQRSVector(*(GaussianInteger(1 if i == j else 0) for j in range(4)), 0)
+            PQRSVector(*(1 if i == j else 0 for j in range(4)), 0)
             for i in range(4)
         ]
         bases_mat = (HP, HQ, HR, HS)
         for i, j in itertools.product(range(4), repeat=2):
             got = exact_vec_matrix(pqrs_compose(bases_vec[i], bases_vec[j], HADAMARD))
-            literal = matmul(bases_mat[i], bases_mat[j])
-            assert all(u == v for u, v in zip(got, literal)), (i, j)
+            literal = matmul(bases_mat[i], bases_mat[j]), 2
+            assert same_value(got, literal), (i, j)
 
     def test_identity_decomposition(self):
         # I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries
         identity = PQRSVector(1, -1, 1, 1, 1)
-        ident_mat = exact_vec_matrix(identity)
-        assert ident_mat[0] == sa(1) and ident_mat[3] == sa(1)
-        assert ident_mat[1] == sa(0) and ident_mat[2] == sa(0)
+        assert same_value(exact_vec_matrix(identity), ((1, 0, 0, 1), 0))
         rng = random.Random(31)
         for _ in range(20):
             vec = PQRSVector(*(rng.randrange(-9, 10) for _ in range(4)), rng.randrange(0, 5))
@@ -166,8 +172,8 @@ class TestPathSumDp:
     def test_two_step_crossing(self):
         # two crossing steps: QP + PQ
         got = exact_vec_matrix(path_sum_dp(StepPair(1, 1), HADAMARD))
-        literal = matadd(matmul(HQ, HP), matmul(HP, HQ))
-        assert all(u == v for u, v in zip(got, literal))
+        literal = matadd(matmul(HQ, HP), matmul(HP, HQ)), 2
+        assert same_value(got, literal)
 
     def test_four_step_coefficients_general_coin(self):
         # (2,2) path sum: bcd P + abc Q + b(ad+bc) R + c(ad+bc) S
@@ -196,15 +202,13 @@ class TestPathSumDp:
     @pytest.mark.parametrize("l,m", [(0, 3), (1, 2), (2, 2), (3, 3), (4, 2), (5, 0)])
     def test_exhaustive_ordering_sum_exact(self, l, m):
         got = exact_vec_matrix(path_sum_dp(StepPair(l, m), HADAMARD))
-        literal = literal_ordering_sum_exact(l, m)
-        assert all(u == v for u, v in zip(got, literal))
+        assert same_value(got, literal_ordering_sum_exact(l, m))
 
     def test_exhaustive_ordering_sum_all_pairs(self):
         for n in range(1, 9):
             for l in range(n + 1):
                 got = exact_vec_matrix(path_sum_dp(StepPair(l, n - l), HADAMARD))
-                literal = literal_ordering_sum_exact(l, n - l)
-                assert all(u == v for u, v in zip(got, literal)), (l, n - l)
+                assert same_value(got, literal_ordering_sum_exact(l, n - l)), (l, n - l)
 
     def test_exhaustive_ordering_sum_float_n12(self):
         for coin in (HADAMARD, GENERIC):

@@ -1,4 +1,5 @@
-"""Property tests for the exact path-sum layer and the dyadic wire format.
+"""Property tests for the exact number types, the exact path-sum layer, the
+dyadic wire format and the agreement of the return-probability routes.
 
 hypothesis is a test-only dependency.  The runs are derandomized and keep no
 example database, so every run checks the same examples.
@@ -7,7 +8,8 @@ example database, so every run checks the same examples.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hadwalk.exactnum import DyadicRational
+from hadwalk import verify
+from hadwalk.exactnum import DyadicRational, GaussianInteger
 from hadwalk.pathsum import PQRSVector, StepPair, path_sum_closed, path_sum_dp, pqrs_compose
 from hadwalk.walk import CoinMatrix
 
@@ -57,3 +59,47 @@ big_numerators = st.builds(lambda k, sign: sign * 3**k, st.integers(0, 20_000), 
 def test_dyadic_string_round_trip(numerator, denom_exp):
     x = DyadicRational(numerator, denom_exp)
     assert DyadicRational.parse(str(x)) == x
+
+
+big = st.integers(-(10**40), 10**40)
+gaussians = st.builds(GaussianInteger, big, big)
+
+
+@PROPERTY
+@given(gaussians, gaussians, gaussians)
+def test_gaussian_ring_laws(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
+
+
+#: numerators with up to 60 factors of 2, so that results must be reduced
+dyadics = st.builds(
+    lambda k, j, e: DyadicRational(k << j, e), big, st.integers(0, 60), st.integers(0, 200)
+)
+
+
+def is_canonical(x: DyadicRational) -> bool:
+    return x.numerator % 2 == 1 or x.denom_exp == 0
+
+
+@PROPERTY
+@given(dyadics, dyadics)
+def test_dyadic_arithmetic_matches_fraction(x, y):
+    fx, fy = x.to_fraction(), y.to_fraction()
+    assert (x + y).to_fraction() == fx + fy
+    assert (x * y).to_fraction() == fx * fy
+    assert (x < y) == (fx < fy)
+    assert all(is_canonical(v) for v in (x, y, x + y, x * y))
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.integers(0, 1000).map(lambda k: 2 * k))
+def test_covering_routes_agree(n):
+    # the direct row's engine grows as n^3: 0.9 s at n = 2000 on one x86-64 core
+    values = {r.name: r.value(n) for r in verify.ROUTES if r.covers(n)}
+    assert {"direct", "prop1"} <= values.keys()
+    assert len(set(values.values())) == 1, (n, values)

@@ -89,7 +89,12 @@ def test_wrong_route_fails_only_the_four_oracle_check(monkeypatch, capsys, route
 
 
 @pytest.mark.parametrize(
-    "at,check", [(8, "value table p_0..p_18"), (3, "odd-time return zero n<=29")]
+    "at,check",
+    [
+        (8, "value table p_0..p_18"),
+        (3, "odd-time return zero n<=29"),
+        (60, "four-oracle equality p_2n, n<=30"),
+    ],
 )
 def test_wrong_direct_row_fails_its_own_check(monkeypatch, capsys, at, check):
     with_route_off(monkeypatch, verify.ROUTES[0], at, DyadicRational(1, 40))

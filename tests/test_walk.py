@@ -8,7 +8,7 @@ import pytest
 
 from hadwalk import genfun, verify, walk
 from hadwalk.cli import main
-from hadwalk.exactnum import DyadicRational, G_ONE, G_ZERO, GaussianInteger, ScaledAmplitude
+from hadwalk.exactnum import DyadicRational, G_I, G_ONE, G_ZERO, GaussianInteger
 from hadwalk.walk import (
     MAX_EXACT_TIME,
     CoinMatrix,
@@ -47,11 +47,11 @@ class TestCoinMatrix:
 
     def test_unitarity_violations_named(self):
         with pytest.raises(ValueError, match=r"\|a\|\^2\+\|c\|\^2"):
-            CoinMatrix.unitary(1.0, 0.0, 0.5, 1.0)
+            CoinMatrix(1.0, 0.0, 0.5, 1.0)
         with pytest.raises(ValueError, match=r"\|b\|\^2\+\|d\|\^2"):
-            CoinMatrix.unitary(1.0, 0.0, 0.0, 0.5)
+            CoinMatrix(1.0, 0.0, 0.0, 0.5)
         with pytest.raises(ValueError, match=r"conj"):
-            CoinMatrix.unitary(2**-0.5, 2**-0.5, 2**-0.5, 2**-0.5)
+            CoinMatrix(2**-0.5, 2**-0.5, 2**-0.5, 2**-0.5)
 
     @pytest.mark.parametrize("entries,name", [
         ((float("nan"),) * 4, "a"),
@@ -61,42 +61,54 @@ class TestCoinMatrix:
     ])
     def test_non_finite_entry_named(self, entries, name):
         with pytest.raises(ValueError, match=f"coin entry {name} = .* is not finite"):
-            CoinMatrix.unitary(*entries)
+            CoinMatrix(*entries)
 
 
 class TestQubitState:
     def test_symmetric_is_normalized(self):
         q = QubitState.symmetric()
-        assert q.left.probability() + q.right.probability() == DyadicRational(1)
+        assert q.left.norm_sq() + q.right.norm_sq() == 2**q.scale_exp
+
+    def test_symmetric_cores(self):
+        q = QubitState.symmetric()
+        assert (q.left, q.right, q.scale_exp) == (G_ONE, G_I, 1)
+        assert q.to_complex() == (2**-0.5 + 0j, 2**-0.5 * 1j)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError, match="not normalized"):
-            QubitState(
-                ScaledAmplitude(GaussianInteger(1), 0),
-                ScaledAmplitude(GaussianInteger(1), 0),
-            )
+            QubitState(GaussianInteger(1), GaussianInteger(1), 0)
 
-    def test_parity_mismatch_rejected(self):
-        # |left|^2 = 1/2 at exponent 2, |right|^2 = 1/2 at exponent 1:
-        # normalized, but the exponents cannot be reconciled in Z[i]
-        q = QubitState(
-            ScaledAmplitude(GaussianInteger(1, 1), 2),
-            ScaledAmplitude(GaussianInteger(1), 1),
-        )
-        with pytest.raises(ValueError, match="parity"):
-            q.common_scale()
+    def test_unnormalized_under_shared_exponent_rejected(self):
+        # |1+i|^2 + |1|^2 = 3, not 2^1
+        with pytest.raises(ValueError, match=r"not normalized: \|L\|\^2\+\|R\|\^2 = 3/2\^1"):
+            QubitState(GaussianInteger(1, 1), G_ONE, 1)
+
+    def test_negative_exponent_rejected(self):
+        # |1|^2 + |0|^2 = 1 = 2^0, but the exponent itself is out of range
+        with pytest.raises(ValueError, match="scale_exp must be nonnegative"):
+            QubitState(G_ONE, G_ZERO, -1)
+
+    def test_left_only_qubit_evolves_like_the_reference(self):
+        t = 40
+        pairs = [(G_ONE, G_ZERO)]
+        for _ in range(t):
+            pairs = reference_step(pairs)
+        want = {
+            x: DyadicRational(gl.norm_sq() + gr.norm_sq(), t)
+            for x, (gl, gr) in zip(range(-t, t + 1), pairs)
+            if (x + t) % 2 == 0
+        }
+        psi = evolve(QubitState(G_ONE, G_ZERO, 0), CoinMatrix.hadamard(), t)
+        assert distribution(psi).probs == want
 
 
 class TestExactEngine:
     def test_single_step_amplitudes(self):
         psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 1)
         # (1/2)(1+i) |L> at x=-1 and (1/2)(1-i) |R> at x=+1
-        left_l, left_r = psi.amplitude(-1)
-        right_l, right_r = psi.amplitude(1)
-        assert left_l == ScaledAmplitude(GaussianInteger(1, 1), 2)
-        assert left_r == ScaledAmplitude(G_ZERO)
-        assert right_l == ScaledAmplitude(G_ZERO)
-        assert right_r == ScaledAmplitude(GaussianInteger(1, -1), 2)
+        assert psi.scale_exp == 2
+        assert psi.cores(-1) == (GaussianInteger(1, 1), G_ZERO)
+        assert psi.cores(1) == (G_ZERO, GaussianInteger(1, -1))
         dist = distribution(psi)
         assert dist.at(-1) == DyadicRational(1, 1)
         assert dist.at(1) == DyadicRational(1, 1)
@@ -158,16 +170,14 @@ class TestExactEngine:
                     assert gl.is_zero() and gr.is_zero()
 
     def test_asymmetric_initial_qubit(self):
-        left_only = QubitState(
-            ScaledAmplitude(GaussianInteger(1), 0), ScaledAmplitude(G_ZERO)
-        )
+        left_only = QubitState(GaussianInteger(1), G_ZERO, 0)
         dist = distribution(evolve(left_only, CoinMatrix.hadamard(), 6))
         assert dist.total() == DyadicRational(1)
         assert dist.at(-2) != dist.at(2)
 
     def test_exact_state_rejects_float_coin(self):
         psi = WaveFunction.point_mass(QubitState.symmetric())
-        float_coin = CoinMatrix.unitary(2**-0.5, 2**-0.5, 2**-0.5, -(2**-0.5))
+        float_coin = CoinMatrix(2**-0.5, 2**-0.5, 2**-0.5, -(2**-0.5))
         with pytest.raises(TypeError):
             psi.step(float_coin)
 
@@ -191,9 +201,7 @@ class TestPackedEngine:
         "start",
         [
             WaveFunction.point_mass(QubitState.symmetric()),
-            WaveFunction.point_mass(
-                QubitState(ScaledAmplitude(G_ONE, 0), ScaledAmplitude(G_ZERO))
-            ),
+            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
             # not normalized, with negative components
             WaveFunction(0, 0, [(GaussianInteger(3, 4), GaussianInteger(-7))]),
             # one component equal to sqrt(norm) = 2^8 - 1: needs a ninth, sign bit
@@ -294,7 +302,7 @@ def _general_phase_coin():
     """e^{i phi} [[cos th e^{i al}, sin th e^{i be}], [-sin th e^{-i be}, cos th e^{-i al}]]"""
     phi, th, al, be = 0.4, 0.3, 0.7, -1.1
     g = cmath.exp(1j * phi)
-    return CoinMatrix.unitary(
+    return CoinMatrix(
         g * math.cos(th) * cmath.exp(1j * al),
         g * math.sin(th) * cmath.exp(1j * be),
         -g * math.sin(th) * cmath.exp(-1j * be),
@@ -304,9 +312,9 @@ def _general_phase_coin():
 
 R2 = 2**-0.5
 FLOAT_COINS = {
-    "hadamard": CoinMatrix.unitary(R2, R2, R2, -R2),
-    "0.6,0.8j": CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6),
-    "real": CoinMatrix.unitary(0.6, 0.8, 0.8, -0.6),
+    "hadamard": CoinMatrix(R2, R2, R2, -R2),
+    "0.6,0.8j": CoinMatrix(0.6, 0.8j, 0.8j, 0.6),
+    "real": CoinMatrix(0.6, 0.8, 0.8, -0.6),
     "phases": _general_phase_coin(),
 }
 
@@ -439,7 +447,7 @@ def fourier_walk(coin, qubit, t):
 class TestFloatEngine:
     def test_matches_exact_engine(self):
         r = 2**-0.5
-        coin = CoinMatrix.unitary(r, r, r, -r)
+        coin = CoinMatrix(r, r, r, -r)
         psi_f = FloatWaveFunction.point_mass(QubitState.symmetric())
         psi_e = WaveFunction.point_mass(QubitState.symmetric())
         hadamard = CoinMatrix.hadamard()
@@ -453,7 +461,7 @@ class TestFloatEngine:
             assert p == pytest.approx(float(exact.at(x)), abs=1e-12)
 
     def test_general_coin_normalization(self):
-        coin = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
+        coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
         psi = evolve(QubitState.symmetric(), coin, 40)
         probs = distribution(psi)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -513,7 +521,7 @@ class TestFloatEngine:
         assert np.abs(probs - oracle_probs).sum() <= norms * bound + slack
 
     def test_time_limit_boundary(self, monkeypatch):
-        coin = CoinMatrix.unitary(0.6, 0.8j, 0.8j, 0.6)
+        coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
         monkeypatch.setattr(walk, "MAX_FLOAT_TIME", 5)
         assert evolve(QubitState.symmetric(), coin, 5).time == 5
         with pytest.raises(ValueError, match="MAX_FLOAT_TIME = 5"):
