@@ -20,7 +20,6 @@ from .genfun import (
     gf_closed_form,
     p0_closed,
     p0_legendre,
-    return_probability,
     tail_bound,
 )
 from .pathsum import (
@@ -83,7 +82,6 @@ __all__ = [
     "p0_closed",
     "p0_legendre",
     "pqrs_compose",
-    "return_probability",
     "return_probability_direct",
     "return_probability_paths",
     "run_verify",

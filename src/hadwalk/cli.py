@@ -24,10 +24,6 @@ from .exactnum import _digits
 MAX_SWEEP_POINTS = 10_000
 
 
-def _fmt_float(value: float, precision: int) -> str:
-    return f"{value:.{precision}g}"
-
-
 class Emitter:
     """Renders one tabular payload in the selected format."""
 
@@ -54,7 +50,7 @@ class Emitter:
                 print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
     def fl(self, value: float) -> str:
-        return _fmt_float(value, self.precision)
+        return f"{value:.{self.precision}g}"
 
 
 def _cmd_simulate(args, em: Emitter) -> int:

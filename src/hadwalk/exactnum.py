@@ -33,9 +33,10 @@ class DyadicRational:
         if numerator == 0:
             denom_exp = 0
         else:
-            while numerator % 2 == 0 and denom_exp > 0:
-                numerator //= 2
-                denom_exp -= 1
+            # strip every factor of two the exponent allows in one shift
+            shift = min((numerator & -numerator).bit_length() - 1, denom_exp)
+            numerator >>= shift
+            denom_exp -= shift
         self._num = numerator
         self._exp = denom_exp
 
@@ -126,7 +127,8 @@ class DyadicRational:
     __rmul__ = __mul__
 
     def __float__(self) -> float:
-        return self._num / (1 << self._exp) if self._exp < 1024 else float(self.to_fraction())
+        # int true division rounds once, correctly, also past 2^1024
+        return self._num / (1 << self._exp)
 
     def __bool__(self) -> bool:
         return self._num != 0
@@ -143,12 +145,6 @@ class GaussianInteger:
 
     def __repr__(self) -> str:
         return f"GaussianInteger({self.re}, {self.im})"
-
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+}i"
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -188,9 +184,6 @@ class GaussianInteger:
 
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
 
     def __complex__(self) -> complex:
         return complex(self.re, self.im)

@@ -52,22 +52,13 @@ def p0_closed(m: int) -> DyadicRational:
     return DyadicRational(central_binomial(m) ** 2, 4 * m + 1)
 
 
-def return_probability(n: int) -> DyadicRational:
-    """Exact p_n(0) at any time n (zero at odd times)."""
-    if n < 0:
-        raise ValueError("time must be nonnegative")
-    if n % 2 == 1:
-        return DyadicRational(0)
-    return p0_legendre(n // 2)
-
-
 def gf_partial_sum(z: float, truncation: int) -> float:
     """sum_{n<=N} p_n(0) z^n, each exact probability rounded once to a float.
 
     The probabilities come from the pairing p_{4m} = p_{4m+2} =
     C(2m,m)^2 / 2^(4m+1), with C(2m,m)^2 carried exactly from one m to the
-    next, so the whole sum is one linear pass.  Each term equals
-    float(return_probability(n)); verify checks the Legendre route itself.
+    next, so the whole sum is one linear pass.  Each even term equals
+    float(p0_legendre(n // 2)); verify checks the Legendre route itself.
     """
     _check_z(z)
     if truncation < 0:

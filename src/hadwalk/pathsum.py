@@ -64,13 +64,15 @@ class PQRSVector:
 
     def canonical(self) -> PQRSVector:
         """The same exact value with the smallest scale exponent."""
-        p, q, r, s, e = self.p, self.q, self.r, self.s, self.scale_exp
-        if not (p or q or r or s):
-            return PQRSVector(p, q, r, s, 0)
-        while e >= 2 and all(x % 2 == 0 for x in (p, q, r, s)):
-            p, q, r, s = (x // 2 for x in (p, q, r, s))
-            e -= 2
-        return PQRSVector(p, q, r, s, e)
+        cores, e = (self.p, self.q, self.r, self.s), self.scale_exp
+        if not any(cores):
+            return PQRSVector(*cores, 0)
+        if e < 2:  # nothing to strip, and float vectors (exponent 0) stay as they are
+            return self
+        # 2^k divides every core for k up to the fewest trailing zero bits of
+        # a nonzero core, and each factor 2 takes 2 off the exponent
+        shift = min(e // 2, *((x & -x).bit_length() - 1 for x in cores if x))
+        return PQRSVector(*(x >> shift for x in cores), e - 2 * shift)
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
         scale = 2.0 ** (-self.scale_exp / 2.0)

@@ -100,11 +100,23 @@ def _check_value_table(report: VerifyReport) -> None:
     )
 
 
+#: Times past the value table's p_18 at which the four-oracle check also
+#: compares the direct row, besides its top time.
+DIRECT_TIMES = (20, 30, 46, 100, 150)
+
+
 def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
     """Every route but the first against one incremental exact walk at each
-    even time up to 2 n_max.  The direct row runs the same engine from
-    scratch, so it is compared once, at the top time; the value table and the
-    odd-time check test it below."""
+    even time up to 2 n_max.
+
+    The direct row evolves from scratch, at a cost growing as n^3, so it is
+    compared only at the top time 2 n_max and at the DIRECT_TIMES below it;
+    the value table and the odd-time check test it at the other small times.
+    Those times start at 20, the first time the table does not cover, and
+    spread over both scopes (n_max 30 and 100), each of which reaches both
+    residues mod 4 below its top: p_4m and p_4m+2 are the two branches of the
+    closed route, so the direct row is compared on both.
+    """
     bad = []
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     coin = walk.CoinMatrix.hadamard()
@@ -112,10 +124,8 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
         psi = psi.step(coin).step(coin)
         gl, gr = psi.cores(0)
         direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
-        bad += [(n, r.name) for r in ROUTES[1:] if r.covers(n) and r.value(n) != direct]
-    row = ROUTES[0]
-    if row.covers(psi.time) and row.value(psi.time) != direct:
-        bad.append((psi.time, row.name))
+        rows = ROUTES if n in DIRECT_TIMES or n == 2 * n_max else ROUTES[1:]
+        bad += [(n, r.name) for r in rows if r.covers(n) and r.value(n) != direct]
     _add(
         report,
         f"four-oracle equality p_2n, n<={n_max}",

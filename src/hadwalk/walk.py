@@ -226,12 +226,6 @@ class WaveFunction:
             self._columns = tuple(_unpack(p, self._width, count) for p in self._parts)
         return self._columns
 
-    @property
-    def _pairs(self) -> list[tuple[GaussianInteger, GaussianInteger]]:
-        """Dense (left, right) core pairs on [-time, time]."""
-        self._components()
-        return [self.cores(x) for x in range(-self.time, self.time + 1)]
-
     def cores(self, x: int) -> tuple[GaussianInteger, GaussianInteger]:
         if abs(x) > self.time or (x + self.time) % 2:
             return _ZERO_PAIR

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -54,6 +55,23 @@ class TestDyadicRational:
             assert (a + b).to_fraction() == a.to_fraction() + b.to_fraction()
             assert (a * b).to_fraction() == a.to_fraction() * b.to_fraction()
             assert (a < b) == (a.to_fraction() < b.to_fraction())
+
+    def test_float_is_the_nearest_double(self):
+        # exponents past 1023 too: subnormal results, results that underflow
+        # to zero (2^-1075 is a tie, which goes to the even 0.0), negatives
+        assert float(dr(1, 1074)) == 5e-324
+        assert float(dr(3, 1076)) == 5e-324
+        assert float(dr(-3, 1075)) == -1e-323
+        assert repr(float(dr(1, 1075))) == "0.0"
+        assert repr(float(dr(-1, 1076))) == "-0.0"
+        rng = random.Random(17)
+        values = [dr(rng.randrange(-(2**80), 2**80), rng.randrange(0, 1300)) for _ in range(500)]
+        values += [dr(3**700, 1200), dr(-(3**700), 2150), dr(-(3**700), 2300)]
+        for x in values:
+            f, exact = float(x), x.to_fraction()
+            err = abs(Fraction(f) - exact)
+            for neighbour in (math.nextafter(f, math.inf), math.nextafter(f, -math.inf)):
+                assert err <= abs(Fraction(neighbour) - exact), x
 
     def test_string_round_trip(self):
         for x in (dr(9, 7), dr(-61, 9), dr(0), dr(1), dr(1225, 15)):

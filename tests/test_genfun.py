@@ -10,7 +10,6 @@ from hadwalk.genfun import (
     gf_closed_form,
     p0_closed,
     p0_legendre,
-    return_probability,
     tail_bound,
     truncation_for,
 )
@@ -63,11 +62,6 @@ class TestCrossRoutes:
             prop1 = p0_legendre(n)
             assert return_probability_direct(2 * n) == prop1
             assert return_probability_paths(n) == prop1
-
-    def test_return_probability_wrapper(self):
-        assert return_probability(0) == DyadicRational(1)
-        assert return_probability(5) == DyadicRational(0)
-        assert return_probability(16) == DyadicRational(1225, 15)
 
 
 class TestPartialSum:
@@ -161,10 +155,10 @@ def scanned_truncation(z, target):
 
 class TestPairingRecurrence:
     def test_partial_sum_equals_legendre_route(self):
-        # float(return_probability(n)) for every n, built once and shared by
-        # every z so the Legendre route's quadratic cost is paid once
+        # float(p0_legendre(n // 2)) for every even n, built once and shared
+        # by every z so the Legendre route's quadratic cost is paid once
         top = 4921
-        probabilities = [float(return_probability(n)) for n in range(top + 1)]
+        probabilities = {n: float(p0_legendre(n // 2)) for n in range(0, top + 1, 2)}
         for z in (0.0, 0.3, 0.77, 0.98, 0.995):
             for n in [*range(61), 1221, top]:
                 assert gf_partial_sum(z, n) == legendre_partial_sum(z, n, probabilities), (z, n)

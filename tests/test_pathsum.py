@@ -183,6 +183,7 @@ class TestPathSumDp:
         assert vec.q == pytest.approx(a * b * c)
         assert vec.r == pytest.approx(b * (a * d + b * c))
         assert vec.s == pytest.approx(c * (a * d + b * c))
+        assert vec.canonical() == vec  # complex cores are not reduced
 
     def test_all_left_boundary(self):
         # all-left path: a^2 P

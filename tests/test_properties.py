@@ -5,7 +5,7 @@ hypothesis is a test-only dependency.  The runs are derandomized and keep no
 example database, so every run checks the same examples.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hadwalk import verify
@@ -103,3 +103,61 @@ def test_covering_routes_agree(n):
     values = {r.name: r.value(n) for r in verify.ROUTES if r.covers(n)}
     assert {"direct", "prop1"} <= values.keys()
     assert len(set(values.values())) == 1, (n, values)
+
+
+def strip_twos_by_bits(numerator: int, denom_exp: int) -> tuple[int, int]:
+    """The one-bit-at-a-time loop DyadicRational used to reduce with."""
+    if numerator == 0:
+        return 0, 0
+    while numerator % 2 == 0 and denom_exp > 0:
+        numerator //= 2
+        denom_exp -= 1
+    return numerator, denom_exp
+
+
+def canonical_by_bits(vec: PQRSVector) -> PQRSVector:
+    """The one-bit-at-a-time loop PQRSVector.canonical used to reduce with."""
+    p, q, r, s, e = vec.p, vec.q, vec.r, vec.s, vec.scale_exp
+    if not (p or q or r or s):
+        return PQRSVector(p, q, r, s, 0)
+    while e >= 2 and all(x % 2 == 0 for x in (p, q, r, s)):
+        p, q, r, s = (x // 2 for x in (p, q, r, s))
+        e -= 2
+    return PQRSVector(p, q, r, s, e)
+
+
+#: signed numerators with up to 5000 factors of two
+twos_heavy = st.builds(lambda k, j: k << j, big, st.integers(0, 5000))
+
+
+@PROPERTY
+@given(twos_heavy, st.one_of(st.just(0), st.integers(0, 6000)))
+@example(3**5000 << 3000, 4000)
+@example(-(1 << 5000), 4999)
+@example(-(1 << 5000), 6000)
+def test_dyadic_shift_matches_the_bitwise_loop(numerator, denom_exp):
+    x = DyadicRational(numerator, denom_exp)
+    assert (x.numerator, x.denom_exp) == strip_twos_by_bits(numerator, denom_exp)
+
+
+#: cores that are 0 about half the time, each carrying its own factors of two
+sparse_cores = st.one_of(st.just(0), st.builds(lambda k, j: k << j, big, st.integers(0, 40)))
+shifted_vectors = st.builds(
+    lambda cores, common, e: PQRSVector(*(x << common for x in cores), e),
+    st.tuples(sparse_cores, sparse_cores, sparse_cores, sparse_cores),
+    st.integers(0, 5000),
+    st.integers(0, 10_001),
+)
+
+
+@PROPERTY
+@given(shifted_vectors)
+@example(PQRSVector(0, 0, 0, 0, 7))  # all zero
+@example(PQRSVector(0, 0, 0, -12, 9))  # three zero cores, odd exponent
+@example(PQRSVector(8, 0, 0, -24, 5))  # two zero cores, odd exponent
+@example(PQRSVector(6, 0, 10, 14, 1))  # one zero core, exponent below 2
+@example(PQRSVector(4, 8, 0, 0, 0))  # exponent 0
+@example(PQRSVector(1 << 4000, -(3 << 4500), 0, 5 << 4100, 3001))  # capped: 3001 // 2 < 4000
+def test_pqrs_shift_matches_the_bitwise_loop(vec):
+    got, want = vec.canonical(), canonical_by_bits(vec)
+    assert (got.p, got.q, got.r, got.s, got.scale_exp) == (want.p, want.q, want.r, want.s, want.scale_exp)

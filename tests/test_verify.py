@@ -93,6 +93,7 @@ def test_wrong_route_fails_only_the_four_oracle_check(monkeypatch, capsys, route
     [
         (8, "value table p_0..p_18"),
         (3, "odd-time return zero n<=29"),
+        (20, "four-oracle equality p_2n, n<=30"),
         (60, "four-oracle equality p_2n, n<=30"),
     ],
 )
@@ -103,6 +104,25 @@ def test_wrong_direct_row_fails_its_own_check(monkeypatch, capsys, at, check):
     assert main(["--format", "json", "verify", "--scope", "fast"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in doc["checks"] if c["status"] == "fail"] == [check]
+
+
+@pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
+def test_direct_row_is_compared_at_spread_times(monkeypatch, capsys, scope, n_max):
+    seen = []
+
+    def value(n, right=verify.ROUTES[0].value):
+        seen.append(n)
+        return right(n)
+
+    monkeypatch.setattr(verify, "ROUTES", (verify.ROUTES[0]._replace(value=value),))
+    verify._check_four_oracles(verify.VerifyReport(scope), n_max)
+    assert seen[0] == 20 and seen[-1] == 2 * n_max
+    assert {n % 4 for n in seen[:-1]} == {0, 2}
+
+    monkeypatch.undo()
+    with_route_off(monkeypatch, verify.ROUTES[0], 20, DyadicRational(1, 40))
+    assert not verify.run_verify(scope).passed
+    assert main(["verify", "--scope", scope]) == 1
 
 
 def test_wrong_exact_cores_fail_the_product_table(monkeypatch):

@@ -116,7 +116,7 @@ class TestExactEngine:
     def test_zero_state_stays_zero(self):
         zero = WaveFunction(0, 0, [(G_ZERO, G_ZERO)])
         stepped = zero.step(CoinMatrix.hadamard())
-        assert all(gl.is_zero() and gr.is_zero() for gl, gr in stepped._pairs)
+        assert dense_pairs(stepped) == [(G_ZERO, G_ZERO)] * 3
 
     def test_time_zero_is_point_mass(self):
         psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 0)
@@ -166,8 +166,7 @@ class TestExactEngine:
             # off-parity positions hold no amplitude
             for x in range(-psi.time, psi.time + 1):
                 if (x - psi.time) % 2 != 0:
-                    gl, gr = psi.cores(x)
-                    assert gl.is_zero() and gr.is_zero()
+                    assert psi.cores(x) == (G_ZERO, G_ZERO)
 
     def test_asymmetric_initial_qubit(self):
         left_only = QubitState(GaussianInteger(1), G_ZERO, 0)
@@ -180,6 +179,12 @@ class TestExactEngine:
         float_coin = CoinMatrix(2**-0.5, 2**-0.5, 2**-0.5, -(2**-0.5))
         with pytest.raises(TypeError):
             psi.step(float_coin)
+
+
+def dense_pairs(psi):
+    """(left, right) cores on [-time, time], read after one unpacking."""
+    psi._components()
+    return [psi.cores(x) for x in range(-psi.time, psi.time + 1)]
 
 
 def reference_step(pairs):
@@ -212,22 +217,23 @@ class TestPackedEngine:
     def test_matches_reference_stepper(self, monkeypatch, start, margin):
         monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
         coin = CoinMatrix.hadamard()
-        psi = WaveFunction(start.time, start.scale_exp, start._pairs[::2])
-        pairs = psi._pairs
+        psi = WaveFunction(start.time, start.scale_exp, dense_pairs(start)[::2])
+        pairs = dense_pairs(psi)
         widths = {psi._width}
         for t in range(1, 151):
             psi = psi.step(coin)
             pairs = reference_step(pairs)
             widths.add(psi._width)
             assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
-            assert psi._pairs == pairs, t
+            assert dense_pairs(psi) == pairs, t
         assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
 
     def test_single_slot_reads_match_unpacked_state(self):
         psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 41)
         fresh = [psi.cores(x) for x in range(-41, 42)]  # one slot per call
         assert psi._columns is None
-        assert fresh == psi._pairs
+        assert fresh == dense_pairs(psi)
+        assert psi._columns is not None
 
     @pytest.mark.parametrize("n", [1002, 1600])
     def test_deep_return_probability_matches_legendre(self, n):
