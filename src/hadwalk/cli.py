@@ -55,6 +55,8 @@ class Emitter:
 
 def _cmd_simulate(args, em: Emitter) -> int:
     if args.coin == "hadamard":
+        if args.entries is not None:
+            raise ValueError("--entries requires --coin custom")
         coin = walk.CoinMatrix.hadamard()
     else:
         if args.entries is None:
@@ -115,7 +117,7 @@ def _cmd_return_prob(args, em: Emitter) -> int:
 
 
 def _cmd_xi(args, em: Emitter) -> int:
-    vec = pathsum.path_sum_dp(pathsum.StepPair(args.l, args.m), walk.CoinMatrix.hadamard())
+    vec = pathsum.path_sum_dp(pathsum.StepPair(args.l, args.m))
     floats = vec.to_complex()
     names = ("p", "q", "r", "s")
     cores = (vec.p, vec.q, vec.r, vec.s)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re as _re
 from decimal import Decimal
 from fractions import Fraction
-from functools import total_ordering
 
 
 def _digits(n: int) -> str:
@@ -21,7 +20,6 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
-@total_ordering
 class DyadicRational:
     """numerator / 2^denom_exp, kept with the smallest possible exponent."""
 
@@ -92,12 +90,6 @@ class DyadicRational:
             return self._num == other._num and self._exp == other._exp
         return NotImplemented
 
-    def __lt__(self, other: DyadicRational | int) -> bool:
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        e = max(self._exp, other._exp)
-        return (self._num << (e - self._exp)) < (other._num << (e - other._exp))
-
     def __add__(self, other: DyadicRational | int) -> DyadicRational:
         if isinstance(other, int):
             other = DyadicRational(other)
@@ -108,23 +100,6 @@ class DyadicRational:
         return DyadicRational(num, e)
 
     __radd__ = __add__
-
-    def __neg__(self) -> DyadicRational:
-        return DyadicRational(-self._num, self._exp)
-
-    def __sub__(self, other: DyadicRational | int) -> DyadicRational:
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        return self + (-other)
-
-    def __mul__(self, other: DyadicRational | int) -> DyadicRational:
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        return DyadicRational(self._num * other._num, self._exp + other._exp)
-
-    __rmul__ = __mul__
 
     def __float__(self) -> float:
         # int true division rounds once, correctly, also past 2^1024

@@ -3,8 +3,9 @@
 The four rank-one matrices P, Q, R, S (top/bottom rows of the coin and of its
 row-swapped copy) are closed under multiplication up to a single coin entry,
 so the sum over all l-left/m-right step orderings is a 4-vector recursion
-instead of a 2^n enumeration.  For the Hadamard coin the coefficients also
-have closed-form alternating binomial sums, evaluated here exactly.
+instead of a 2^n enumeration.  Both that recursion and the closed-form
+alternating binomial sums run on the Hadamard coin, exactly; the product
+table also composes for any other coin.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class StepPair:
     def time(self) -> int:
         return self.l + self.m
 
-    @property
-    def position(self) -> int:
-        return self.m - self.l
-
 
 @dataclass(frozen=True)
 class PQRSVector:
@@ -54,6 +51,11 @@ class PQRSVector:
     For the exact coin, whose entries are real, each coefficient is an int
     core times (1/sqrt2)^scale_exp.  For any other unitary coin the vector
     holds the complex coefficients themselves with scale_exp 0.
+
+    An exact vector for l + m steps carries scale_exp = l + m - 1: so do
+    path_sum_closed, path_sum_dp, every path_sum_grid cell, and exact
+    pqrs_compose, whose exponent is e1 + e2 + 1.  Two exact vectors for the
+    same time are therefore equal in value exactly when they compare ==.
     """
 
     p: int | complex
@@ -62,24 +64,9 @@ class PQRSVector:
     s: int | complex
     scale_exp: int = 0
 
-    def canonical(self) -> PQRSVector:
-        """The same exact value with the smallest scale exponent."""
-        cores, e = (self.p, self.q, self.r, self.s), self.scale_exp
-        if not any(cores):
-            return PQRSVector(*cores, 0)
-        if e < 2:  # nothing to strip, and float vectors (exponent 0) stay as they are
-            return self
-        # 2^k divides every core for k up to the fewest trailing zero bits of
-        # a nonzero core, and each factor 2 takes 2 off the exponent
-        shift = min(e // 2, *((x & -x).bit_length() - 1 for x in cores if x))
-        return PQRSVector(*(x >> shift for x in cores), e - 2 * shift)
-
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
         scale = 2.0 ** (-self.scale_exp / 2.0)
         return tuple(complex(g) * scale for g in (self.p, self.q, self.r, self.s))
-
-    def same_value(self, other: PQRSVector) -> bool:
-        return self.canonical() == other.canonical()
 
 
 def basis_matrices(coin: CoinMatrix):
@@ -152,14 +139,11 @@ def _prepend(up: tuple, left: tuple, entries: tuple) -> tuple:
     )
 
 
-def _dp_rows(steps: StepPair, coin: CoinMatrix):
+def _dp_rows(steps: StepPair):
     """Rows i = 0..l of the prepend-a-step recursion
     S(i, j) = P S(i-1, j) + Q S(i, j-1), each a list of S(i, j) for j = 0..m
-    as 4-tuples of the coin's scalars (S(0, 0) is None).
-
-    The exact coin runs on the Python-int Hadamard cores, so an exact cell is
-    the cores of a PQRSVector with scale exponent i+j-1; a float coin runs on
-    complex entries.  The int units seed both.
+    (S(0, 0) is None).  A cell is the int cores of the Hadamard PQRSVector
+    with scale exponent i+j-1.
     """
     l, m = steps.l, steps.m
     if l + m < 1:
@@ -170,7 +154,7 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
             f"path-sum DP needs (l+1)(m+1) = {cells} cells, above the limit "
             f"MAX_DP_CELLS = {MAX_DP_CELLS}"
         )
-    entries = HADAMARD_CORES if coin.is_exact else (coin.a, coin.b, coin.c, coin.d)
+    entries = HADAMARD_CORES  # a local is cheaper per cell than the global
     nothing = (0, 0, 0, 0)
     row = [None]
     for j in range(1, m + 1):
@@ -185,26 +169,23 @@ def _dp_rows(steps: StepPair, coin: CoinMatrix):
         yield row
 
 
-def path_sum_grid(
-    steps: StepPair, coin: CoinMatrix
-) -> dict[tuple[int, int], PQRSVector]:
+def path_sum_grid(steps: StepPair) -> dict[tuple[int, int], PQRSVector]:
     """Coefficient vectors for every (i, j) with i <= l, j <= m, i+j >= 1,
     filled by the prepend-a-step recursion S(l, m) = P S(l-1, m) + Q S(l, m-1).
     """
-    exact = coin.is_exact
     return {
-        (i, j): PQRSVector(*cell, i + j - 1 if exact else 0)
-        for i, row in enumerate(_dp_rows(steps, coin))
+        (i, j): PQRSVector(*cell, i + j - 1)
+        for i, row in enumerate(_dp_rows(steps))
         for j, cell in enumerate(row)
         if i + j >= 1
     }
 
 
-def path_sum_dp(steps: StepPair, coin: CoinMatrix) -> PQRSVector:
+def path_sum_dp(steps: StepPair) -> PQRSVector:
     """Sum over all step orderings, keeping one row of the recursion at a time."""
-    for row in _dp_rows(steps, coin):
+    for row in _dp_rows(steps):
         pass
-    return PQRSVector(*row[steps.m], steps.time - 1 if coin.is_exact else 0)
+    return PQRSVector(*row[steps.m], steps.time - 1)
 
 
 def path_sum_closed(steps: StepPair) -> PQRSVector:
@@ -251,7 +232,7 @@ def _symmetric_probability(vec: PQRSVector) -> DyadicRational:
 
 def path_sum_probability(steps: StepPair) -> DyadicRational:
     """Squared norm of the path-sum applied to the symmetric qubit (DP route)."""
-    return _symmetric_probability(path_sum_dp(steps, CoinMatrix.hadamard()))
+    return _symmetric_probability(path_sum_dp(steps))
 
 
 def return_probability_paths(n: int) -> DyadicRational:

@@ -168,13 +168,11 @@ def _check_pairing(report: VerifyReport, m_max: int) -> None:
 
 
 def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
-    coin = walk.CoinMatrix.hadamard()
-    grid = pathsum.path_sum_grid(pathsum.StepPair(lm_max, lm_max), coin)
+    grid = pathsum.path_sum_grid(pathsum.StepPair(lm_max, lm_max))
     bad = []
     for l in range(1, lm_max + 1):
         for m in range(1, lm_max + 1):
-            lem = pathsum.path_sum_closed(pathsum.StepPair(l, m))
-            if not lem.same_value(grid[(l, m)]):
+            if pathsum.path_sum_closed(pathsum.StepPair(l, m)) != grid[(l, m)]:
                 bad.append((l, m))
     _add(report, f"closed-form coefficients = DP, l,m<={lm_max}", not bad,
          "identical vectors", "holds" if not bad else f"{bad[:5]}")

@@ -170,11 +170,10 @@ def test_criterion_6_identity_suite():
                 assert np.abs(got - mats[i] @ mats[j]).max() <= 1e-14, (i, j)
 
         # closed-form coefficients equal the DP for 1 <= l, m <= 30
-        grid = pathsum.path_sum_grid(pathsum.StepPair(30, 30), walk.CoinMatrix.hadamard())
+        grid = pathsum.path_sum_grid(pathsum.StepPair(30, 30))
         for l in range(1, 31):
             for m in range(1, 31):
-                lem = pathsum.path_sum_closed(pathsum.StepPair(l, m))
-                assert lem.same_value(grid[(l, m)]), (l, m)
+                assert pathsum.path_sum_closed(pathsum.StepPair(l, m)) == grid[(l, m)], (l, m)
 
 
 def test_criterion_7_conservation_and_symmetry():

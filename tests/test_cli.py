@@ -77,6 +77,15 @@ class TestSimulate:
         assert all(e["probability_exact"] is None for e in doc["probabilities"])
         assert sum(e["probability_float"] for e in doc["probabilities"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("coin", [["--coin", "hadamard"], []])
+    def test_entries_without_custom_coin_exit_2(self, capsys, coin):
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "2", *coin, "--entries", "0.6,0.8j,0.8j,0.6"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--entries" in err and "--coin custom" in err
+
     def test_non_unitary_coin_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "-n", "2", "--coin", "custom", "--entries", "1,0,0.5,1"
@@ -136,6 +145,31 @@ class TestSimulate:
         assert code == 0, err
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == self.FLOAT_STDOUT_SHA256[entries, time, fmt]
+
+
+# sha256 of the stdout of exact commands.  These bytes depend only on exact
+# integers, float repr and correctly rounded int division, so they hold on
+# every build; xi's float columns scale by 2^-35, exactly, at sqrt2_exponent 70.
+EXACT_STDOUT_SHA256 = {
+    ("simulate -n 300", "json"): "30a17de7e8a7815cb1002de1388cc99efadde09c15ba8cba86ff652fafe0e05c",
+    ("simulate -n 300", "csv"): "8c322e0dc1ba0c8604fbffd744a4c8763f1ee2a14616b21ebda51be4ece3198d",
+    ("simulate -n 300", "plain"): "a5e0600840de56cdfc44a87ba5da5d73245a56f70bf1c027adcd1332a5666931",
+    ("return-prob -n 1002 --method all", "json"): "0de1dbcbbd6eefba4fe01f01525f350096e88ea3287768c9544c608f9d718e90",
+    ("return-prob -n 1002 --method all", "csv"): "342260e469a9528434ce0f5b36d24349b5056596e82410ba707c5a33c7b7112d",
+    ("return-prob -n 1002 --method all", "plain"): "4e55acec16e279b422ad05379db4e2dc05603ca05a785b5ddb48cf956d2afa0c",
+    ("return-prob -n 5", "json"): "a64344d60fca08b205a1d43ca51239ed96cd4dd5ac3f8d18435b58a657c03459",
+    ("return-prob -n 5", "csv"): "e8038ce36d85072fc41cb8cf86e49d6fbcd46779479de5cee483071c91492d37",
+    ("return-prob -n 5", "plain"): "76bafc4d4b4335e69c900a3f24bab11d406e7fd227d3930688617ebfaf4d76f2",
+    ("xi --l 30 --m 41", "json"): "280f52e3610f8cc5e87b9b8a24d62caffabd53d2aa5e55679b573104b0039879",
+}
+
+
+@pytest.mark.parametrize("command,fmt", EXACT_STDOUT_SHA256)
+def test_exact_stdout_pinned(capsys, command, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_STDOUT_SHA256[command, fmt]
+
 
 class TestReturnProb:
     def test_all_methods_agree_on_table_value(self, capsys):

@@ -51,7 +51,7 @@ def matadd(x, y):
     return tuple(u + v for u, v in zip(x, y))
 
 
-def same_value(x, y):
+def equal_values(x, y):
     """Whether two (integer matrix, exponent) values are equal.  The one with
     the smaller exponent is lifted by whole powers of 2; across an odd gap the
     values differ by a factor sqrt2 times a rational, so they are equal only
@@ -137,22 +137,25 @@ class TestCompose:
         for i, j in itertools.product(range(4), repeat=2):
             got = exact_vec_matrix(pqrs_compose(bases_vec[i], bases_vec[j], HADAMARD))
             literal = matmul(bases_mat[i], bases_mat[j]), 2
-            assert same_value(got, literal), (i, j)
+            assert equal_values(got, literal), (i, j)
 
     def test_identity_decomposition(self):
-        # I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries
+        # I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries; the product
+        # carries two more factors 1/sqrt2, so the cores come back doubled
         identity = PQRSVector(1, -1, 1, 1, 1)
-        assert same_value(exact_vec_matrix(identity), ((1, 0, 0, 1), 0))
+        assert equal_values(exact_vec_matrix(identity), ((1, 0, 0, 1), 0))
         rng = random.Random(31)
         for _ in range(20):
-            vec = PQRSVector(*(rng.randrange(-9, 10) for _ in range(4)), rng.randrange(0, 5))
-            assert pqrs_compose(identity, vec, HADAMARD).same_value(vec)
-            assert pqrs_compose(vec, identity, HADAMARD).same_value(vec)
+            p, q, r, s = (rng.randrange(-9, 10) for _ in range(4))
+            vec = PQRSVector(p, q, r, s, rng.randrange(0, 5))
+            doubled = PQRSVector(2 * p, 2 * q, 2 * r, 2 * s, vec.scale_exp + 2)
+            assert pqrs_compose(identity, vec, HADAMARD) == doubled
+            assert pqrs_compose(vec, identity, HADAMARD) == doubled
 
     def test_float_coin_refuses_scaled_operands(self):
         # a float coin multiplies on its entries, which would drop the factor
         # (1/sqrt2)^scale_exp of an exact vector
-        exact = path_sum_dp(StepPair(1, 1), HADAMARD)
+        exact = path_sum_dp(StepPair(1, 1))
         assert exact.scale_exp == 1
         for left, right in ((exact, PQRSVector(1, 0, 0, 0)), (PQRSVector(1, 0, 0, 0), exact)):
             with pytest.raises(TypeError, match="scale_exp 0"):
@@ -171,54 +174,52 @@ class TestCompose:
 class TestPathSumDp:
     def test_two_step_crossing(self):
         # two crossing steps: QP + PQ
-        got = exact_vec_matrix(path_sum_dp(StepPair(1, 1), HADAMARD))
+        got = exact_vec_matrix(path_sum_dp(StepPair(1, 1)))
         literal = matadd(matmul(HQ, HP), matmul(HP, HQ)), 2
-        assert same_value(got, literal)
+        assert equal_values(got, literal)
 
     def test_four_step_coefficients_general_coin(self):
-        # (2,2) path sum: bcd P + abc Q + b(ad+bc) R + c(ad+bc) S
+        # (2,2) path sum over the six orderings of PPQQ, composed on the
+        # coin's entries: bcd P + abc Q + b(ad+bc) R + c(ad+bc) S
         a, b, c, d = GENERIC.a, GENERIC.b, GENERIC.c, GENERIC.d
-        vec = path_sum_dp(StepPair(2, 2), GENERIC)
-        assert vec.p == pytest.approx(b * c * d)
-        assert vec.q == pytest.approx(a * b * c)
-        assert vec.r == pytest.approx(b * (a * d + b * c))
-        assert vec.s == pytest.approx(c * (a * d + b * c))
-        assert vec.canonical() == vec  # complex cores are not reduced
+        pure = {"P": PQRSVector(1, 0, 0, 0), "Q": PQRSVector(0, 1, 0, 0)}
+        total = np.zeros(4, complex)
+        for ordering in set(itertools.permutations("PPQQ")):
+            prod = pure[ordering[0]]
+            for name in ordering[1:]:
+                prod = pqrs_compose(prod, pure[name], GENERIC)
+            total += cells(prod)
+        assert total == pytest.approx(
+            [b * c * d, a * b * c, b * (a * d + b * c), c * (a * d + b * c)]
+        )
 
     def test_all_left_boundary(self):
-        # all-left path: a^2 P
-        vec = path_sum_dp(StepPair(3, 0), GENERIC)
-        assert vec.p == pytest.approx(GENERIC.a**2)
-        assert vec.q == vec.r == vec.s == 0
-        exact = path_sum_dp(StepPair(3, 0), HADAMARD)
-        assert exact.canonical() == PQRSVector(
-            GaussianInteger(1), GaussianInteger(0), GaussianInteger(0),
-            GaussianInteger(0), 2,
-        )
+        # all-left path: a^2 P, with a = 1/sqrt2
+        vec = path_sum_dp(StepPair(3, 0))
+        assert vec == PQRSVector(1, 0, 0, 0, 2)
+        assert vec.to_complex()[0] == pytest.approx(HADAMARD.a**2)
 
     def test_no_paths_of_length_zero(self):
         with pytest.raises(ValueError):
-            path_sum_dp(StepPair(0, 0), HADAMARD)
+            path_sum_dp(StepPair(0, 0))
 
     @pytest.mark.parametrize("l,m", [(0, 3), (1, 2), (2, 2), (3, 3), (4, 2), (5, 0)])
     def test_exhaustive_ordering_sum_exact(self, l, m):
-        got = exact_vec_matrix(path_sum_dp(StepPair(l, m), HADAMARD))
-        assert same_value(got, literal_ordering_sum_exact(l, m))
+        got = exact_vec_matrix(path_sum_dp(StepPair(l, m)))
+        assert equal_values(got, literal_ordering_sum_exact(l, m))
 
     def test_exhaustive_ordering_sum_all_pairs(self):
         for n in range(1, 9):
             for l in range(n + 1):
-                got = exact_vec_matrix(path_sum_dp(StepPair(l, n - l), HADAMARD))
-                assert same_value(got, literal_ordering_sum_exact(l, n - l)), (l, n - l)
+                got = exact_vec_matrix(path_sum_dp(StepPair(l, n - l)))
+                assert equal_values(got, literal_ordering_sum_exact(l, n - l)), (l, n - l)
 
     def test_exhaustive_ordering_sum_float_n12(self):
-        for coin in (HADAMARD, GENERIC):
-            for l in range(13):
-                m = 12 - l
-                vec = path_sum_dp(StepPair(l, m), coin)
-                got = pqrs_to_matrix(vec, coin)
-                literal = literal_ordering_sum_float(l, m, coin)
-                assert np.abs(got - literal).max() < 1e-11, (l, m)
+        for l in range(13):
+            m = 12 - l
+            got = pqrs_to_matrix(path_sum_dp(StepPair(l, m)), HADAMARD)
+            literal = literal_ordering_sum_float(l, m, HADAMARD)
+            assert np.abs(got - literal).max() < 1e-11, (l, m)
 
     def test_append_step_recursion_agrees(self):
         # independent recursion S(l,m) = S(l-1,m) P + S(l,m-1) Q
@@ -246,27 +247,23 @@ class TestPathSumDp:
             for m in range(0, n_max + 1 - l, 7):
                 if l + m < 1:
                     continue
-                assert path_sum_dp(StepPair(l, m), HADAMARD).same_value(grid[(l, m)])
+                assert path_sum_dp(StepPair(l, m)) == grid[(l, m)]
 
     def test_r_equals_s_for_hadamard(self):
         for l in range(1, 13):
             for m in range(1, 13):
-                vec = path_sum_dp(StepPair(l, m), HADAMARD)
+                vec = path_sum_dp(StepPair(l, m))
                 assert vec.r == vec.s
 
 
 class TestPathSumClosed:
     @pytest.mark.parametrize("l,m", [(1, 1), (2, 2), (5, 5), (3, 7), (9, 4)])
     def test_matches_dp(self, l, m):
-        assert path_sum_closed(StepPair(l, m)).same_value(path_sum_dp(StepPair(l, m), HADAMARD))
+        assert path_sum_closed(StepPair(l, m)) == path_sum_dp(StepPair(l, m))
 
     def test_four_step_closed_form(self):
         # Eq-style coefficients at a=b=c=-d=1/sqrt2: (-1, 1, 0, 0)/sqrt2^3
-        vec = path_sum_closed(StepPair(2, 2)).canonical()
-        assert vec == PQRSVector(
-            GaussianInteger(-1), GaussianInteger(1), GaussianInteger(0),
-            GaussianInteger(0), 3,
-        )
+        assert path_sum_closed(StepPair(2, 2)) == PQRSVector(-1, 1, 0, 0, 3)
 
     def test_out_of_hypothesis(self):
         with pytest.raises(ValueError):
@@ -277,9 +274,7 @@ class TestPathSumClosed:
     def test_grid_against_dp(self):
         for l in range(1, 11):
             for m in range(1, 11):
-                assert path_sum_closed(StepPair(l, m)).same_value(
-                    path_sum_dp(StepPair(l, m), HADAMARD)
-                )
+                assert path_sum_closed(StepPair(l, m)) == path_sum_dp(StepPair(l, m))
 
 
 def closed_by_comb(l, m):
@@ -339,7 +334,6 @@ class TestStepPair:
     def test_derived_quantities(self):
         steps = StepPair(3, 5)
         assert steps.time == 8
-        assert steps.position == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -358,20 +352,16 @@ class TestLargeArguments:
             assert genfun.p0_closed(n // 2) == direct
 
     def test_closed_form_far_from_diagonal(self):
-        grid = path_sum_grid(StepPair(60, 45), HADAMARD)
+        grid = path_sum_grid(StepPair(60, 45))
         for lm in ((60, 45), (37, 41), (60, 1), (1, 45)):
-            assert path_sum_closed(StepPair(*lm)).same_value(grid[lm]), lm
+            assert path_sum_closed(StepPair(*lm)) == grid[lm], lm
 
 
-def dict_grid_reference(steps, coin):
-    """Oracle: the (i, j) dict grid of pqrs_compose calls that the rolling-row
-    DP replaced, S(i, j) = P S(i-1, j) + Q S(i, j-1) on coefficient vectors."""
-    exact = coin.is_exact
-    if exact:
-        one, zero = GaussianInteger(1), GaussianInteger(0)
-        pure_p, pure_q = PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0)
-    else:
-        pure_p, pure_q = PQRSVector(1.0, 0.0, 0.0, 0.0), PQRSVector(0.0, 1.0, 0.0, 0.0)
+def dict_grid_reference(steps):
+    """Oracle: the (i, j) dict grid of exact pqrs_compose calls that the
+    rolling-row DP replaced, S(i, j) = P S(i-1, j) + Q S(i, j-1) on
+    coefficient vectors."""
+    pure_p, pure_q = PQRSVector(1, 0, 0, 0, 0), PQRSVector(0, 1, 0, 0, 0)
     grid = {(1, 0): pure_p, (0, 1): pure_q}
     for i in range(steps.l + 1):
         for j in range(steps.m + 1):
@@ -379,18 +369,14 @@ def dict_grid_reference(steps, coin):
                 continue
             parts = []
             if i >= 1:
-                parts.append(pqrs_compose(pure_p, grid[(i - 1, j)], coin))
+                parts.append(pqrs_compose(pure_p, grid[(i - 1, j)], HADAMARD))
             if j >= 1:
-                parts.append(pqrs_compose(pure_q, grid[(i, j - 1)], coin))
+                parts.append(pqrs_compose(pure_q, grid[(i, j - 1)], HADAMARD))
             total = parts[0]
             for vec in parts[1:]:
-                if exact:
-                    assert vec.scale_exp == total.scale_exp
-                    total = PQRSVector(total.p + vec.p, total.q + vec.q, total.r + vec.r,
-                                       total.s + vec.s, total.scale_exp)
-                else:
-                    total = PQRSVector(total.p + vec.p, total.q + vec.q,
-                                       total.r + vec.r, total.s + vec.s)
+                assert vec.scale_exp == total.scale_exp
+                total = PQRSVector(total.p + vec.p, total.q + vec.q, total.r + vec.r,
+                                   total.s + vec.s, total.scale_exp)
             grid[(i, j)] = total
     return grid
 
@@ -401,24 +387,13 @@ def cells(vec):
 
 class TestRollingRowDp:
     def test_hadamard_cores_identical_to_dict_grid(self):
-        reference = dict_grid_reference(StepPair(25, 25), HADAMARD)
-        grid = path_sum_grid(StepPair(25, 25), HADAMARD)
+        reference = dict_grid_reference(StepPair(25, 25))
+        grid = path_sum_grid(StepPair(25, 25))
         assert grid.keys() == reference.keys()
         for (l, m), want in reference.items():
             # identical cores and exponent, not merely the same value
             assert grid[(l, m)] == want, (l, m)
-            assert path_sum_dp(StepPair(l, m), HADAMARD) == want, (l, m)
-
-    def test_float_coin_equal_to_dict_grid(self):
-        for l, m in ((12, 17), (0, 9), (9, 0)):
-            reference = dict_grid_reference(StepPair(l, m), GENERIC)
-            grid = path_sum_grid(StepPair(l, m), GENERIC)
-            # the dict grid also seeded (1, 0) at l = 0 and (0, 1) at m = 0
-            assert grid.keys() == {(i, j) for i, j in reference if i <= l and j <= m}
-            for key, want in reference.items():
-                if key in grid:
-                    assert cells(grid[key]) == cells(want), key
-                assert cells(path_sum_dp(StepPair(*key), GENERIC)) == cells(want), key
+            assert path_sum_dp(StepPair(l, m)) == want, (l, m)
 
     def test_prepend_rows_match_product_table(self):
         rng = random.Random(505)
@@ -448,8 +423,8 @@ class TestRollingRowDp:
 
         want = path_sum_closed(StepPair(11, 13))
         monkeypatch.setattr(pathsum, "path_sum_closed", forbidden)
-        assert path_sum_dp(StepPair(11, 13), HADAMARD).same_value(want)
-        assert path_sum_grid(StepPair(11, 13), HADAMARD)[(11, 13)].same_value(want)
+        assert path_sum_dp(StepPair(11, 13)) == want
+        assert path_sum_grid(StepPair(11, 13))[(11, 13)] == want
 
 
 class TestDpSizeCap:
@@ -459,19 +434,18 @@ class TestDpSizeCap:
         for steps in (StepPair(side, side), StepPair(cap, 0), StepPair(0, cap)):
             for fn in (path_sum_dp, path_sum_grid):
                 with pytest.raises(ValueError, match=f"MAX_DP_CELLS = {cap}"):
-                    fn(steps, HADAMARD)
+                    fn(steps)
 
     def test_boundary(self, monkeypatch):
         monkeypatch.setattr(pathsum, "MAX_DP_CELLS", 12)
-        assert path_sum_dp(StepPair(2, 3), HADAMARD) == dict_grid_reference(
-            StepPair(2, 3), HADAMARD)[(2, 3)]
-        assert len(path_sum_grid(StepPair(3, 2), GENERIC)) == 11
+        assert path_sum_dp(StepPair(2, 3)) == dict_grid_reference(StepPair(2, 3))[(2, 3)]
+        assert len(path_sum_grid(StepPair(3, 2))) == 11
         for fn in (path_sum_dp, path_sum_grid):
             with pytest.raises(ValueError, match="13 cells"):
-                fn(StepPair(12, 0), HADAMARD)
+                fn(StepPair(12, 0))
 
     def test_largest_square_runs(self):
         side = math.isqrt(pathsum.MAX_DP_CELLS) - 1
-        vec = path_sum_dp(StepPair(side, side), HADAMARD)
+        vec = path_sum_dp(StepPair(side, side))
         assert vec.scale_exp == 2 * side - 1
-        assert vec.same_value(path_sum_closed(StepPair(side, side)))
+        assert vec == path_sum_closed(StepPair(side, side))
