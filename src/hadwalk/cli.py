@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterable
 
 from . import classical, genfun, pathsum, specfun, verify, walk
 from .classical import QuadratureConvergenceError
@@ -31,7 +32,8 @@ class Emitter:
         self.fmt = fmt
         self.precision = precision
 
-    def table(self, columns: list[str], rows: list[list], json_doc: dict) -> None:
+    def table(self, columns: list[str], rows: Iterable[list], json_doc: dict) -> None:
+        """`json_doc` as JSON, else `rows` under `columns`, read once."""
         if self.fmt == "json":
             print(json.dumps(json_doc))
         elif self.fmt == "csv":
@@ -52,6 +54,15 @@ class Emitter:
     def fl(self, value: float) -> str:
         return f"{value:.{self.precision}g}"
 
+    def cells(self, record: dict) -> list:
+        """A JSON record's values as one display row: floats at --precision."""
+        fl = self.fl
+        return [fl(v) if isinstance(v, float) else v for v in record.values()]
+
+    def record(self, doc: dict) -> None:
+        """`doc` as one row whose columns are its keys."""
+        self.table(list(doc), [self.cells(doc)], json_doc=doc)
+
 
 def _cmd_simulate(args, em: Emitter) -> int:
     if args.coin == "hadamard":
@@ -66,24 +77,22 @@ def _cmd_simulate(args, em: Emitter) -> int:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
     psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
-
-    columns = ["position", "probability_exact", "probability_float"]
-    rows: list[list] = []
-    entries = []
     dist = walk.distribution(psi)
     probs = dist.probs if coin.is_exact else dist
-    for x, p in sorted(probs.items()):
-        exact = str(p) if coin.is_exact else None
-        value = float(p)
-        rows.append([x, exact, em.fl(value)])
-        entries.append({"position": x, "probability_exact": exact, "probability_float": value})
+    entries = [
+        {"position": x, "probability_exact": str(p) if coin.is_exact else None,
+         "probability_float": float(p)}
+        for x, p in sorted(probs.items())
+    ]
     doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
-    em.table(columns, rows, json_doc=doc)
+    em.table(list(entries[0]), map(em.cells, entries), json_doc=doc)
     return 0
 
 
 def _cmd_return_prob(args, em: Emitter) -> int:
     n = args.time
+    if n < 0:
+        raise ValueError("time must be nonnegative")
     covering = [r for r in verify.ROUTES if r.covers(n)]
     if not covering:
         needs = "; ".join(f"{r.name} needs {r.needs()}" for r in verify.ROUTES)
@@ -155,17 +164,14 @@ def _cmd_ellipk(args, em: Emitter) -> int:
 def _cmd_genfun(args, em: Emitter) -> int:
     if args.sweep is not None:
         start, stop, count = args.sweep
-        columns = ["z", "lhs_partial", "rhs_closed"]
-        rows = []
         points = []
         for i in range(count):
             z = start + (stop - start) * i / max(count - 1, 1)
             point = genfun.gf_point(z, args.truncate)
-            rows.append([em.fl(z), em.fl(point.lhs_partial), em.fl(point.rhs_closed)])
             points.append(
                 {"z": z, "lhs_partial": point.lhs_partial, "rhs_closed": point.rhs_closed}
             )
-        em.table(columns, rows, json_doc={"sweep": points})
+        em.table(list(points[0]), map(em.cells, points), json_doc={"sweep": points})
         return 0
     if args.z is None:
         raise ValueError("genfun requires --z or --sweep")
@@ -178,12 +184,7 @@ def _cmd_genfun(args, em: Emitter) -> int:
         "tail_bound": point.tail_bound,
         "abs_diff": point.abs_diff,
     }
-    em.table(
-        list(doc.keys()),
-        [[em.fl(point.z), em.fl(point.lhs_partial), em.fl(point.rhs_closed),
-          point.truncation, em.fl(point.tail_bound), em.fl(point.abs_diff)]],
-        json_doc=doc,
-    )
+    em.record(doc)
     return 0
 
 
@@ -192,18 +193,12 @@ def _cmd_classical(args, em: Emitter) -> int:
         raise ValueError("classical requires exactly one of --time or --gf")
     if args.time is not None:
         p = classical.rw_return_prob(args.dim, args.time)
-        exact = f"{_digits(p.numerator)}/{_digits(p.denominator)}"
-        doc = {
+        em.record({
             "dim": args.dim,
             "time": args.time,
-            "probability_exact": exact,
+            "probability_exact": f"{_digits(p.numerator)}/{_digits(p.denominator)}",
             "probability_float": float(p),
-        }
-        em.table(
-            ["dim", "time", "probability_exact", "probability_float"],
-            [[args.dim, args.time, exact, em.fl(float(p))]],
-            json_doc=doc,
-        )
+        })
     else:
         value = classical.rw_gf(args.dim, args.gf)
         doc = {"dim": args.dim, "z": args.gf, "value": value}
@@ -213,18 +208,12 @@ def _cmd_classical(args, em: Emitter) -> int:
 
 def _cmd_watson(args, em: Emitter) -> int:
     result = classical.watson_return_prob(args.tol)
-    doc = {
+    em.record({
         "g_quadrature": result.g_quadrature,
         "g_closed": result.g_closed,
         "f_return": result.f_return,
         "quadrature_error_estimate": result.quadrature_error_estimate,
-    }
-    em.table(
-        list(doc.keys()),
-        [[em.fl(result.g_quadrature), em.fl(result.g_closed),
-          em.fl(result.f_return), em.fl(result.quadrature_error_estimate)]],
-        json_doc=doc,
-    )
+    })
     return 0
 
 

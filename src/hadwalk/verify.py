@@ -119,9 +119,8 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
     """
     bad = []
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
-    coin = walk.CoinMatrix.hadamard()
     for n in range(2, 2 * n_max + 1, 2):
-        psi = psi.step(coin).step(coin)
+        psi = psi.step().step()
         gl, gr = psi.cores(0)
         direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
         rows = ROUTES if n in DIRECT_TIMES or n == 2 * n_max else ROUTES[1:]
@@ -136,11 +135,10 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
 
 
 def _check_conservation(report: VerifyReport, n_max: int) -> None:
-    coin = walk.CoinMatrix.hadamard()
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     bad_norm = bad_sym = 0
     for _ in range(n_max):
-        psi = psi.step(coin)
+        psi = psi.step()
         dist = walk.distribution(psi)
         if dist.total() != 1:
             bad_norm += 1

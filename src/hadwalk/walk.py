@@ -121,11 +121,18 @@ class CoinMatrix:
         return self._exact
 
     def _validate_unitary(self) -> None:
-        for name, entry in zip("abcd", (self.a, self.b, self.c, self.d)):
+        entries = dict(zip("abcd", (self.a, self.b, self.c, self.d)))
+        for name, entry in entries.items():
             if not (math.isfinite(entry.real) and math.isfinite(entry.imag)):
                 raise ValueError(f"coin entry {name} = {entry!r} is not finite")
-        col1 = abs(self.a) ** 2 + abs(self.c) ** 2
-        col2 = abs(self.b) ** 2 + abs(self.d) ** 2
+        squares = {}
+        for name, entry in entries.items():
+            try:
+                squares[name] = abs(entry) ** 2
+            except OverflowError:
+                raise ValueError(f"coin not unitary: |{name}|^2 of {entry!r} overflows") from None
+        col1 = squares["a"] + squares["c"]
+        col2 = squares["b"] + squares["d"]
         cross = self.a * self.b.conjugate() + self.c * self.d.conjugate()
         if abs(col1 - 1.0) > UNITARITY_TOL:
             raise ValueError(f"coin not unitary: |a|^2+|c|^2 = {col1!r}, expected 1")
@@ -176,7 +183,7 @@ class WaveFunction:
     four integers, one signed slot per position.
     """
 
-    __slots__ = ("time", "scale_exp", "_norm", "_width", "_parts", "_columns")
+    __slots__ = ("time", "scale_exp", "_norm", "_width", "_parts")
 
     def __init__(
         self,
@@ -199,7 +206,6 @@ class WaveFunction:
         self._norm = norm
         self._width = width
         self._parts = tuple(_pack(column, width) for column in columns)
-        self._columns = columns
 
     @classmethod
     def _from_packed(
@@ -211,7 +217,6 @@ class WaveFunction:
         psi._norm = norm
         psi._width = width
         psi._parts = parts
-        psi._columns = None
         return psi
 
     @classmethod
@@ -219,30 +224,22 @@ class WaveFunction:
         return cls(0, qubit.scale_exp, [(qubit.left, qubit.right)])
 
     def _components(self) -> tuple[list[int], ...]:
-        """Left re, left im, right re, right im, one entry per position of
-        support(); unpacked in one pass and kept."""
-        if self._columns is None:
-            count = self.time + 1
-            self._columns = tuple(_unpack(p, self._width, count) for p in self._parts)
-        return self._columns
+        """Left re, left im, right re, right im: one list each over support()."""
+        return tuple(_unpack(p, self._width, self.time + 1) for p in self._parts)
 
     def cores(self, x: int) -> tuple[GaussianInteger, GaussianInteger]:
         if abs(x) > self.time or (x + self.time) % 2:
             return _ZERO_PAIR
         k = (x + self.time) // 2
-        if self._columns is not None:
-            lre, lim, rre, rim = (column[k] for column in self._columns)
-        else:
-            lre, lim, rre, rim = (_read_slot(p, self._width, k) for p in self._parts)
+        lre, lim, rre, rim = (_read_slot(p, self._width, k) for p in self._parts)
         return GaussianInteger(lre, lim), GaussianInteger(rre, rim)
 
     def support(self) -> range:
         """Positions sharing the time's parity, from -n to n."""
         return range(-self.time, self.time + 1, 2)
 
-    def step(self, coin: CoinMatrix) -> WaveFunction:
-        if not coin.is_exact:
-            raise TypeError("exact wavefunction stepped with a float coin")
+    def step(self) -> WaveFunction:
+        """One step of the Hadamard coin, HADAMARD_CORES on each pair."""
         # |l+r|^2 + |l-r|^2 = 2(|l|^2 + |r|^2): each step doubles the norm
         norm = self._norm << 1
         width, parts = self._width, self._parts
@@ -328,7 +325,6 @@ def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | Floa
     """n steps from a point mass at the origin."""
     if n < 0:
         raise ValueError("time must be nonnegative")
-    psi: WaveFunction | FloatWaveFunction
     if coin.is_exact:
         if n > MAX_EXACT_TIME:
             raise ValueError(
@@ -337,26 +333,27 @@ def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | Floa
                 "--method prop1 or --method closed"
             )
         psi = WaveFunction.point_mass(initial)
-    else:
-        if n > MAX_FLOAT_TIME:
-            raise ValueError(
-                f"time {n} is above the float engine's limit MAX_FLOAT_TIME = "
-                f"{MAX_FLOAT_TIME}"
-            )
-        psi = FloatWaveFunction.point_mass(initial)
+        for _ in range(n):
+            psi = psi.step()
+        return psi
+    if n > MAX_FLOAT_TIME:
+        raise ValueError(
+            f"time {n} is above the float engine's limit MAX_FLOAT_TIME = "
+            f"{MAX_FLOAT_TIME}"
+        )
+    psi_f = FloatWaveFunction.point_mass(initial)
     for _ in range(n):
-        psi = psi.step(coin)
-    return psi
+        psi_f = psi_f.step(coin)
+    return psi_f
 
 
 def distribution(psi: WaveFunction | FloatWaveFunction) -> Distribution | dict[int, float]:
     """Position distribution; exact (dyadic) for the exact engine."""
     if isinstance(psi, FloatWaveFunction):
         return psi.probabilities()
-    lre, lim, rre, rim = psi._components()
     probs = {
         x: DyadicRational(a * a + b * b + c * c + d * d, psi.scale_exp)
-        for x, a, b, c, d in zip(psi.support(), lre, lim, rre, rim)
+        for x, a, b, c, d in zip(psi.support(), *psi._components())
     }
     return Distribution(psi.time, probs)
 

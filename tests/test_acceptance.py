@@ -65,10 +65,9 @@ def test_criterion_1_exact_value_table(capsys):
 
 def test_criterion_2_four_oracle_equivalence():
     with Timer("criterion 2: four-oracle equality for n <= 100", 30.0):
-        coin = walk.CoinMatrix.hadamard()
         psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
         for n in range(1, 101):
-            psi = psi.step(coin).step(coin)
+            psi = psi.step().step()
             gl, gr = psi.cores(0)
             direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
             assert pathsum.return_probability_paths(n) == direct, n
@@ -178,10 +177,9 @@ def test_criterion_6_identity_suite():
 
 def test_criterion_7_conservation_and_symmetry():
     with Timer("criterion 7: exact conservation, symmetry, odd-time zeros", 60.0):
-        coin = walk.CoinMatrix.hadamard()
         psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
         for t in range(1, 202):
-            psi = psi.step(coin)
+            psi = psi.step()
             if t % 2 == 1:
                 assert psi.cores(0) == (0, 0), t
             if t <= 200:

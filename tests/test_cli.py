@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -185,6 +186,11 @@ class TestReturnProb:
     def test_time_twelve(self, capsys):
         doc = run_json(capsys, "return-prob", "-n", "12", "--method", "closed")
         assert doc["values"][0]["exact"] == "25/2^9"
+
+    @pytest.mark.parametrize("method", ["all", "direct", "xi", "prop1", "closed"])
+    def test_negative_time_refused_for_every_method(self, capsys, method):
+        code, out, err = run_cli(capsys, "return-prob", "-n", "-2", "--method", method)
+        assert (code, out, err) == (2, "", "error: time must be nonnegative\n")
 
     def test_out_of_hypothesis_method(self, capsys):
         code, _, err = run_cli(capsys, "return-prob", "-n", "5", "--method", "closed")
@@ -429,6 +435,65 @@ class TestWatson:
         assert doc["f_return"] == pytest.approx(0.3405373295, abs=1e-9)
 
 
+def display_cell(value, precision):
+    """The csv and plain cell of one JSON field: floats at --precision."""
+    if value is None:
+        return ""
+    return f"{value:.{precision}g}" if isinstance(value, float) else str(value)
+
+
+def plain_cells(text):
+    """Cells of a plain table, cut at the offsets of its header's columns."""
+    header, *lines = text.splitlines()
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    bounds = list(zip(starts, [*starts[1:], None]))
+    return [[line[a:b].strip() for a, b in bounds] for line in (header, *lines)]
+
+
+class TestDisplayMatchesJson:
+    """csv and plain print the JSON records' fields, one row per record."""
+
+    def assert_tables_match(self, capsys, argv, records, precision):
+        want = [list(records[0]), *([display_cell(v, precision) for v in r.values()]
+                                    for r in records)]
+        for fmt in ("csv", "plain"):
+            code, out, err = run_cli(capsys, "--format", fmt, "--precision",
+                                     str(precision), *argv)
+            assert code == 0, err
+            got = list(csv.reader(io.StringIO(out))) if fmt == "csv" else plain_cells(out)
+            assert got == want, fmt
+
+    @pytest.mark.parametrize("precision", [15, 6])
+    @pytest.mark.parametrize("argv", [
+        ["genfun", "--z", "0.5"],
+        ["genfun", "--sweep", "0.1:0.9:5"],
+        ["classical", "--dim", "2", "--time", "40"],
+        ["watson"],
+    ], ids=["genfun-z", "genfun-sweep", "classical-time", "watson"])
+    def test_single_record_commands(self, capsys, argv, precision):
+        doc = run_json(capsys, "--precision", str(precision), *argv)
+        records = doc["sweep"] if "sweep" in doc else [doc]
+        self.assert_tables_match(capsys, argv, records, precision)
+
+    @pytest.mark.parametrize("precision", [15, 6])
+    @pytest.mark.parametrize("coin", [[], ["--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6"]],
+                             ids=["exact", "float"])
+    def test_simulate(self, capsys, coin, precision):
+        argv = ["simulate", "-n", "13", *coin]
+        doc = run_json(capsys, "--precision", str(precision), *argv)
+        self.assert_tables_match(capsys, argv, doc["probabilities"], precision)
+
+    def test_classical_gf_echoes_z_unformatted(self, capsys):
+        z = "0.123456789012345678"
+        doc = run_json(capsys, "classical", "--dim", "2", "--gf", z)
+        row = ["2", repr(float(z)), f"{doc['value']:.15g}"]
+        assert doc["z"] == float(z) and row[1] != f"{float(z):.15g}"
+        for fmt in ("csv", "plain"):
+            _, out, _ = run_cli(capsys, "--format", fmt, "classical", "--dim", "2", "--gf", z)
+            got = list(csv.reader(io.StringIO(out))) if fmt == "csv" else plain_cells(out)
+            assert got == [["dim", "z", "value"], row], fmt
+
+
 class TestVerify:
     def test_fast_scope_passes(self, capsys):
         doc = run_json(capsys, "verify", "--scope", "fast")
@@ -555,6 +620,19 @@ class TestEntryPoint:
         )
         assert result.returncode == 2, result.stderr
         assert limit in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("entries", ["1e308,0,0,1", "1e200,0,0,1", "1e155,1e155,0,1"])
+    def test_coin_entry_too_large_to_square_exit_2(self, entries):
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "simulate", "-n", "5",
+             "--coin", "custom", "--entries", entries],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 2, result.stderr
+        a = complex(entries.split(",")[0])
+        assert result.stderr == f"error: coin not unitary: |a|^2 of {a!r} overflows\n"
+        assert "Traceback" not in result.stderr
         assert result.stdout == ""
 
     def test_usage_error_exit_2(self):

@@ -63,6 +63,18 @@ class TestCoinMatrix:
         with pytest.raises(ValueError, match=f"coin entry {name} = .* is not finite"):
             CoinMatrix(*entries)
 
+    @pytest.mark.parametrize("entries,name", [
+        ((1e308, 0, 0, 1), "a"),
+        ((1e200, 0, 0, 1), "a"),
+        ((1e155, 1e155, 0, 1), "a"),
+        ((1, 0, 0, complex(1e300, 1e300)), "d"),
+    ])
+    def test_entry_too_large_to_square_named(self, entries, name):
+        # abs(entry) ** 2 overflows: the coin is refused, naming the entry
+        message = rf"coin not unitary: \|{name}\|\^2 of .* overflows"
+        with pytest.raises(ValueError, match=message):
+            CoinMatrix(*entries)
+
 
 class TestQubitState:
     def test_symmetric_is_normalized(self):
@@ -115,7 +127,7 @@ class TestExactEngine:
 
     def test_zero_state_stays_zero(self):
         zero = WaveFunction(0, 0, [(G_ZERO, G_ZERO)])
-        stepped = zero.step(CoinMatrix.hadamard())
+        stepped = zero.step()
         assert dense_pairs(stepped) == [(G_ZERO, G_ZERO)] * 3
 
     def test_time_zero_is_point_mass(self):
@@ -156,10 +168,9 @@ class TestExactEngine:
         assert return_probability_direct(n) == DyadicRational(0)
 
     def test_conservation_symmetry_parity(self):
-        coin = CoinMatrix.hadamard()
         psi = WaveFunction.point_mass(QubitState.symmetric())
         for _ in range(60):
-            psi = psi.step(coin)
+            psi = psi.step()
             dist = distribution(psi)
             assert dist.total() == DyadicRational(1)
             assert all(dist.at(x) == dist.at(-x) for x in dist.probs)
@@ -174,16 +185,9 @@ class TestExactEngine:
         assert dist.total() == DyadicRational(1)
         assert dist.at(-2) != dist.at(2)
 
-    def test_exact_state_rejects_float_coin(self):
-        psi = WaveFunction.point_mass(QubitState.symmetric())
-        float_coin = CoinMatrix(2**-0.5, 2**-0.5, 2**-0.5, -(2**-0.5))
-        with pytest.raises(TypeError):
-            psi.step(float_coin)
-
 
 def dense_pairs(psi):
-    """(left, right) cores on [-time, time], read after one unpacking."""
-    psi._components()
+    """(left, right) cores on [-time, time], one packed slot per call."""
     return [psi.cores(x) for x in range(-psi.time, psi.time + 1)]
 
 
@@ -216,12 +220,11 @@ class TestPackedEngine:
     )
     def test_matches_reference_stepper(self, monkeypatch, start, margin):
         monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
-        coin = CoinMatrix.hadamard()
         psi = WaveFunction(start.time, start.scale_exp, dense_pairs(start)[::2])
         pairs = dense_pairs(psi)
         widths = {psi._width}
         for t in range(1, 151):
-            psi = psi.step(coin)
+            psi = psi.step()
             pairs = reference_step(pairs)
             widths.add(psi._width)
             assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
@@ -229,11 +232,17 @@ class TestPackedEngine:
         assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
 
     def test_single_slot_reads_match_unpacked_state(self):
+        # at T = 41 and at the first time after the slots widen
         psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 41)
-        fresh = [psi.cores(x) for x in range(-41, 42)]  # one slot per call
-        assert psi._columns is None
-        assert fresh == dense_pairs(psi)
-        assert psi._columns is not None
+        widened = psi.step()
+        while widened._width == psi._width:
+            widened = widened.step()
+        for state in (psi, widened):
+            parts = (walk._unpack(p, state._width, state.time + 1) for p in state._parts)
+            want = [(GaussianInteger(a, b), GaussianInteger(c, d)) for a, b, c, d in zip(*parts)]
+            pairs = dense_pairs(state)
+            assert pairs[::2] == want, state.time
+            assert all(pair == (G_ZERO, G_ZERO) for pair in pairs[1::2]), state.time
 
     @pytest.mark.parametrize("n", [1002, 1600])
     def test_deep_return_probability_matches_legendre(self, n):
@@ -456,10 +465,9 @@ class TestFloatEngine:
         coin = CoinMatrix(r, r, r, -r)
         psi_f = FloatWaveFunction.point_mass(QubitState.symmetric())
         psi_e = WaveFunction.point_mass(QubitState.symmetric())
-        hadamard = CoinMatrix.hadamard()
         for _ in range(60):
             psi_f = psi_f.step(coin)
-            psi_e = psi_e.step(hadamard)
+            psi_e = psi_e.step()
         exact = distribution(psi_e)
         floats = distribution(psi_f)
         assert set(floats) == set(exact.probs)
