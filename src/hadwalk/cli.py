@@ -19,10 +19,16 @@ from .classical import QuadratureConvergenceError
 from .exactnum import _digits
 
 
-#: Largest point count of genfun --sweep.  Near z = 1 a point costs about
-#: 10 ms (100 points on [0.99, 0.999] took 0.9 s on one core of a 2-vCPU
-#: x86-64 host), so a sweep at the cap takes up to about 90 s.
+#: Largest point count of genfun --sweep.  It bounds the pass that solves each
+#: point's truncation before any sum is taken: 0.14 s for 10 000 points on one
+#: core of a 2-vCPU x86-64 host.
 MAX_SWEEP_POINTS = 10_000
+
+#: Largest sum of (N + 1)^2 over the points of genfun --sweep, N each point's
+#: truncation.  A point's big-int work grows as (N + 1)^2: sweeps just under
+#: the cap took 70 s (49 points at N = 10^5) and 99 s (10 000 points at
+#: N = 7069) on the same host.
+MAX_SWEEP_WORK = 5 * 10**11
 
 
 class Emitter:
@@ -150,8 +156,11 @@ def _cmd_xi(args, em: Emitter) -> int:
 
 def _cmd_ellipk(args, em: Emitter) -> int:
     if args.method == "agm":
+        if args.terms is not None:
+            raise ValueError("--terms requires --method series")
         value = specfun.elliptic_k_agm(args.k)
     else:
+        args.terms = 64 if args.terms is None else args.terms
         value = specfun.elliptic_k_series(args.k, args.terms)
     text = f"{value:.17g}"
     doc = {"k": args.k, "method": args.method, "value": value}
@@ -162,19 +171,26 @@ def _cmd_ellipk(args, em: Emitter) -> int:
 
 
 def _cmd_genfun(args, em: Emitter) -> int:
+    if (args.z is None) == (args.sweep is None):
+        raise ValueError("genfun requires exactly one of --z or --sweep")
     if args.sweep is not None:
         start, stop, count = args.sweep
+        zs = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
+        truncations = [
+            genfun.truncation_for(z) if args.truncate is None else args.truncate for z in zs
+        ]
+        work = sum((n + 1) ** 2 for n in truncations)
+        if work > MAX_SWEEP_WORK:
+            raise ValueError(f"sweep work sum (N+1)^2 = {work} is above the limit "
+                             f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
         points = []
-        for i in range(count):
-            z = start + (stop - start) * i / max(count - 1, 1)
-            point = genfun.gf_point(z, args.truncate)
+        for z, n in zip(zs, truncations):
+            point = genfun.gf_point(z, n)
             points.append(
                 {"z": z, "lhs_partial": point.lhs_partial, "rhs_closed": point.rhs_closed}
             )
         em.table(list(points[0]), map(em.cells, points), json_doc={"sweep": points})
         return 0
-    if args.z is None:
-        raise ValueError("genfun requires --z or --sweep")
     point = genfun.gf_point(args.z, args.truncate)
     doc = {
         "z": point.z,
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="complete elliptic integral K(k)")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--method", choices=("agm", "series"), default="agm")
-    p.add_argument("--terms", type=int, default=64)
+    p.add_argument("--terms", type=int, help="series terms (default 64)")
     p.set_defaults(handler=_cmd_ellipk)
 
     p = sub.add_parser("genfun", parents=[common],

@@ -9,6 +9,7 @@ bound so the identity can be checked to a stated tolerance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -114,14 +115,9 @@ def truncation_for(z: float, target: float = 1e-12) -> int:
     _check_z(z)
     if tail_bound(z, MAX_TRUNCATION) > target:
         raise ValueError(f"tail bound does not reach {target} at z={z}")
-    lo, hi = 4, MAX_TRUNCATION  # tail_bound(z, hi) is not above target
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(z, mid) > target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return bisect.bisect_left(
+        range(MAX_TRUNCATION + 1), True, lo=4, key=lambda n: tail_bound(z, n) <= target
+    )
 
 
 @dataclass(frozen=True)

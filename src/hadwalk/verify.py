@@ -4,6 +4,7 @@ route, plus the numeric identities, assembled as a deterministic report.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -246,10 +247,15 @@ def _check_gf_identity(report: VerifyReport, zs: tuple[float, ...]) -> None:
 
 
 def _check_polya(report: VerifyReport, zs: tuple[float, ...]) -> None:
+    evens = range(4, classical.MAX_RW_TIME + 1, 2)
     for z in zs:
-        n_trunc = 4
-        while classical.rw_gf_tail_bound(2, z, n_trunc) > 1e-12:
-            n_trunc += 2
+        # the tail bound does not increase with N, so bisection finds the first even N
+        i = bisect.bisect_left(
+            evens, True, key=lambda n: classical.rw_gf_tail_bound(2, z, n) <= 1e-12
+        )
+        if i == len(evens):
+            raise ValueError(f"2d tail bound does not reach 1e-12 at z={z}")
+        n_trunc = evens[i]
         partial = math.fsum(
             float(classical.rw_return_prob(2, n)) * z**n for n in range(n_trunc + 1)
         )

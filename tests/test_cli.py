@@ -330,6 +330,7 @@ class TestEllipk:
         agm = run_json(capsys, "ellipk", "--k", "0.5")
         assert doc["value"] == pytest.approx(agm["value"], abs=1e-12)
         assert doc["terms"] == 80
+        assert run_json(capsys, "ellipk", "--k", "0.5", "--method", "series")["terms"] == 64
 
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "ellipk", "--k", "1.0")
@@ -380,6 +381,20 @@ class TestGenfun:
         assert exit_info.value.code == 2
         assert "MAX_SWEEP_POINTS = 3" in capsys.readouterr().err
 
+    def test_sweep_work_limit_boundary(self, capsys, monkeypatch):
+        zs = (0.0, 0.25, 0.5)
+        work = sum((genfun.truncation_for(z) + 1) ** 2 for z in zs)
+        solved = []
+        solve = genfun.truncation_for
+        monkeypatch.setattr(genfun, "truncation_for", lambda z: solved.append(z) or solve(z))
+        monkeypatch.setattr(cli, "MAX_SWEEP_WORK", work)
+        assert len(run_json(capsys, "genfun", "--sweep", "0:0.5:3")["sweep"]) == 3
+        assert solved == list(zs)  # each point's truncation is solved once
+        monkeypatch.setattr(cli, "MAX_SWEEP_WORK", work - 1)
+        code, out, err = run_cli(capsys, "genfun", "--sweep", "0:0.5:3")
+        assert (code, out) == (2, "")
+        assert f"= {work} is above the limit MAX_SWEEP_WORK = {work - 1}" in err
+
     def test_near_one_runs_in_linear_time(self, capsys):
         # N = 24 655: a per-n Legendre loop takes over 30 s, the linear pass 0.1 s
         start = time.perf_counter()
@@ -389,6 +404,17 @@ class TestGenfun:
         assert doc["tail_bound"] <= 1e-12
         assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
         assert elapsed < 10.0, f"genfun --z 0.999 took {elapsed:.1f} s"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["genfun", "--z", "0.5", "--sweep", "0.1:0.2:2"], "genfun requires exactly one of --z or --sweep"),
+    (["genfun"], "genfun requires exactly one of --z or --sweep"),
+    (["ellipk", "--k", "0.5", "--terms", "5"], "--terms requires --method series"),
+    (["ellipk", "--k", "0.5", "--method", "agm", "--terms", "64"], "--terms requires --method series"),
+])
+def test_option_the_mode_would_ignore_is_refused(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestClassical:
@@ -611,6 +637,8 @@ class TestEntryPoint:
          f"MAX_FLOAT_TIME = {walk.MAX_FLOAT_TIME}"),
         (["genfun", "--sweep", "0:0.5:100000000"],
          f"MAX_SWEEP_POINTS = {cli.MAX_SWEEP_POINTS}"),
+        (["genfun", "--sweep", "0:0.5:10000", "--truncate", "100000"],
+         f"MAX_SWEEP_WORK = {cli.MAX_SWEEP_WORK}"),
     ])
     def test_size_cap_exit_2(self, argv, limit):
         # refused before any work; the timeout turns a runaway loop into a failure

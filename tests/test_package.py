@@ -2,16 +2,53 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hadwalk
 
 #: Modules the tests use as oracles or runners; none is a runtime dependency.
 TEST_ONLY_MODULES = ("scipy", "mpmath", "sympy", "hypothesis", "pytest")
 
 
-def test_all_names_resolve_once():
-    # a deleted name left in __all__ would otherwise fail only `import *`
-    assert len(set(hadwalk.__all__)) == len(hadwalk.__all__)
-    assert [name for name in hadwalk.__all__ if not hasattr(hadwalk, name)] == []
+#: What a fresh interpreter holds of hadwalk after importing one module alone:
+#: the package itself and the layers that module imports, never numpy.
+LAYER_IMPORTS = {
+    "hadwalk": ["hadwalk"],
+    "hadwalk.exactnum": ["hadwalk", "hadwalk.exactnum"],
+    "hadwalk.specfun": ["hadwalk", "hadwalk.specfun"],
+    "hadwalk.genfun": ["hadwalk", "hadwalk.exactnum", "hadwalk.genfun", "hadwalk.specfun"],
+    "hadwalk.classical": ["hadwalk", "hadwalk.classical", "hadwalk.specfun"],
+}
+
+
+def run_fresh(script: str) -> str:
+    """stdout of `script` run in a fresh interpreter that imports this hadwalk."""
+    package_root = str(Path(hadwalk.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {package_root!r})\n{script}"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_package_binds_no_names():
+    # every name is imported from its own module; the package re-exports none
+    script = """
+import hadwalk
+print(sorted(n for n in vars(hadwalk) if not (n.startswith("__") and n.endswith("__"))))
+"""
+    assert run_fresh(script) == "[]\n"
+
+
+@pytest.mark.parametrize("module", sorted(LAYER_IMPORTS))
+def test_layer_imports_alone(module):
+    script = f"""
+import importlib
+importlib.import_module({module!r})
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "hadwalk"), "numpy" in sys.modules)
+"""
+    assert run_fresh(script) == f"{LAYER_IMPORTS[module]} False\n"
 
 
 def test_commands_import_numpy_alone():
