@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from collections.abc import Iterable
 
@@ -263,6 +264,10 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:count")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    # the points interpolate over stop - start, so it must be finite too
+    for name, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"sweep {name} = {value} is not finite")
     if count < 1:
         raise argparse.ArgumentTypeError("sweep count must be positive")
     if count > MAX_SWEEP_POINTS:

@@ -110,8 +110,11 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
     """Every route but the first against one incremental exact walk at each
     even time up to 2 n_max.
 
-    The direct row evolves from scratch, at a cost growing as n^3, so it is
-    compared only at the top time 2 n_max and at the DIRECT_TIMES below it;
+    The incremental walk steps every position; the direct row steps to n/2
+    and then only the origin's backward light cone, so where both are
+    compared, two code paths meet.  The direct row starts from scratch, at a
+    cost growing as n^3, so it is compared only at the top time 2 n_max and
+    at the DIRECT_TIMES below it;
     the value table and the odd-time check test it at the other small times.
     Those times start at 20, the first time the table does not cover, and
     spread over both scopes (n_max 30 and 100), each of which reaches both

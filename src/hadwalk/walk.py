@@ -31,9 +31,12 @@ from .exactnum import G_I, G_ONE, G_ZERO, DyadicRational, GaussianInteger
 
 UNITARITY_TOL = 1e-12
 
-#: Largest time the exact engine evolves to.  Its state grows as T^2/2 bits
-#: and its work as T^3: return-prob --method direct took 46 / 62 / 85 s at
-#: T = 8000 / 9000 / 10000 on one core of a 2-vCPU x86-64 host.
+#: Largest time the exact engine evolves to, and the direct route's largest
+#: even time.  A state grows as T^2/2 bits and the work as T^3: evolve, which
+#: simulate runs, took 44 / 55 s at T = 8000 / 9000, and return-prob --method
+#: direct, which evolves to T/2 and then steps the light cone, took
+#: 15 / 17 / 26 s at T = 8000 / 9000 / 10000, on one core of a 2-vCPU x86-64
+#: host.
 MAX_EXACT_TIME = 9000
 
 #: Largest time the float engine evolves to.  Its time grows at least as T^2:
@@ -82,6 +85,19 @@ def _unpack(packed: int, width: int, count: int) -> list[int]:
     half, size = 1 << (width - 1), width // 8
     data = (packed + _bias(width, count)).to_bytes(size * count, "little")
     return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, len(data), size)]
+
+
+def _widen(packed: int, width: int, new_width: int, count: int) -> int:
+    """The lowest `count` slots of `packed`, repacked from width to new_width
+    bits; slots above them are dropped.  Each biased slot's bytes get zero
+    bytes on top, so no slot passes through a Python int of its own."""
+    size, new_size = width // 8, new_width // 8
+    biased = (packed + _bias(width, count)) & ((1 << (width * count)) - 1)
+    slots = np.frombuffer(biased.to_bytes(size * count, "little"), np.uint8)
+    padded = np.zeros((count, new_size), np.uint8)
+    padded[:, :size] = slots.reshape(count, size)
+    half = (1 << (width - 1)).to_bytes(new_size, "little")
+    return int.from_bytes(padded.tobytes(), "little") - int.from_bytes(half * count, "little")
 
 
 def _read_slot(packed: int, width: int, k: int) -> int:
@@ -245,7 +261,7 @@ class WaveFunction:
         width, parts = self._width, self._parts
         if not _fits(norm, width):
             width = _slot_width(norm)
-            parts = tuple(_pack(column, width) for column in self._components())
+            parts = tuple(_widen(p, self._width, width, self.time + 1) for p in parts)
         lre, lim, rre, rim = parts
         # new x draws its left core from old x+1 and its right core from
         # old x-1: left slots keep their index, right slots move up by one
@@ -321,17 +337,22 @@ class Distribution:
         return self.probs.get(x, DyadicRational(0))
 
 
+def _check_exact_time(n: int) -> None:
+    """Refuse a time above MAX_EXACT_TIME, naming the routes that go further."""
+    if n > MAX_EXACT_TIME:
+        raise ValueError(
+            f"time {n} is above the exact engine's limit MAX_EXACT_TIME = "
+            f"{MAX_EXACT_TIME}; for larger even times use return-prob "
+            "--method prop1 or --method closed"
+        )
+
+
 def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | FloatWaveFunction:
     """n steps from a point mass at the origin."""
     if n < 0:
         raise ValueError("time must be nonnegative")
     if coin.is_exact:
-        if n > MAX_EXACT_TIME:
-            raise ValueError(
-                f"time {n} is above the exact engine's limit MAX_EXACT_TIME = "
-                f"{MAX_EXACT_TIME}; for larger even times use return-prob "
-                "--method prop1 or --method closed"
-            )
+        _check_exact_time(n)
         psi = WaveFunction.point_mass(initial)
         for _ in range(n):
             psi = psi.step()
@@ -359,12 +380,48 @@ def distribution(psi: WaveFunction | FloatWaveFunction) -> Distribution | dict[i
 
 
 def return_probability_direct(n: int) -> DyadicRational:
-    """Exact p_n(0) for the Hadamard walk from the symmetric qubit."""
+    """Exact p_n(0) for the Hadamard walk from the symmetric qubit.
+
+    `evolve` runs to time n/2; the remaining n/2 steps keep only the
+    origin's backward light cone.  A step moves amplitude one position, so
+    at time t only the positions |x| <= n - t can still reach 0 by time n.
+    Slot j of the cone at time t is position 2j - (n - t), so the cone has
+    n - t + 1 slots, and at t = n/2 it is the whole state.  From the forward
+    rule (left from x + 1, right from x - 1) the next cone's slot j takes its
+    left core from slot j + 1 and its right core from slot j:
+
+        L' = (L + R) >> w,    R' = L - R.
+
+    The shift drops the lowest slot, which lies below the next cone.  It
+    floors, so a negative slot 0 would borrow 1 from slot 1; adding 2^(w-1)
+    first puts slot 0 in [0, 2^w), which the shift drops whole.  The
+    right cores no longer move up a slot, so the packed ints keep the slots
+    above the cone; those slots hold positions beyond n - t, whose values
+    reach only positions beyond n - t - 1 and so never flow back in.  They
+    stay until the next widening, which repacks only the cone's slots.
+
+    Dropping a slot only removes norm, and (a + b)^2 + (a - b)^2 =
+    2(a^2 + b^2) still bounds the rest, so `norm << 1` stays an upper bound
+    on the summed squares of every slot, the cone's or not.  `_fits` and
+    `_slot_width` therefore size the slots as soundly as in `step`.
+    """
     if n < 0:
         raise ValueError("time must be nonnegative")
     if n % 2 == 1:
         return DyadicRational(0)
-    psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n)
+    _check_exact_time(n)
+    psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n // 2)
     assert isinstance(psi, WaveFunction)
-    gl, gr = psi.cores(0)
-    return DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+    norm, width, parts = psi._norm, psi._width, psi._parts
+    # `count` = n - t + 1 slots in the cone at time t, for t = n/2 .. n - 1
+    for count in range(n // 2 + 1, 1, -1):
+        norm <<= 1
+        if not _fits(norm, width):
+            new_width = _slot_width(norm)
+            parts = tuple(_widen(p, width, new_width, count) for p in parts)
+            width = new_width
+        lre, lim, rre, rim = parts
+        half = 1 << (width - 1)
+        parts = ((lre + rre + half) >> width, (lim + rim + half) >> width, lre - rre, lim - rim)
+    lre, lim, rre, rim = (_read_slot(p, width, 0) for p in parts)
+    return DyadicRational(lre * lre + lim * lim + rre * rre + rim * rim, psi.scale_exp + n // 2)

@@ -381,6 +381,22 @@ class TestGenfun:
         assert exit_info.value.code == 2
         assert "MAX_SWEEP_POINTS = 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep,name", [
+        ("0.1:inf:3", "stop = inf"),
+        ("nan:0.5:3", "start = nan"),
+        ("-inf:0.5:1", "start = -inf"),
+        ("-1e308:1e308:3", "stop - start = inf"),
+        ("1e308:-1e308:3", "stop - start = -inf"),
+    ])
+    def test_sweep_bound_not_finite_is_refused(self, capsys, sweep, name):
+        # no z is computed from them: inf * 0 would give a z of nan
+        with pytest.raises(SystemExit) as exit_info:
+            main(["genfun", f"--sweep={sweep}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --sweep: sweep {name} is not finite\n")
+
     def test_sweep_work_limit_boundary(self, capsys, monkeypatch):
         zs = (0.0, 0.25, 0.5)
         work = sum((genfun.truncation_for(z) + 1) ** 2 for z in zs)

@@ -258,6 +258,16 @@ class TestPackedEngine:
         with pytest.raises(OverflowError):
             walk._pack([1 << (width - 1)], width)
 
+    @pytest.mark.parametrize("width,new_width", [(8, 16), (40, 72), (536, 576)])
+    def test_widen_equals_packing_at_the_new_width(self, width, new_width):
+        top = (1 << (width - 1)) - 1
+        values = [top, -top, 0, -1, 1, -top, top, 0, -1]
+        packed = walk._pack(values, width)
+        for count in range(1, len(values) + 1):
+            # the slots above `count` are nonzero, and dropped
+            want = walk._pack(values[:count], new_width)
+            assert walk._widen(packed, width, new_width, count) == want, count
+
     @pytest.mark.parametrize("width,count", [(8, 1), (8, 9), (40, 17), (536, 5)])
     def test_bias_is_the_closed_form(self, width, count):
         closed = (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
@@ -295,6 +305,49 @@ class TestPackedEngine:
 
     def test_odd_time_above_limit_needs_no_evolution(self):
         assert return_probability_direct(MAX_EXACT_TIME + 1) == 0
+
+    def test_direct_route_above_limit_names_the_limit(self):
+        # the cone evolves only to n/2, so the route states the cap itself
+        with pytest.raises(ValueError, match=f"MAX_EXACT_TIME = {MAX_EXACT_TIME};"):
+            return_probability_direct(MAX_EXACT_TIME + 2)
+        with pytest.raises(ValueError, match=f"MAX_EXACT_TIME = {MAX_EXACT_TIME};"):
+            evolve(QubitState.symmetric(), CoinMatrix.hadamard(), MAX_EXACT_TIME + 2)
+
+
+class TestLightCone:
+    @staticmethod
+    def unpruned_returns(n_max):
+        """p_n(0) at every even n <= n_max from one full-width exact walk."""
+        psi = WaveFunction.point_mass(QubitState.symmetric())
+        values = {0: DyadicRational(1)}
+        for n in range(2, n_max + 1, 2):
+            psi = psi.step().step()
+            gl, gr = psi.cores(0)
+            values[n] = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+        return values
+
+    @pytest.mark.parametrize("margin", [walk._WIDTH_MARGIN, 0])
+    def test_equals_the_unpruned_walk(self, monkeypatch, margin):
+        monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
+        for n, want in self.unpruned_returns(400).items():
+            assert return_probability_direct(n) == want, n
+
+    def test_range_widens_in_both_phases(self, monkeypatch):
+        # n = 400: evolve's steps widen on the way to 200, the cone after it
+        counts = []
+        widen = walk._widen
+
+        def spy(packed, width, new_width, count):
+            counts.append(count)
+            return widen(packed, width, new_width, count)
+
+        monkeypatch.setattr(walk, "_widen", spy)
+        evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 200)
+        forward = len(counts)
+        return_probability_direct(400)
+        cone = counts[2 * forward :]
+        # the cone repacks at most its n/2 + 1 slots
+        assert forward and cone and max(cone) <= 201
 
 
 def full_width_step(left, right, coin):
