@@ -85,12 +85,18 @@ def _add(report: VerifyReport, name: str, passed: bool, expected, actual, tolera
     )
 
 
+def _pair(value: DyadicRational) -> tuple[int, int]:
+    """A route's value as the ints (numerator, denom_exp).  verify compares
+    these pairs, so no check trusts DyadicRational.__eq__."""
+    return value.numerator, value.denom_exp
+
+
 def _check_value_table(report: VerifyReport) -> None:
     """The direct row against the table of exact values."""
     bad = []
     for n, expected in sorted(VALUE_TABLE.items()):
         got = ROUTES[0].value(n)
-        if got != expected:
+        if _pair(got) != _pair(expected):
             bad.append((n, got))
     _add(
         report,
@@ -108,27 +114,34 @@ DIRECT_TIMES = (20, 30, 46, 100, 150)
 
 def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
     """Every route but the first against one incremental exact walk at each
-    even time up to 2 n_max.
+    even time up to 2 n_max, and the mirror identity at the origin.
 
-    The incremental walk steps every position; the direct row steps to n/2
-    and then only the origin's backward light cone, so where both are
-    compared, two code paths meet.  The direct row starts from scratch, at a
-    cost growing as n^3, so it is compared only at the top time 2 n_max and
-    at the DIRECT_TIMES below it;
+    The incremental walk steps all four parts of every position; the direct
+    row steps only the real parts, to n/2 and then in the origin's backward
+    light cone, so where both are compared, two code paths meet.  The direct
+    row starts from scratch, at a cost growing as n^3, so it is compared
+    only at the top time 2 n_max and at the DIRECT_TIMES below it;
     the value table and the odd-time check test it at the other small times.
     Those times start at 20, the first time the table does not cover, and
     spread over both scopes (n_max 30 and 100), each of which reaches both
     residues mod 4 below its top: p_4m and p_4m+2 are the two branches of the
     closed route, so the direct row is compared on both.
+
+    The direct row rebuilds the imaginary parts from the real ones by the
+    mirror identity (see walk.return_probability_direct).  At the origin at
+    an even time it reads Lim = -Rre and Rim = Lre, and the second row checks
+    that on the walk's own cores, which do not assume it.
     """
-    bad = []
+    bad, mirror_bad = [], []
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     for n in range(2, 2 * n_max + 1, 2):
         psi = psi.step().step()
         gl, gr = psi.cores(0)
-        direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+        if gl.im != -gr.re or gr.im != gl.re:
+            mirror_bad.append(n)
+        direct = _pair(DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp))
         rows = ROUTES if n in DIRECT_TIMES or n == 2 * n_max else ROUTES[1:]
-        bad += [(n, r.name) for r in rows if r.covers(n) and r.value(n) != direct]
+        bad += [(n, r.name) for r in rows if r.covers(n) and _pair(r.value(n)) != direct]
     _add(
         report,
         f"four-oracle equality p_2n, n<={n_max}",
@@ -136,6 +149,27 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
         "all routes identical",
         "all match" if not bad else f"mismatches: {bad[:5]}",
     )
+    _add(report, f"mirror identity at the origin, n<={2 * n_max}", not mirror_bad,
+         "Lim = -Rre and Rim = Lre",
+         "holds" if not mirror_bad else f"{len(mirror_bad)} failures, first at n={mirror_bad[0]}")
+
+
+def _check_closed_anchor(report: VerifyReport, top: int) -> None:
+    """The closed row at a few times 4m, m <= top, against C(2m, m)^2
+    computed here, as ints: p_4m(0) = C(2m, m)^2 / 2^(4m+1).
+
+    Every route ends in the DyadicRational constructor, so a fault there
+    makes all of them agree on the same wrong value.  This anchor builds no
+    DyadicRational: numerator / 2^e = C^2 / 2^(4m+1) exactly when
+    numerator * 2^(4m+1) = C^2 * 2^e.
+    """
+    bad = []
+    for m in (1, 2, top // 2, top):
+        num, exp = _pair(ROUTES[3].value(4 * m))
+        if num << (4 * m + 1) != math.comb(2 * m, m) ** 2 << exp:
+            bad.append(m)
+    _add(report, f"closed row anchor C(2m,m)^2/2^(4m+1), m<={top}", not bad,
+         "equal as ints", "holds" if not bad else f"mismatches at m={bad}")
 
 
 def _check_conservation(report: VerifyReport, n_max: int) -> None:
@@ -155,7 +189,7 @@ def _check_conservation(report: VerifyReport, n_max: int) -> None:
 
 
 def _check_odd_times(report: VerifyReport, n_max: int) -> None:
-    bad = [n for n in range(1, n_max + 1, 2) if ROUTES[0].value(n) != 0]
+    bad = [n for n in range(1, n_max + 1, 2) if _pair(ROUTES[0].value(n)) != (0, 0)]
     _add(report, f"odd-time return zero n<={n_max}", not bad, "0", "holds" if not bad else f"{bad}")
 
 
@@ -299,6 +333,7 @@ def _prefix5(x: float) -> str:
 CHECKS = (
     (_check_value_table, None, None),
     (_check_four_oracles, 30, 100),
+    (_check_closed_anchor, 60, 200),
     (_check_conservation, 30, 100),
     (_check_odd_times, 29, 99),
     (_check_pairing, 15, 50),

@@ -9,7 +9,9 @@ substitution).  The Hadamard coin is real, so the real and imaginary parts of
 the cores evolve independently; each part of the left and of the right cores
 is held as sum_k v_k 2^(w k), one signed w-bit slot per position, and a step
 is L' = L + R, R' = (L - R) << w on each pair: a few big-int operations and
-no per-position Python work.
+no per-position Python work.  From the symmetric qubit the imaginary parts
+are the real parts mirrored, so return_probability_direct steps only the
+real pair.
 
 Both engines store only the time's parity.  The walk moves every amplitude
 one position per step, so at time t only the t + 1 positions x = 2k - t
@@ -34,9 +36,9 @@ UNITARITY_TOL = 1e-12
 #: Largest time the exact engine evolves to, and the direct route's largest
 #: even time.  A state grows as T^2/2 bits and the work as T^3: evolve, which
 #: simulate runs, took 44 / 55 s at T = 8000 / 9000, and return-prob --method
-#: direct, which evolves to T/2 and then steps the light cone, took
-#: 15 / 17 / 26 s at T = 8000 / 9000 / 10000, on one core of a 2-vCPU x86-64
-#: host.
+#: direct, which steps only the real parts, to T/2 and then in the light
+#: cone, took 0.24 / 1.3 / 15 s at T = 992 / 4000 / 9000, interpreter start
+#: included, on one core of a 2-vCPU x86-64 host.
 MAX_EXACT_TIME = 9000
 
 #: Largest time the float engine evolves to.  Its time grows at least as T^2:
@@ -382,13 +384,37 @@ def distribution(psi: WaveFunction | FloatWaveFunction) -> Distribution | dict[i
 def return_probability_direct(n: int) -> DyadicRational:
     """Exact p_n(0) for the Hadamard walk from the symmetric qubit.
 
-    `evolve` runs to time n/2; the remaining n/2 steps keep only the
+    The route steps only the real parts of the cores, two packed ints where
+    `WaveFunction` has four.  The Hadamard coin is real, so the real parts
+    (Lre, Rre) evolve on their own, from (1, 0) for the qubit (1, i)/sqrt(2);
+    the imaginary parts are the real ones mirrored.  At time t, slot k
+    (position 2k - t):
+
+        Lim[k] = (-1)^(t+1) Rre[t - k],    Rim[k] = (-1)^t Lre[t - k].
+
+    Proof by induction on t.  At t = 0, (Lre, Lim, Rre, Rim) = (1, 0, 0, 1).
+    A step takes the left core from x + 1 and the right core from x - 1,
+    L'[k] = L[k] + R[k] and R'[k] = L[k-1] - R[k-1], a slot outside 0..t
+    being 0.  Then
+
+        Lim'[k] = Lim[k] + Rim[k] = (-1)^t (Lre[t-k] - Rre[t-k])
+                = (-1)^(t+2) Rre'[t+1-k],
+        Rim'[k] = Lim[k-1] - Rim[k-1] = (-1)^(t+1) (Rre[t+1-k] + Lre[t+1-k])
+                = (-1)^(t+1) Lre'[t+1-k].
+
+    At the origin k = t - k = n/2, so |L|^2 + |R|^2 there is
+    2(Lre^2 + Rre^2), and p_n(0) = 2(Lre[n/2]^2 + Rre[n/2]^2) 2^-(n+1).
+    verify checks the identity at the origin on its own four-part walk,
+    which does not assume it.
+
+    The first n/2 steps are `WaveFunction.step`'s, L' = L + R and
+    R' = (L - R) << w, on every slot; the remaining n/2 keep only the
     origin's backward light cone.  A step moves amplitude one position, so
     at time t only the positions |x| <= n - t can still reach 0 by time n.
     Slot j of the cone at time t is position 2j - (n - t), so the cone has
     n - t + 1 slots, and at t = n/2 it is the whole state.  From the forward
-    rule (left from x + 1, right from x - 1) the next cone's slot j takes its
-    left core from slot j + 1 and its right core from slot j:
+    rule the next cone's slot j takes its left core from slot j + 1 and its
+    right core from slot j:
 
         L' = (L + R) >> w,    R' = L - R.
 
@@ -400,8 +426,9 @@ def return_probability_direct(n: int) -> DyadicRational:
     reach only positions beyond n - t - 1 and so never flow back in.  They
     stay until the next widening, which repacks only the cone's slots.
 
-    Dropping a slot only removes norm, and (a + b)^2 + (a - b)^2 =
-    2(a^2 + b^2) still bounds the rest, so `norm << 1` stays an upper bound
+    The slots are sized from the real half's own summed squares, 1 at time
+    0.  (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a step doubles them, and
+    dropping a slot only removes some, so `norm << 1` stays an upper bound
     on the summed squares of every slot, the cone's or not.  `_fits` and
     `_slot_width` therefore size the slots as soundly as in `step`.
     """
@@ -410,18 +437,19 @@ def return_probability_direct(n: int) -> DyadicRational:
     if n % 2 == 1:
         return DyadicRational(0)
     _check_exact_time(n)
-    psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n // 2)
-    assert isinstance(psi, WaveFunction)
-    norm, width, parts = psi._norm, psi._width, psi._parts
-    # `count` = n - t + 1 slots in the cone at time t, for t = n/2 .. n - 1
-    for count in range(n // 2 + 1, 1, -1):
+    lre, rre, norm = 1, 0, 1
+    width = _slot_width(norm)
+    for t in range(n):
+        # the slots that matter at time t: all t + 1 up to n/2, then the cone
+        count = min(t, n - t) + 1
         norm <<= 1
         if not _fits(norm, width):
             new_width = _slot_width(norm)
-            parts = tuple(_widen(p, width, new_width, count) for p in parts)
+            lre, rre = (_widen(p, width, new_width, count) for p in (lre, rre))
             width = new_width
-        lre, lim, rre, rim = parts
-        half = 1 << (width - 1)
-        parts = ((lre + rre + half) >> width, (lim + rim + half) >> width, lre - rre, lim - rim)
-    lre, lim, rre, rim = (_read_slot(p, width, 0) for p in parts)
-    return DyadicRational(lre * lre + lim * lim + rre * rre + rim * rim, psi.scale_exp + n // 2)
+        if 2 * t < n:
+            lre, rre = lre + rre, (lre - rre) << width
+        else:
+            lre, rre = (lre + rre + (1 << (width - 1))) >> width, lre - rre
+    lre, rre = _read_slot(lre, width, 0), _read_slot(rre, width, 0)
+    return DyadicRational(2 * (lre * lre + rre * rre), n + 1)

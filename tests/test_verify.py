@@ -9,6 +9,8 @@ from hadwalk.exactnum import DyadicRational
 FAST_CHECKS = [
     "value table p_0..p_18",
     "four-oracle equality p_2n, n<=30",
+    "mirror identity at the origin, n<=60",
+    "closed row anchor C(2m,m)^2/2^(4m+1), m<=60",
     "normalization n<=30",
     "symmetry n<=30",
     "odd-time return zero n<=29",
@@ -26,6 +28,8 @@ FAST_CHECKS = [
 FULL_CHECKS = [
     "value table p_0..p_18",
     "four-oracle equality p_2n, n<=100",
+    "mirror identity at the origin, n<=200",
+    "closed row anchor C(2m,m)^2/2^(4m+1), m<=200",
     "normalization n<=100",
     "symmetry n<=100",
     "odd-time return zero n<=99",

@@ -333,7 +333,7 @@ class TestLightCone:
             assert return_probability_direct(n) == want, n
 
     def test_range_widens_in_both_phases(self, monkeypatch):
-        # n = 400: evolve's steps widen on the way to 200, the cone after it
+        # n = 400: the slots widen on the way to time 200 and in the cone after it
         counts = []
         widen = walk._widen
 
@@ -342,12 +342,37 @@ class TestLightCone:
             return widen(packed, width, new_width, count)
 
         monkeypatch.setattr(walk, "_widen", spy)
-        evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 200)
-        forward = len(counts)
         return_probability_direct(400)
-        cone = counts[2 * forward :]
+        # the widenings come in time order; a forward one repacks all t + 1
+        # slots, more than any earlier widening, and a cone one its n - t + 1
+        # slots, more than any later one: so a rise between two consecutive
+        # counts shows a forward widening, and a fall one in the cone
+        pairs = list(zip(counts, counts[1:]))
+        assert any(a < b for a, b in pairs) and any(a > b for a, b in pairs)
         # the cone repacks at most its n/2 + 1 slots
-        assert forward and cone and max(cone) <= 201
+        assert max(counts) <= 201
+
+    def test_calls_neither_evolve_nor_step(self, monkeypatch):
+        # the route has its own two-int loop, so verify's four-part walk
+        # stays a second code path
+        def refuse(*args):
+            raise AssertionError("the direct route called the four-part engine")
+
+        monkeypatch.setattr(walk, "evolve", refuse)
+        monkeypatch.setattr(WaveFunction, "step", refuse)
+        assert return_probability_direct(400) == genfun.p0_legendre(200)
+
+
+class TestMirrorIdentity:
+    def test_imaginary_cores_are_the_real_cores_mirrored(self):
+        # at time t, slot k: Lim[k] = (-1)^(t+1) Rre[t-k], Rim[k] = (-1)^t Lre[t-k]
+        psi = WaveFunction.point_mass(QubitState.symmetric())
+        for t in range(301):
+            lre, lim, rre, rim = psi._components()
+            sign = -1 if t % 2 else 1
+            assert lim == [-sign * v for v in reversed(rre)], t
+            assert rim == [sign * v for v in reversed(lre)], t
+            psi = psi.step()
 
 
 def full_width_step(left, right, coin):
