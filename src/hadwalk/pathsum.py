@@ -1,21 +1,18 @@
-"""Path-counting calculus for the coined walk.
+"""Path-counting calculus for the Hadamard walk.
 
 The four rank-one matrices P, Q, R, S (top/bottom rows of the coin and of its
 row-swapped copy) are closed under multiplication up to a single coin entry,
 so the sum over all l-left/m-right step orderings is a 4-vector recursion
 instead of a 2^n enumeration.  Both that recursion and the closed-form
-alternating binomial sums run on the Hadamard coin, exactly; the product
-table also composes for any other coin.
+alternating binomial sums run on the int cores of the Hadamard coin, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exactnum import DyadicRational
-from .walk import HADAMARD_CORES, CoinMatrix, QubitState
+from .walk import HADAMARD_CORES, QubitState
 
 #: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
 #: under it, l = m = 499, path_sum_dp took 0.2 s and path_sum_grid 1.1 s and
@@ -46,22 +43,19 @@ class StepPair:
 
 @dataclass(frozen=True)
 class PQRSVector:
-    """Coefficient vector w.r.t. (P, Q, R, S), on the coin's own scalars.
+    """Coefficient vector w.r.t. the Hadamard (P, Q, R, S): each coefficient
+    is an int core times (1/sqrt2)^scale_exp.
 
-    For the exact coin, whose entries are real, each coefficient is an int
-    core times (1/sqrt2)^scale_exp.  For any other unitary coin the vector
-    holds the complex coefficients themselves with scale_exp 0.
-
-    An exact vector for l + m steps carries scale_exp = l + m - 1: so do
-    path_sum_closed, path_sum_dp, every path_sum_grid cell, and exact
-    pqrs_compose, whose exponent is e1 + e2 + 1.  Two exact vectors for the
-    same time are therefore equal in value exactly when they compare ==.
+    A vector for l + m steps carries scale_exp = l + m - 1: so do
+    path_sum_closed, path_sum_dp and every path_sum_grid cell.  Two vectors
+    for the same time are therefore equal in value exactly when they
+    compare ==.
     """
 
-    p: int | complex
-    q: int | complex
-    r: int | complex
-    s: int | complex
+    p: int
+    q: int
+    r: int
+    s: int
     scale_exp: int = 0
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
@@ -69,66 +63,15 @@ class PQRSVector:
         return tuple(complex(g) * scale for g in (self.p, self.q, self.r, self.s))
 
 
-def basis_matrices(coin: CoinMatrix):
-    """P, Q, R, S as complex 2x2 arrays for the given coin."""
-    a, b, c, d = coin.a, coin.b, coin.c, coin.d
-    p = np.array([[a, b], [0, 0]], complex)
-    q = np.array([[0, 0], [c, d]], complex)
-    r = np.array([[c, d], [0, 0]], complex)
-    s = np.array([[0, 0], [a, b]], complex)
-    return p, q, r, s
-
-
-def pqrs_to_matrix(vec: PQRSVector, coin: CoinMatrix):
-    """Reconstruct the 2x2 matrix p P + q Q + r R + s S."""
-    pm, qm, rm, sm = basis_matrices(coin)
-    p, q, r, s = vec.to_complex()
-    return p * pm + q * qm + r * rm + s * sm
-
-
-# Product table, left factor indexing rows: each (row, col) pair maps to
-# (coin entry, resulting basis element).  Written out as the four bilinear
-# coefficient forms it reads:
-#   p' = a p1 p2 + b p1 s2 + c r1 p2 + d r1 s2
-#   q' = d q1 q2 + c q1 r2 + b s1 q2 + a s1 r2
-#   r' = b p1 q2 + a p1 r2 + d r1 q2 + c r1 r2
-#   s' = c q1 p2 + d q1 s2 + a s1 p2 + b s1 s2
-
-
-def pqrs_compose(left: PQRSVector, right: PQRSVector, coin: CoinMatrix) -> PQRSVector:
-    """Coefficient vector of the matrix product (left applied after right).
-
-    The exact coin runs on HADAMARD_CORES, one more factor 1/sqrt2; any other
-    coin runs on its entries, so its operands must have scale_exp 0.
-    """
-    if coin.is_exact:
-        e = left.scale_exp + right.scale_exp + 1
-        return PQRSVector(*_bilinear(left, right, HADAMARD_CORES), e)
-    if left.scale_exp or right.scale_exp:
-        raise TypeError("a float coin composes only vectors with scale_exp 0")
-    return PQRSVector(*_bilinear(left, right, (coin.a, coin.b, coin.c, coin.d)))
-
-
-def _bilinear(left, right, entries) -> tuple:
-    """The four bilinear forms of the product table over the coin's scalars."""
-    a, b, c, d = entries
-    p1, q1, r1, s1 = left.p, left.q, left.r, left.s
-    p2, q2, r2, s2 = right.p, right.q, right.r, right.s
-    return (
-        a * p1 * p2 + b * p1 * s2 + c * r1 * p2 + d * r1 * s2,
-        d * q1 * q2 + c * q1 * r2 + b * s1 * q2 + a * s1 * r2,
-        b * p1 * q2 + a * p1 * r2 + d * r1 * q2 + c * r1 * r2,
-        c * q1 * p2 + d * q1 * s2 + a * s1 * p2 + b * s1 * s2,
-    )
-
-
 def _prepend(up: tuple, left: tuple, entries: tuple) -> tuple:
-    """P up + Q left as a 4-tuple of coin scalars.
+    """P up + Q left as a 4-tuple of int cores, one exponent of 1/sqrt2 up;
+    entries are the Hadamard cores (a, b, c, d).
 
-    These are the p1 = 1 and q1 = 1 rows of the product table: a pure P on
-    the left gives (a p + b s, 0, b q + a r, 0), a pure Q gives
-    (0, d q + c r, 0, c p + d s); the sum takes p, r from 'up' and q, s from
-    'left'.
+    Each product of two basis matrices is one coin entry times one basis
+    matrix: PP = aP, PS = bP, PQ = bR, PR = aR, QQ = dQ, QR = cQ, QP = cS,
+    QS = dS.  So a pure P on the left gives (a p + b s, 0, b q + a r, 0), a
+    pure Q gives (0, d q + c r, 0, c p + d s); the sum takes p, r from 'up'
+    and q, s from 'left'.  verify checks these eight products.
     """
     a, b, c, d = entries
     return (

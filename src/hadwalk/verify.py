@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import classical, genfun, pathsum, specfun, walk
 from .exactnum import DyadicRational
 
@@ -214,28 +212,35 @@ def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
          "identical vectors", "holds" if not bad else f"{bad[:5]}")
 
 
-def _check_table1(report: VerifyReport) -> None:
-    coins = [
-        walk.CoinMatrix.hadamard(),
-        walk.CoinMatrix(0.6, 0.8j, 0.8j, 0.6),
-    ]
-    worst = 0.0
-    for coin in coins:
-        mats = pathsum.basis_matrices(coin)
-        pure = [
-            pathsum.PQRSVector(1, 0, 0, 0),
-            pathsum.PQRSVector(0, 1, 0, 0),
-            pathsum.PQRSVector(0, 0, 1, 0),
-            pathsum.PQRSVector(0, 0, 0, 1),
-        ]
-        for i in range(4):
-            for j in range(4):
-                composed = pathsum.pqrs_compose(pure[i], pure[j], coin)
-                literal = mats[i] @ mats[j]
-                diff = np.abs(pathsum.pqrs_to_matrix(composed, coin) - literal).max()
-                worst = max(worst, float(diff))
-    _add(report, "product table vs literal 2x2 products (16 pairs, 2 coins)",
-         worst <= 1e-14, "<= 1e-14", f"max abs diff {worst:.3e}", "1e-14")
+#: The Hadamard P, Q, R, S, each 1/sqrt2 times the integer matrix
+#: (a, b, c, d) = [[a, b], [c, d]] here.  Written out rather than read from
+#: HADAMARD_CORES, so that wrong cores fail the DP-step check.
+PQRS_INT = ((1, 1, 0, 0), (0, 0, 1, -1), (1, -1, 0, 0), (0, 0, 1, 1))
+
+
+def _matmul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _check_dp_step(report: VerifyReport) -> None:
+    """The DP's step, pathsum._prepend, against literal integer products.
+
+    For each basis matrix B it gives the cores of P.B and Q.B one exponent
+    up.  Those cores summed over PQRS_INT, and the product of the two
+    PQRS_INT matrices, are both the value times 2, so they must be equal.
+    """
+    zero = (0, 0, 0, 0)
+    bad = []
+    for k, name in enumerate("PQRS"):
+        unit = tuple(int(i == k) for i in range(4))
+        for left, cores in enumerate((pathsum._prepend(unit, zero, pathsum.HADAMARD_CORES),
+                                      pathsum._prepend(zero, unit, pathsum.HADAMARD_CORES))):
+            got = tuple(sum(c * m[i] for c, m in zip(cores, PQRS_INT)) for i in range(4))
+            if got != _matmul(PQRS_INT[left], PQRS_INT[k]):
+                bad.append("PQ"[left] + name)
+    _add(report, "DP step P.v and Q.v vs literal 2x2 products (8 pairs)", not bad,
+         "equal integer matrices", "all 8 match" if not bad else f"mismatches: {bad}")
 
 
 def _check_jacobi_recurrence(report: VerifyReport, n_max: int) -> None:
@@ -338,7 +343,7 @@ CHECKS = (
     (_check_odd_times, 29, 99),
     (_check_pairing, 15, 50),
     (_check_closed_vs_dp, 12, 30),
-    (_check_table1, None, None),
+    (_check_dp_step, None, None),
     (_check_jacobi_recurrence, 50, 200),
     (_check_hyp_chain, 20, 50),
     (_check_gf_identity, (0.5,), (0.1, 0.3, 0.5, 0.7)),

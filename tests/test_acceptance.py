@@ -1,14 +1,11 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line with its runtime (pytest -s shows them live)."""
 
-import itertools
 import json
 import math
 import random
 import time
 from fractions import Fraction
-
-import numpy as np
 
 from hadwalk import classical, genfun, pathsum, specfun, walk
 from hadwalk.cli import main
@@ -154,19 +151,19 @@ def test_criterion_6_identity_suite():
             assert lhs == rhs, (m, b, c, z)
             count += 1
 
-        # product table against literal 2x2 products, all 16 basis pairs
-        for coin in (walk.CoinMatrix.hadamard(),
-                     walk.CoinMatrix(0.6, 0.8j, 0.8j, 0.6)):
-            mats = pathsum.basis_matrices(coin)
-            units = [
-                pathsum.PQRSVector(*(1 if i == j else 0 for j in range(4)))
-                for i in range(4)
-            ]
-            for i, j in itertools.product(range(4), repeat=2):
-                got = pathsum.pqrs_to_matrix(
-                    pathsum.pqrs_compose(units[i], units[j], coin), coin
-                )
-                assert np.abs(got - mats[i] @ mats[j]).max() <= 1e-14, (i, j)
+        # the DP's step against literal products: P.B and Q.B for each
+        # Hadamard basis matrix B, as integer matrices at the common factor 1/2
+        basis = ([[1, 1], [0, 0]], [[0, 0], [1, -1]], [[1, -1], [0, 0]], [[0, 0], [1, 1]])
+        zero = (0, 0, 0, 0)
+        for k in range(4):
+            unit = tuple(int(j == k) for j in range(4))
+            for left, cores in ((0, pathsum._prepend(unit, zero, pathsum.HADAMARD_CORES)),
+                                (1, pathsum._prepend(zero, unit, pathsum.HADAMARD_CORES))):
+                got = [[sum(c * b[i][j] for c, b in zip(cores, basis)) for j in range(2)]
+                       for i in range(2)]
+                product = [[sum(basis[left][i][t] * basis[k][t][j] for t in range(2))
+                            for j in range(2)] for i in range(2)]
+                assert got == product, (left, k)
 
         # closed-form coefficients equal the DP for 1 <= l, m <= 30
         grid = pathsum.path_sum_grid(pathsum.StepPair(30, 30))

@@ -1,9 +1,20 @@
 """Faults that a shared layer could carry into every route at once, each
-injected by one monkeypatch, and the verify rows that must catch them."""
+injected by one monkeypatch, and the verify rows that must catch them.
+
+Known faults that no verify row catches, listed so that nobody chases them:
+
+- the qubit (1, -i)/sqrt2 has every distribution of (1, i)/sqrt2, so no route
+  and no distribution check tells them apart; only the mirror-identity row
+  does, as test_conjugate_qubit_fails_only_the_mirror_identity pins;
+- walk._fits comparing with <= instead of <, and walk._slot_width without its
+  + 1, each pass verify in both scopes: the margin bits of _WIDTH_MARGIN hide
+  them.  Tier-1 catches both, in test_walk.py's
+  test_matches_reference_stepper[at-bound-0], which sets that margin to 0.
+"""
 
 import pytest
 
-from hadwalk import verify, walk
+from hadwalk import pathsum, verify, walk
 from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
 
 from test_verify import with_route_off
@@ -46,3 +57,19 @@ def test_conjugate_qubit_fails_only_the_mirror_identity(monkeypatch, scope, top)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == [f"mirror identity at the origin, n<={top}"]
     assert failed[0].actual == f"{top // 2} failures, first at n=2"
+
+
+@pytest.mark.parametrize("scope,lm_max", [("fast", 12), ("full", 30)])
+@pytest.mark.parametrize(
+    "cores", [(-1, 1, 1, -1), (1, -1, 1, -1), (1, 1, -1, -1), (1, 1, 1, 1)],
+    ids=["a", "b", "c", "d"],
+)
+def test_wrong_exact_cores_fail_the_dp_rows(monkeypatch, scope, lm_max, cores):
+    # HADAMARD_CORES with one sign flipped: the integer DP and the check of
+    # its step read pathsum.HADAMARD_CORES, the closed forms and that check's
+    # literal matrices do not
+    monkeypatch.setattr(pathsum, "HADAMARD_CORES", cores)
+    assert failed_rows(scope) == [
+        f"closed-form coefficients = DP, l,m<={lm_max}",
+        "DP step P.v and Q.v vs literal 2x2 products (8 pairs)",
+    ]

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from hadwalk import pathsum
-from hadwalk.exactnum import DyadicRational, GaussianInteger
+from hadwalk.exactnum import DyadicRational
 from hadwalk.pathsum import (
     PQRSVector,
     StepPair,
-    basis_matrices,
     path_sum_closed,
     path_sum_dp,
     path_sum_grid,
     path_sum_probability,
-    pqrs_compose,
-    pqrs_to_matrix,
     return_probability_paths,
 )
 from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, distribution, evolve
 
 HADAMARD = CoinMatrix.hadamard()
-GENERIC = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
 
 
 # -- exact 2x2 matrices, used as the literal-product oracle.  A value is an
@@ -85,8 +81,19 @@ def literal_ordering_sum_exact(l, m):
     return total, n
 
 
+def float_basis(coin):
+    """P, Q, R, S of a coin as float matrices, built from its entries."""
+    a, b, c, d = coin.a, coin.b, coin.c, coin.d
+    return (
+        np.array([[a, b], [0, 0]], complex),
+        np.array([[0, 0], [c, d]], complex),
+        np.array([[c, d], [0, 0]], complex),
+        np.array([[0, 0], [a, b]], complex),
+    )
+
+
 def literal_ordering_sum_float(l, m, coin):
-    pm, qm, _, _ = basis_matrices(coin)
+    pm, qm, _, _ = float_basis(coin)
     n = l + m
     total = np.zeros((2, 2), complex)
     for p_slots in itertools.combinations(range(n), l):
@@ -97,101 +104,12 @@ def literal_ordering_sum_float(l, m, coin):
     return total
 
 
-class TestCompose:
-    def test_p_times_q_is_b_r(self):
-        for coin in (HADAMARD, GENERIC):
-            exact = coin.is_exact
-            if exact:
-                pure_p = PQRSVector(
-                    GaussianInteger(1), GaussianInteger(0), GaussianInteger(0),
-                    GaussianInteger(0), 0,
-                )
-                pure_q = PQRSVector(
-                    GaussianInteger(0), GaussianInteger(1), GaussianInteger(0),
-                    GaussianInteger(0), 0,
-                )
-            else:
-                pure_p = PQRSVector(1, 0, 0, 0)
-                pure_q = PQRSVector(0, 1, 0, 0)
-            got = pqrs_to_matrix(pqrs_compose(pure_p, pure_q, coin), coin)
-            expected = coin.b * basis_matrices(coin)[2]
-            assert np.abs(got - expected).max() < 1e-15
-
-    def test_all_sixteen_products_match_literal(self):
-        for coin in (HADAMARD, GENERIC):
-            mats = basis_matrices(coin)
-            units = [
-                PQRSVector(*(1 if i == j else 0 for j in range(4)))
-                for i in range(4)
-            ]
-            for i, j in itertools.product(range(4), repeat=2):
-                got = pqrs_to_matrix(pqrs_compose(units[i], units[j], coin), coin)
-                assert np.abs(got - mats[i] @ mats[j]).max() < 1e-15, (i, j)
-
-    def test_sixteen_products_exact(self):
-        bases_vec = [
-            PQRSVector(*(1 if i == j else 0 for j in range(4)), 0)
-            for i in range(4)
-        ]
-        bases_mat = (HP, HQ, HR, HS)
-        for i, j in itertools.product(range(4), repeat=2):
-            got = exact_vec_matrix(pqrs_compose(bases_vec[i], bases_vec[j], HADAMARD))
-            literal = matmul(bases_mat[i], bases_mat[j]), 2
-            assert equal_values(got, literal), (i, j)
-
-    def test_identity_decomposition(self):
-        # I = (1/sqrt2)(P - Q + R + S) for the Hadamard entries; the product
-        # carries two more factors 1/sqrt2, so the cores come back doubled
-        identity = PQRSVector(1, -1, 1, 1, 1)
-        assert equal_values(exact_vec_matrix(identity), ((1, 0, 0, 1), 0))
-        rng = random.Random(31)
-        for _ in range(20):
-            p, q, r, s = (rng.randrange(-9, 10) for _ in range(4))
-            vec = PQRSVector(p, q, r, s, rng.randrange(0, 5))
-            doubled = PQRSVector(2 * p, 2 * q, 2 * r, 2 * s, vec.scale_exp + 2)
-            assert pqrs_compose(identity, vec, HADAMARD) == doubled
-            assert pqrs_compose(vec, identity, HADAMARD) == doubled
-
-    def test_float_coin_refuses_scaled_operands(self):
-        # a float coin multiplies on its entries, which would drop the factor
-        # (1/sqrt2)^scale_exp of an exact vector
-        exact = path_sum_dp(StepPair(1, 1))
-        assert exact.scale_exp == 1
-        for left, right in ((exact, PQRSVector(1, 0, 0, 0)), (PQRSVector(1, 0, 0, 0), exact)):
-            with pytest.raises(TypeError, match="scale_exp 0"):
-                pqrs_compose(left, right, GENERIC)
-
-    def test_coefficients_unique_via_trace_projection(self):
-        rng = random.Random(8)
-        mats = basis_matrices(GENERIC)
-        for _ in range(20):
-            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(4)]
-            matrix = sum(c * m for c, m in zip(coeffs, mats))
-            recovered = [complex(np.trace(m.conj().T @ matrix)) for m in mats]
-            assert np.allclose(recovered, coeffs, atol=1e-14)
-
-
 class TestPathSumDp:
     def test_two_step_crossing(self):
         # two crossing steps: QP + PQ
         got = exact_vec_matrix(path_sum_dp(StepPair(1, 1)))
         literal = matadd(matmul(HQ, HP), matmul(HP, HQ)), 2
         assert equal_values(got, literal)
-
-    def test_four_step_coefficients_general_coin(self):
-        # (2,2) path sum over the six orderings of PPQQ, composed on the
-        # coin's entries: bcd P + abc Q + b(ad+bc) R + c(ad+bc) S
-        a, b, c, d = GENERIC.a, GENERIC.b, GENERIC.c, GENERIC.d
-        pure = {"P": PQRSVector(1, 0, 0, 0), "Q": PQRSVector(0, 1, 0, 0)}
-        total = np.zeros(4, complex)
-        for ordering in set(itertools.permutations("PPQQ")):
-            prod = pure[ordering[0]]
-            for name in ordering[1:]:
-                prod = pqrs_compose(prod, pure[name], GENERIC)
-            total += cells(prod)
-        assert total == pytest.approx(
-            [b * c * d, a * b * c, b * (a * d + b * c), c * (a * d + b * c)]
-        )
 
     def test_all_left_boundary(self):
         # all-left path: a^2 P, with a = 1/sqrt2
@@ -209,45 +127,41 @@ class TestPathSumDp:
         assert equal_values(got, literal_ordering_sum_exact(l, m))
 
     def test_exhaustive_ordering_sum_all_pairs(self):
-        for n in range(1, 9):
+        for n in range(1, 13):
             for l in range(n + 1):
                 got = exact_vec_matrix(path_sum_dp(StepPair(l, n - l)))
                 assert equal_values(got, literal_ordering_sum_exact(l, n - l)), (l, n - l)
 
     def test_exhaustive_ordering_sum_float_n12(self):
+        # the exact cores, read out as floats, against float matrix products
+        bases = float_basis(HADAMARD)
         for l in range(13):
             m = 12 - l
-            got = pqrs_to_matrix(path_sum_dp(StepPair(l, m)), HADAMARD)
+            coeffs = path_sum_dp(StepPair(l, m)).to_complex()
+            got = sum(c * base for c, base in zip(coeffs, bases))
             literal = literal_ordering_sum_float(l, m, HADAMARD)
             assert np.abs(got - literal).max() < 1e-11, (l, m)
 
     def test_append_step_recursion_agrees(self):
-        # independent recursion S(l,m) = S(l-1,m) P + S(l,m-1) Q
+        # independent recursion S(l,m) = S(l-1,m) P + S(l,m-1) Q on literal
+        # integer matrices, each for l + m steps at exponent l + m
         n_max = 40
-        pure_p = PQRSVector(1, 0, 0, 0, 0)
-        pure_q = PQRSVector(0, 1, 0, 0, 0)
-        grid = {(1, 0): pure_p, (0, 1): pure_q}
+        grid = {(1, 0): HP, (0, 1): HQ}
         for n in range(2, n_max + 1):
             for l in range(n + 1):
                 m = n - l
-                parts = []
+                total = (0, 0, 0, 0)
                 if l >= 1:
-                    parts.append(pqrs_compose(grid[(l - 1, m)], pure_p, HADAMARD))
+                    total = matadd(total, matmul(grid[(l - 1, m)], HP))
                 if m >= 1:
-                    parts.append(pqrs_compose(grid[(l, m - 1)], pure_q, HADAMARD))
-                total = parts[0]
-                for extra in parts[1:]:
-                    assert extra.scale_exp == total.scale_exp
-                    total = PQRSVector(
-                        total.p + extra.p, total.q + extra.q,
-                        total.r + extra.r, total.s + extra.s, total.scale_exp,
-                    )
+                    total = matadd(total, matmul(grid[(l, m - 1)], HQ))
                 grid[(l, m)] = total
         for l in range(0, n_max + 1, 5):
             for m in range(0, n_max + 1 - l, 7):
                 if l + m < 1:
                     continue
-                assert path_sum_dp(StepPair(l, m)) == grid[(l, m)]
+                got = exact_vec_matrix(path_sum_dp(StepPair(l, m)))
+                assert got == (grid[(l, m)], l + m), (l, m)
 
     def test_r_equals_s_for_hadamard(self):
         for l in range(1, 13):
@@ -358,31 +272,22 @@ class TestLargeArguments:
 
 
 def dict_grid_reference(steps):
-    """Oracle: the (i, j) dict grid of exact pqrs_compose calls that the
-    rolling-row DP replaced, S(i, j) = P S(i-1, j) + Q S(i, j-1) on
-    coefficient vectors."""
-    pure_p, pure_q = PQRSVector(1, 0, 0, 0, 0), PQRSVector(0, 1, 0, 0, 0)
-    grid = {(1, 0): pure_p, (0, 1): pure_q}
+    """Oracle: the (i, j) dict grid S(i, j) = P S(i-1, j) + Q S(i, j-1) of
+    literal integer matrices, each for i + j steps at exponent i + j.  At
+    equal exponents equal matrices pin equal cores, as P, Q, R, S are a
+    basis."""
+    grid = {(1, 0): HP, (0, 1): HQ}
     for i in range(steps.l + 1):
         for j in range(steps.m + 1):
-            if i + j < 2 or (i, j) in grid:
+            if i + j < 2:
                 continue
-            parts = []
+            total = (0, 0, 0, 0)
             if i >= 1:
-                parts.append(pqrs_compose(pure_p, grid[(i - 1, j)], HADAMARD))
+                total = matadd(total, matmul(HP, grid[(i - 1, j)]))
             if j >= 1:
-                parts.append(pqrs_compose(pure_q, grid[(i, j - 1)], HADAMARD))
-            total = parts[0]
-            for vec in parts[1:]:
-                assert vec.scale_exp == total.scale_exp
-                total = PQRSVector(total.p + vec.p, total.q + vec.q, total.r + vec.r,
-                                   total.s + vec.s, total.scale_exp)
+                total = matadd(total, matmul(HQ, grid[(i, j - 1)]))
             grid[(i, j)] = total
     return grid
-
-
-def cells(vec):
-    return (vec.p, vec.q, vec.r, vec.s)
 
 
 class TestRollingRowDp:
@@ -390,32 +295,22 @@ class TestRollingRowDp:
         reference = dict_grid_reference(StepPair(25, 25))
         grid = path_sum_grid(StepPair(25, 25))
         assert grid.keys() == reference.keys()
-        for (l, m), want in reference.items():
+        for (l, m), matrix in reference.items():
             # identical cores and exponent, not merely the same value
-            assert grid[(l, m)] == want, (l, m)
-            assert path_sum_dp(StepPair(l, m)) == want, (l, m)
+            assert exact_vec_matrix(grid[(l, m)]) == (matrix, l + m), (l, m)
+            assert exact_vec_matrix(path_sum_dp(StepPair(l, m))) == (matrix, l + m), (l, m)
 
-    def test_prepend_rows_match_product_table(self):
+    def test_prepend_matches_literal_products(self):
+        # _prepend(u, v) is P U + Q V one exponent up: both sides of the
+        # comparison are integer matrices at exponent 2
         rng = random.Random(505)
-        one, zero = GaussianInteger(1), GaussianInteger(0)
-        pure = (PQRSVector(one, zero, zero, zero, 0), PQRSVector(zero, one, zero, zero, 0))
-        entries = HADAMARD_CORES
         for _ in range(50):
-            v = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
-            exp = rng.randrange(0, 9)
-            vec = PQRSVector(*(GaussianInteger(x) for x in v), exp)
-            for k, got in enumerate((pathsum._prepend(v, (0,) * 4, entries),
-                                     pathsum._prepend((0,) * 4, v, entries))):
-                want = pqrs_compose(pure[k], vec, HADAMARD)
-                assert tuple(GaussianInteger(x) for x in got) == cells(want)
-                assert want.scale_exp == exp + 1
-        pure_f = (PQRSVector(1.0, 0.0, 0.0, 0.0), PQRSVector(0.0, 1.0, 0.0, 0.0))
-        entries_f = (GENERIC.a, GENERIC.b, GENERIC.c, GENERIC.d)
-        for _ in range(50):
-            v = tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
-            for k, got in enumerate((pathsum._prepend(v, (0.0,) * 4, entries_f),
-                                     pathsum._prepend((0.0,) * 4, v, entries_f))):
-                assert got == cells(pqrs_compose(pure_f[k], PQRSVector(*v), GENERIC))
+            u, v = (tuple(rng.randrange(-10**6, 10**6) for _ in range(4)) for _ in range(2))
+            for up, left in ((u, (0,) * 4), ((0,) * 4, v), (u, v)):
+                got, _ = exact_vec_matrix(PQRSVector(*pathsum._prepend(up, left, HADAMARD_CORES)))
+                want = matadd(matmul(HP, exact_vec_matrix(PQRSVector(*up))[0]),
+                              matmul(HQ, exact_vec_matrix(PQRSVector(*left))[0]))
+                assert got == want
 
     def test_dp_independent_of_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -438,7 +333,8 @@ class TestDpSizeCap:
 
     def test_boundary(self, monkeypatch):
         monkeypatch.setattr(pathsum, "MAX_DP_CELLS", 12)
-        assert path_sum_dp(StepPair(2, 3)) == dict_grid_reference(StepPair(2, 3))[(2, 3)]
+        want = dict_grid_reference(StepPair(2, 3))[(2, 3)], 5
+        assert exact_vec_matrix(path_sum_dp(StepPair(2, 3))) == want
         assert len(path_sum_grid(StepPair(3, 2))) == 11
         for fn in (path_sum_dp, path_sum_grid):
             with pytest.raises(ValueError, match="13 cells"):
