@@ -25,11 +25,11 @@ from .exactnum import _digits
 #: core of a 2-vCPU x86-64 host.
 MAX_SWEEP_POINTS = 10_000
 
-#: Largest sum of (N + 1)^2 over the points of genfun --sweep, N each point's
-#: truncation.  A point's big-int work grows as (N + 1)^2: sweeps just under
-#: the cap took 70 s (49 points at N = 10^5) and 99 s (10 000 points at
-#: N = 7069) on the same host.
-MAX_SWEEP_WORK = 5 * 10**11
+#: Largest sum of N + 1 over the points of genfun --sweep, N each point's
+#: truncation.  A point's work grows as N + 1: sweeps just under the cap took
+#: 42 s (50 points at N = 2*10^6 - 1) and 44 s (10 000 points at N = 9999)
+#: on the same host.
+MAX_SWEEP_WORK = 10**8
 
 
 class Emitter:
@@ -180,9 +180,9 @@ def _cmd_genfun(args, em: Emitter) -> int:
         truncations = [
             genfun.truncation_for(z) if args.truncate is None else args.truncate for z in zs
         ]
-        work = sum((n + 1) ** 2 for n in truncations)
+        work = sum(n + 1 for n in truncations)
         if work > MAX_SWEEP_WORK:
-            raise ValueError(f"sweep work sum (N+1)^2 = {work} is above the limit "
+            raise ValueError(f"sweep work sum N+1 = {work} is above the limit "
                              f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
         points = []
         for z, n in zip(zs, truncations):

@@ -10,16 +10,26 @@ bound so the identity can be checked to a stated tolerance.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .exactnum import DyadicRational
 from .specfun import central_binomial, elliptic_k_agm, legendre_p0
 
-# Largest truncation of the generating-function series.  The sum's big-int
-# work grows as the square of the truncation: 0.09 s at N = 24 655 and 1.4 s
-# at the cap on a 2-vCPU x86-64 host.
-MAX_TRUNCATION = 100_000
+# Largest truncation of the generating-function series.  The sum streams, so
+# its time grows linearly with the truncation and its memory stays flat:
+# gf_partial_sum took 0.006 / 0.04 / 0.25 / 0.9 s at N = 24 655 / 10^5 / 10^6
+# / 3*10^6 on one core of a 2-vCPU x86-64 host, and genfun --z 0.99999
+# (N = 2 466 699) took 1.5 s, interpreter start included.
+MAX_TRUNCATION = 3_000_000
+
+#: Fraction bits P of the fixed-point carry c_m = floor(2^P C(2m,m) / 4^m) in
+#: gf_partial_sum.  At 160 bits no term up to MAX_TRUNCATION takes the exact
+#: fallback; at 40 bits every term does.
+_CARRY_BITS = 160
 
 #: Largest time of p0_legendre and p0_closed, the same as classical.MAX_RW_TIME.
 #: Building and printing the exact value takes time growing as about T^2:
@@ -57,32 +67,63 @@ def gf_partial_sum(z: float, truncation: int) -> float:
     """sum_{n<=N} p_n(0) z^n, each exact probability rounded once to a float.
 
     The probabilities come from the pairing p_{4m} = p_{4m+2} =
-    C(2m,m)^2 / 2^(4m+1), with C(2m,m)^2 carried exactly from one m to the
-    next, so the whole sum is one linear pass.  Each even term equals
-    float(p0_legendre(n // 2)); verify checks the Legendre route itself.
+    C(2m,m)^2 / 2^(4m+1) = x_m^2 / 2^(2P+1), with x_m = 2^P C(2m,m) / 4^m
+    and P = _CARRY_BITS.  The sum streams: one pass, linear in N, with no
+    list of terms.  Each even term is float(p0_legendre(n // 2)), the float
+    nearest the exact value; verify checks the Legendre route itself.
+
+    x_m is carried in fixed point: c_0 = x_0 = 2^P and c_m = floor(c_{m-1}
+    (2m-1) / (2m)).  Then c_m <= x_m < c_m + m for m >= 1, by induction from
+    c_{m-1} <= x_{m-1} <= c_{m-1} + m - 1: with f = (2m-1)/(2m) < 1,
+    x_m = x_{m-1} f, so c_m <= c_{m-1} f <= x_m <= c_{m-1} f + (m-1) f, and
+    c_{m-1} f < c_m + 1 gives x_m < c_m + m.  So the exact p_{4m}(0) lies in
+    [c^2, (c + m)^2) / 2^(2P+1), and (c + m)^2 = c^2 + (2c + m) m.
+
+    Ziv's rounding test: if float(c^2) == float(c^2 + (2c + m) m), that float
+    scaled by 2^-(2P+1) is the exact value rounded to nearest.  int-to-float
+    conversion rounds correctly, rounding to nearest is monotone, so every
+    real number between the two ends rounds to the same float, and scaling by
+    a power of two is exact while the result stays normal (p >= 1/(8m) here).
+    Otherwise the term falls back to the exact C(2m,m)^2 / 2^(4m+1), which
+    int true division rounds once.  Either way the term, and so the sum, is
+    bit-identical to the exact carry of C(2m,m)^2 (Ziv, ACM TOMS 17 (1991)
+    410; Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed. 2018).
+
+    The powers z^n are the sequential products 1, z, z*z, ..., one rounding
+    each, and math.fsum keeps the accumulation compensated.
     """
     _check_z(z)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if truncation > MAX_TRUNCATION:
         raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {truncation}")
-    # float z powers; fsum keeps the accumulation compensated
-    terms = []
-    zn = 1.0
-    square = 1  # C(2m, m)^2 for m = n // 4
-    prob = 1.0  # p_n(0) rounded once, for the current even n
-    for n in range(truncation + 1):
-        if n == 2:
-            prob = 0.5
-        elif n % 4 == 0 and n:
-            m = n // 4
-            # C(2m,m)^2 = C(2m-2,m-1)^2 (4m-2)^2 / m^2, and m^2 divides exactly
-            square = square * (4 * m - 2) ** 2 // m // m
-            prob = square / (1 << (4 * m + 1))  # int true division rounds once
-        if n % 2 == 0:
-            terms.append(prob * zn)
-        zn *= z
-    return math.fsum(terms)
+    powers = itertools.accumulate(itertools.repeat(z, truncation), operator.mul, initial=1.0)
+    even_powers = itertools.islice(powers, 0, None, 2)
+    return math.fsum(map(operator.mul, even_powers, _even_return_probabilities()))
+
+
+def _even_return_probabilities() -> Iterator[float]:
+    """p_0(0), p_2(0), p_4(0), ... without end, each rounded once to a float
+    (gf_partial_sum gives the carry and the proof)."""
+    yield 1.0
+    yield 0.5
+    bits = _CARRY_BITS
+    c = 1 << bits
+    for m in itertools.count(1):
+        c = c * (2 * m - 1) // (2 * m)
+        p = _rounded_pair_probability(c, m, bits)
+        yield p  # p_{4m}(0)
+        yield p  # p_{4m+2}(0)
+
+
+def _rounded_pair_probability(c: int, m: int, bits: int) -> float:
+    """p_{4m}(0) rounded to nearest, from the carry c = c_m at `bits` bits:
+    Ziv's rounding test on [c^2, (c + m)^2) / 2^(2 bits + 1), else exact."""
+    low = c * c
+    p = float(low)
+    if p == float(low + (2 * c + m) * m):
+        return math.ldexp(p, -2 * bits - 1)
+    return central_binomial(m) ** 2 / (1 << (4 * m + 1))
 
 
 def gf_closed_form(z: float) -> float:

@@ -9,12 +9,23 @@ Known faults that no verify row catches, listed so that nobody chases them:
 - walk._fits comparing with <= instead of <, and walk._slot_width without its
   + 1, each pass verify in both scopes: the margin bits of _WIDTH_MARGIN hide
   them.  Tier-1 catches both, in test_walk.py's
-  test_matches_reference_stepper[at-bound-0], which sets that margin to 0.
+  test_matches_reference_stepper[at-bound-0], which sets that margin to 0;
+- genfun's rounding test dropped, every term the lower end of its interval,
+  at 40 carry bits: verify's generating-function rows sum at z <= 0.7 with
+  N <= 69, where the 40-bit carry is still exact, so their sums do not move;
+  where it moves a sum by less than 1e-10 (1.8e-12 at z = 0.98, N = 1221)
+  the rows' tolerance would hide it too, as
+  test_ziv_test_dropped_passes_every_row pins.
+  Tier-1 catches it, in test_genfun.py's bitwise comparisons with the exact
+  carry.
 """
+
+import math
 
 import pytest
 
-from hadwalk import pathsum, verify, walk
+from hadwalk import genfun, pathsum, verify, walk
+from hadwalk.cli import main
 from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
 
 from test_verify import with_route_off
@@ -73,3 +84,22 @@ def test_wrong_exact_cores_fail_the_dp_rows(monkeypatch, scope, lm_max, cores):
         f"closed-form coefficients = DP, l,m<={lm_max}",
         "DP step P.v and Q.v vs literal 2x2 products (8 pairs)",
     ]
+
+
+@pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
+def test_direct_row_off_by_2_to_the_minus_40_fails_the_four_oracle_row(monkeypatch, scope, n_max):
+    with_route_off(monkeypatch, verify.ROUTES[0], 20, DyadicRational(1, 40))
+    assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}"]
+    assert main(["verify", "--scope", scope]) == 1
+
+
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_ziv_test_dropped_passes_every_row(monkeypatch, scope):
+    # a known fault no verify row catches: see the module docstring
+    right = genfun.gf_partial_sum(0.98, 1221)
+    monkeypatch.setattr(genfun, "_CARRY_BITS", 40)
+    monkeypatch.setattr(genfun, "_rounded_pair_probability",
+                        lambda c, m, bits: math.ldexp(float(c * c), -2 * bits - 1))
+    wrong = genfun.gf_partial_sum(0.98, 1221)
+    assert 0 < abs(wrong - right) < 1e-10
+    assert failed_rows(scope) == []

@@ -1,7 +1,13 @@
+import json
 import math
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hadwalk import genfun
 from hadwalk.exactnum import DyadicRational
 from hadwalk.genfun import (
     MAX_TRUNCATION,
@@ -15,6 +21,8 @@ from hadwalk.genfun import (
 )
 from hadwalk.pathsum import return_probability_paths
 from hadwalk.walk import return_probability_direct
+
+from test_cli import child_env
 
 
 class TestLegendrePair:
@@ -148,7 +156,7 @@ def scanned_truncation(z, target):
     n = 4
     while tail_bound(z, n) > target:
         n += 1
-        if n > 100_000:
+        if n > MAX_TRUNCATION:
             raise ValueError(f"tail bound does not reach {target} at z={z}")
     return n
 
@@ -175,6 +183,89 @@ class TestPairingRecurrence:
             gf_partial_sum(0.5, MAX_TRUNCATION + 1)
 
 
+def exact_carry_partial_sum(z, truncation):
+    """The sum gf_partial_sum replaced: C(2m,m)^2 carried as an exact int,
+    each probability rounded once by int true division."""
+    terms = []
+    zn = 1.0
+    square = 1  # C(2m, m)^2 for m = n // 4
+    prob = 1.0  # p_n(0) rounded once, for the current even n
+    for n in range(truncation + 1):
+        if n == 2:
+            prob = 0.5
+        elif n % 4 == 0 and n:
+            m = n // 4
+            # C(2m,m)^2 = C(2m-2,m-1)^2 (4m-2)^2 / m^2, and m^2 divides exactly
+            square = square * (4 * m - 2) ** 2 // m // m
+            prob = square / (1 << (4 * m + 1))  # int true division rounds once
+        if n % 2 == 0:
+            terms.append(prob * zn)
+        zn *= z
+    return math.fsum(terms)
+
+
+GRID_TRUNCATIONS = [*range(61), *(n + k for n in (1221, 4921, 24_655) for k in range(4))]
+
+
+def count_fallbacks(monkeypatch):
+    """Count the exact fallbacks of gf_partial_sum's rounding test."""
+    calls = []
+    exact = genfun.central_binomial
+    monkeypatch.setattr(genfun, "central_binomial", lambda m: calls.append(m) or exact(m))
+    return calls
+
+
+class TestZivCarry:
+    @pytest.mark.parametrize("z", [0.0, 0.3, 0.77, 0.98, 0.995, 0.999, 0.9997])
+    def test_bitwise_equal_to_exact_carry(self, monkeypatch, z):
+        fallbacks = count_fallbacks(monkeypatch)
+        for n in GRID_TRUNCATIONS:
+            assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
+        assert fallbacks == []  # 160 carry bits: every term passes the rounding test
+
+    @pytest.mark.parametrize("z", [0.3, 0.995])
+    def test_forced_fallback_is_bitwise_equal(self, monkeypatch, z):
+        # at 40 carry bits the interval [c^2, (c + m)^2) is at least 2^-39 of
+        # c^2 wide, thousands of ulps, so its ends never round alike and every
+        # term takes the exact value
+        monkeypatch.setattr(genfun, "_CARRY_BITS", 40)
+        fallbacks = count_fallbacks(monkeypatch)
+        for n in [*range(61), 1221, 4921]:
+            fallbacks.clear()
+            assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
+            assert fallbacks == list(range(1, n // 4 + 1)), (z, n)
+
+    @pytest.mark.parametrize("bits", [40, 160])
+    def test_carry_brackets_the_true_value(self, monkeypatch, bits):
+        # the rounding test's premise: c_m <= 2^P C(2m,m) / 4^m < c_m + m
+        monkeypatch.setattr(genfun, "_CARRY_BITS", bits)
+        seen = []
+        rounded = genfun._rounded_pair_probability
+        monkeypatch.setattr(genfun, "_rounded_pair_probability",
+                            lambda c, m, b: seen.append((c, m)) or rounded(c, m, b))
+        gf_partial_sum(0.5, 4003)
+        assert [m for _, m in seen] == list(range(1, 1001))
+        for c, m in seen:
+            assert c << 2 * m <= math.comb(2 * m, m) << bits < (c + m) << 2 * m, m
+
+    @settings(deadline=None, database=None, derandomize=True)
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 5000))
+    def test_random_points_bitwise_equal(self, z, n):
+        assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex()
+
+    def test_cap_runs_in_a_subprocess(self):
+        # the cap's stated time is about 1 s; the timeout catches a slow host
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "--format", "json", "genfun", "--z", "0.5",
+             "--truncate", str(MAX_TRUNCATION)],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["truncation"] == MAX_TRUNCATION
+        assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
+
+
 class TestTruncationSolve:
     @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 0.7, 0.9, 0.98, 0.995, 0.999, 0.9999])
     def test_bisection_equals_scan(self, z):
@@ -188,8 +279,8 @@ class TestTruncationSolve:
                 assert truncation_for(z, target) == want, (z, target)
 
     def test_unreachable_target_raises(self):
-        # the scan gives up past 100 000 here, so both must raise
+        # the scan gives up past MAX_TRUNCATION here, so both must raise
         with pytest.raises(ValueError):
-            scanned_truncation(0.9999, 1e-12)
+            scanned_truncation(0.999999, 1e-12)
         with pytest.raises(ValueError, match="does not reach"):
-            truncation_for(0.9999, 1e-12)
+            truncation_for(0.999999, 1e-12)
