@@ -115,7 +115,9 @@ def _cmd_return_prob(args, em: Emitter) -> int:
                 f"it needs {routes[0].needs()}; use {others}"
             )
     values = {r.name: r.value(n) for r in routes}
-    if args.method == "all" and len(set(values.values())) > 1:
+    # compared as int pairs, as verify does, so no DyadicRational.__eq__
+    all_equal = len({(v.numerator, v.denom_exp) for v in values.values()}) == 1
+    if not all_equal:
         print(f"method disagreement at time {n}: {values}", file=sys.stderr)
         return 1
 
@@ -126,7 +128,7 @@ def _cmd_return_prob(args, em: Emitter) -> int:
         "values": [
             {"method": m, "exact": str(v), "float": float(v)} for m, v in values.items()
         ],
-        "all_equal": len(set(values.values())) == 1,
+        "all_equal": all_equal,
     }
     em.table(columns, rows, json_doc=doc)
     return 0

@@ -114,6 +114,18 @@ def elliptic_k_from_complement(one_minus_k_sq: float) -> float:
     return math.pi / (2.0 * a)
 
 
+def _series_terms(k: float, terms: int) -> tuple[list[float], float]:
+    """The first `terms` terms C(2n,n)^2 (k/4)^(2n) of the series for K(k),
+    and the next one, each from the last by the ratio k^2 ((2n+1)/(2n+2))^2."""
+    parts = []
+    term = 1.0
+    ksq = k * k
+    for n in range(terms):
+        parts.append(term)
+        term *= ksq * (2 * n + 1) ** 2 / (2 * n + 2) ** 2
+    return parts, term
+
+
 def elliptic_k_series(k: float, terms: int) -> float:
     """Truncated series (pi/2) sum_{n<terms} C(2n,n)^2 (k/4)^(2n).
 
@@ -122,13 +134,7 @@ def elliptic_k_series(k: float, terms: int) -> float:
     """
     _check_modulus(k)
     _check_terms(terms)
-    parts = []
-    term = 1.0
-    ksq = k * k
-    for n in range(terms):
-        parts.append(term)
-        term *= ksq * (2 * n + 1) ** 2 / (2 * n + 2) ** 2
-    return 0.5 * math.pi * math.fsum(parts)
+    return 0.5 * math.pi * math.fsum(_series_terms(k, terms)[0])
 
 
 def elliptic_k_series_tail(k: float, terms: int) -> float:
@@ -139,8 +145,4 @@ def elliptic_k_series_tail(k: float, terms: int) -> float:
     """
     _check_modulus(k)
     _check_terms(terms)
-    term = 1.0
-    ksq = k * k
-    for n in range(terms):
-        term *= ksq * (2 * n + 1) ** 2 / (2 * n + 2) ** 2
-    return 0.5 * math.pi * term / (1.0 - ksq)
+    return 0.5 * math.pi * _series_terms(k, terms)[1] / (1.0 - k * k)

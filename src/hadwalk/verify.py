@@ -12,18 +12,19 @@ from typing import Callable, NamedTuple
 from . import classical, genfun, pathsum, specfun, walk
 from .exactnum import DyadicRational
 
-#: the directly computed value table: time -> exact p_n(0)
+#: the directly computed value table: time -> exact p_n(0) as the pair
+#: (numerator, denom_exp) of numerator / 2^denom_exp
 VALUE_TABLE = {
-    0: DyadicRational(1),
-    2: DyadicRational(1, 1),
-    4: DyadicRational(1, 3),
-    6: DyadicRational(1, 3),
-    8: DyadicRational(9, 7),
-    10: DyadicRational(9, 7),
-    12: DyadicRational(25, 9),
-    14: DyadicRational(25, 9),
-    16: DyadicRational(1225, 15),
-    18: DyadicRational(1225, 15),
+    0: (1, 0),
+    2: (1, 1),
+    4: (1, 3),
+    6: (1, 3),
+    8: (9, 7),
+    10: (9, 7),
+    12: (25, 9),
+    14: (25, 9),
+    16: (1225, 15),
+    18: (1225, 15),
 }
 
 
@@ -94,7 +95,7 @@ def _check_value_table(report: VerifyReport) -> None:
     bad = []
     for n, expected in sorted(VALUE_TABLE.items()):
         got = ROUTES[0].value(n)
-        if _pair(got) != _pair(expected):
+        if _pair(got) != expected:
             bad.append((n, got))
     _add(
         report,
@@ -110,9 +111,11 @@ def _check_value_table(report: VerifyReport) -> None:
 DIRECT_TIMES = (20, 30, 46, 100, 150)
 
 
-def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
-    """Every route but the first against one incremental exact walk at each
-    even time up to 2 n_max, and the mirror identity at the origin.
+def _check_walk(report: VerifyReport, n_max: int) -> None:
+    """One incremental exact walk from the symmetric qubit to time 2 n_max:
+    every route but the first against it at each even time, the mirror
+    identity at the origin, the closed-row anchor, and normalization and
+    symmetry of its distribution at each time up to n_max.
 
     The incremental walk steps all four parts of every position; the direct
     row steps only the real parts, to n/2 and then in the origin's backward
@@ -131,25 +134,35 @@ def _check_four_oracles(report: VerifyReport, n_max: int) -> None:
     that on the walk's own cores, which do not assume it.
     """
     bad, mirror_bad = [], []
+    bad_norm = bad_sym = 0
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
-    for n in range(2, 2 * n_max + 1, 2):
-        psi = psi.step().step()
-        gl, gr = psi.cores(0)
-        if gl.im != -gr.re or gr.im != gl.re:
-            mirror_bad.append(n)
-        direct = _pair(DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp))
-        rows = ROUTES if n in DIRECT_TIMES or n == 2 * n_max else ROUTES[1:]
-        bad += [(n, r.name) for r in rows if r.covers(n) and _pair(r.value(n)) != direct]
-    _add(
-        report,
-        f"four-oracle equality p_2n, n<={n_max}",
-        not bad,
-        "all routes identical",
-        "all match" if not bad else f"mismatches: {bad[:5]}",
-    )
+    for t in range(1, 2 * n_max + 1):
+        psi = psi.step()
+        if t <= n_max:
+            # the probabilities at positions -t..t as int pairs; they sum to
+            # 1 exactly when the numerators, each brought to the largest
+            # exponent top, sum to 2^top
+            pairs = [_pair(p) for p in walk.distribution(psi).probs.values()]
+            top = max(e for _, e in pairs)
+            bad_norm += sum(num << (top - e) for num, e in pairs) != 1 << top
+            bad_sym += pairs != pairs[::-1]
+        if t % 2 == 0:
+            gl, gr = psi.cores(0)
+            if gl.im != -gr.re or gr.im != gl.re:
+                mirror_bad.append(t)
+            direct = _pair(DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp))
+            rows = ROUTES if t in DIRECT_TIMES or t == 2 * n_max else ROUTES[1:]
+            bad += [(t, r.name) for r in rows if r.covers(t) and _pair(r.value(t)) != direct]
+    _add(report, f"four-oracle equality p_2n, n<={n_max}", not bad, "all routes identical",
+         "all match" if not bad else f"mismatches: {bad[:5]}")
     _add(report, f"mirror identity at the origin, n<={2 * n_max}", not mirror_bad,
          "Lim = -Rre and Rim = Lre",
          "holds" if not mirror_bad else f"{len(mirror_bad)} failures, first at n={mirror_bad[0]}")
+    _check_closed_anchor(report, 2 * n_max)
+    _add(report, f"normalization n<={n_max}", bad_norm == 0, "sum = 1 exactly",
+         "holds" if not bad_norm else f"{bad_norm} failures")
+    _add(report, f"symmetry n<={n_max}", bad_sym == 0, "p(x) = p(-x) exactly",
+         "holds" if not bad_sym else f"{bad_sym} failures")
 
 
 def _check_closed_anchor(report: VerifyReport, top: int) -> None:
@@ -170,22 +183,6 @@ def _check_closed_anchor(report: VerifyReport, top: int) -> None:
          "equal as ints", "holds" if not bad else f"mismatches at m={bad}")
 
 
-def _check_conservation(report: VerifyReport, n_max: int) -> None:
-    psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
-    bad_norm = bad_sym = 0
-    for _ in range(n_max):
-        psi = psi.step()
-        dist = walk.distribution(psi)
-        if dist.total() != 1:
-            bad_norm += 1
-        if any(dist.at(x) != dist.at(-x) for x in dist.probs):
-            bad_sym += 1
-    _add(report, f"normalization n<={n_max}", bad_norm == 0, "sum = 1 exactly",
-         "holds" if not bad_norm else f"{bad_norm} failures")
-    _add(report, f"symmetry n<={n_max}", bad_sym == 0, "p(x) = p(-x) exactly",
-         "holds" if not bad_sym else f"{bad_sym} failures")
-
-
 def _check_odd_times(report: VerifyReport, n_max: int) -> None:
     bad = [n for n in range(1, n_max + 1, 2) if _pair(ROUTES[0].value(n)) != (0, 0)]
     _add(report, f"odd-time return zero n<={n_max}", not bad, "0", "holds" if not bad else f"{bad}")
@@ -195,7 +192,7 @@ def _check_pairing(report: VerifyReport, m_max: int) -> None:
     bad = [
         m
         for m in range(1, m_max + 1)
-        if genfun.p0_legendre(2 * m) != genfun.p0_legendre(2 * m + 1)
+        if _pair(genfun.p0_legendre(2 * m)) != _pair(genfun.p0_legendre(2 * m + 1))
     ]
     _add(report, f"pairing p_4m = p_4m+2, m<={m_max}", not bad, "equal pairs",
          "holds" if not bad else f"{bad}")
@@ -337,9 +334,7 @@ def _prefix5(x: float) -> str:
 #: check takes none.
 CHECKS = (
     (_check_value_table, None, None),
-    (_check_four_oracles, 30, 100),
-    (_check_closed_anchor, 60, 200),
-    (_check_conservation, 30, 100),
+    (_check_walk, 30, 100),
     (_check_odd_times, 29, 99),
     (_check_pairing, 15, 50),
     (_check_closed_vs_dp, 12, 30),

@@ -20,6 +20,7 @@ Known faults that no verify row catches, listed so that nobody chases them:
   carry.
 """
 
+import inspect
 import math
 
 import pytest
@@ -35,13 +36,75 @@ def failed_rows(scope):
     return [c.name for c in verify.run_verify(scope).checks if not c.passed]
 
 
+def always_equal(monkeypatch):
+    # every comparison through DyadicRational.__eq__ passes; verify compares
+    # (numerator, denom_exp) pairs instead
+    monkeypatch.setattr(DyadicRational, "__eq__", lambda self, other: True)
+
+
+def with_direct_route_edited(monkeypatch, old, new):
+    """Replace walk.return_probability_direct by its own source with the one
+    occurrence of `old` replaced by `new`, run in walk's namespace."""
+    source = inspect.getsource(walk.return_probability_direct)
+    assert source.count(old) == 1
+    namespace = dict(vars(walk))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(walk, "return_probability_direct", namespace["return_probability_direct"])
+
+
 @pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
 def test_equality_that_always_holds_does_not_hide_a_wrong_route(monkeypatch, scope, n_max):
-    # every comparison through DyadicRational.__eq__ would pass; verify
-    # compares (numerator, denom_exp) pairs instead
-    monkeypatch.setattr(DyadicRational, "__eq__", lambda self, other: True)
+    always_equal(monkeypatch)
     with_route_off(monkeypatch, verify.ROUTES[3], 20, DyadicRational(1, 40))
     assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}"]
+
+
+@pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
+def test_equality_that_always_holds_does_not_hide_a_wrong_distribution(
+        monkeypatch, scope, n_max):
+    # each distribution from time 3 on is off by 2^-40 at its top position,
+    # so it neither sums to 1 nor is symmetric
+    always_equal(monkeypatch)
+    right = walk.distribution
+
+    def distribution(psi):
+        dist = right(psi)
+        if dist.time < 3:
+            return dist
+        probs = dict(dist.probs)
+        probs[dist.time] += DyadicRational(1, 40)
+        return walk.Distribution(dist.time, probs)
+
+    monkeypatch.setattr(walk, "distribution", distribution)
+    assert failed_rows(scope) == [f"normalization n<={n_max}", f"symmetry n<={n_max}"]
+
+
+@pytest.mark.parametrize("scope,n_max,m_max", [("fast", 30, 15), ("full", 100, 50)])
+def test_equality_that_always_holds_does_not_hide_a_broken_pairing(
+        monkeypatch, scope, n_max, m_max):
+    # prop1 off by 2^-60 at p_42 = p0_legendre(21), which the pairing row
+    # compares with p_40
+    always_equal(monkeypatch)
+    right = genfun.p0_legendre
+    monkeypatch.setattr(genfun, "p0_legendre",
+                        lambda n: right(n) + DyadicRational(1, 60) if n == 21 else right(n))
+    assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}",
+                                  f"pairing p_4m = p_4m+2, m<={m_max}"]
+
+
+@pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
+@pytest.mark.parametrize(
+    "old,new",
+    [("_read_slot(lre, width, 0), _read_slot(rre, width, 0)",
+      "_read_slot(lre, width, 1), _read_slot(rre, width, 1)"),
+     (" + (1 << (width - 1))", "")],
+    ids=["final-read-at-slot-1", "cone-step-without-half-slot"],
+)
+def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
+    # edits of return_probability_direct alone: no other route runs it
+    with_direct_route_edited(monkeypatch, old, new)
+    assert failed_rows(scope) == ["value table p_0..p_18",
+                                  f"four-oracle equality p_2n, n<={n_max}"]
 
 
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):

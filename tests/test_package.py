@@ -1,13 +1,28 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
+    import tomli as tomllib
+
 import hadwalk
 
 #: Modules the tests use as oracles or runners; none is a runtime dependency.
 TEST_ONLY_MODULES = ("scipy", "mpmath", "sympy", "hypothesis", "pytest")
+
+
+def test_test_extra_lists_the_test_only_modules():
+    # pip install -e .[test] brings exactly what the tests import beyond numpy
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in extra]
+    assert sorted(names) == sorted(TEST_ONLY_MODULES)
 
 
 #: What a fresh interpreter holds of hadwalk after importing one module alone:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hadwalk import verify
+from hadwalk import verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -118,10 +118,29 @@ def test_direct_row_is_compared_at_spread_times(monkeypatch, scope, n_max):
         seen.append(n)
         return right(n)
 
-    monkeypatch.setattr(verify, "ROUTES", (verify.ROUTES[0]._replace(value=value),))
-    verify._check_four_oracles(verify.VerifyReport(scope), n_max)
+    # the other rows stay: the walk check also runs the closed-row anchor
+    rows = (verify.ROUTES[0]._replace(value=value),) + verify.ROUTES[1:]
+    monkeypatch.setattr(verify, "ROUTES", rows)
+    verify._check_walk(verify.VerifyReport(scope), n_max)
     assert seen[0] == 20 and seen[-1] == 2 * n_max
     assert {n % 4 for n in seen[:-1]} == {0, 2}
+
+
+@pytest.mark.parametrize("scope,steps", [("fast", 60), ("full", 200)])
+def test_verify_steps_one_exact_walk(monkeypatch, scope, steps):
+    # one walk to the top time feeds the route, mirror, normalization and
+    # symmetry rows alike
+    calls = []
+    step = walk.WaveFunction.step
+
+    def counted(psi):
+        calls.append(psi.time)
+        return step(psi)
+
+    monkeypatch.setattr(walk.WaveFunction, "step", counted)
+    assert verify.run_verify(scope).passed
+    assert calls == list(range(steps))
+    assert len(verify.CHECKS) == 11
 
 
 @pytest.mark.parametrize("route", verify.ROUTES, ids=lambda r: r.name)
