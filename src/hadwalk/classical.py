@@ -146,9 +146,13 @@ def watson_g_quadrature(rel_tol: float = 1e-8) -> QuadratureValue:
     onto a finite smooth interval plus an analytically bounded tail.
     """
     # NaN compares false everywhere, so without this check it would drive the
-    # subdivision to full depth (2^48 leaves); inf would accept one panel
+    # subdivision to full depth (2^48 leaves); inf would accept one panel, and
+    # so would a tolerance near 1e308, for which abs_tol below overflows to
+    # inf.  A relative tolerance of 1 or more asks for no correct digit.
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ValueError(f"rel_tol must be a finite positive number, got {rel_tol!r}")
+    if rel_tol >= 1.0:
+        raise ValueError(f"rel_tol must be below 1, got {rel_tol!r}")
     if rel_tol < 1e-10:
         raise ValueError("rel_tol below 1e-10 exceeds double-precision headroom")
     state = {"err": 0.0, "budget_ok": True}

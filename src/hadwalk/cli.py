@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -30,6 +31,11 @@ MAX_SWEEP_POINTS = 10_000
 #: 42 s (50 points at N = 2*10^6 - 1) and 44 s (10 000 points at N = 9999)
 #: on the same host.
 MAX_SWEEP_WORK = 10**8
+
+#: Largest --precision: the most significant digits in the exact decimal
+#: expansion of any double (the largest subnormal needs 767), so no larger
+#: precision prints another digit.
+MAX_PRECISION = 767
 
 
 class Emitter:
@@ -84,12 +90,13 @@ def _cmd_simulate(args, em: Emitter) -> int:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
     psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
-    dist = walk.distribution(psi)
-    probs = dist.probs if coin.is_exact else dist
+    if coin.is_exact:
+        probs = ((x, str(p), float(p)) for x, p in walk.distribution(psi).probs.items())
+    else:
+        probs = ((x, None, p) for x, p in psi.probabilities().items())
     entries = [
-        {"position": x, "probability_exact": str(p) if coin.is_exact else None,
-         "probability_float": float(p)}
-        for x, p in sorted(probs.items())
+        {"position": x, "probability_exact": exact, "probability_float": approx}
+        for x, exact, approx in probs
     ]
     doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
     em.table(list(entries[0]), map(em.cells, entries), json_doc=doc)
@@ -116,21 +123,25 @@ def _cmd_return_prob(args, em: Emitter) -> int:
             )
     values = {r.name: r.value(n) for r in routes}
     # compared as int pairs, as verify does, so no DyadicRational.__eq__
-    all_equal = len({(v.numerator, v.denom_exp) for v in values.values()}) == 1
-    if not all_equal:
+    if len({(v.numerator, v.denom_exp) for v in values.values()}) != 1:
         print(f"method disagreement at time {n}: {values}", file=sys.stderr)
         return 1
+    value = next(iter(values.values()))
+    exact, approx = str(value), float(value)
 
-    columns = ["method", "time", "probability_exact", "probability_decimal"]
-    rows = [[m, n, str(v), v.to_decimal_string()] for m, v in values.items()]
+    def rows():
+        # the decimal expansion only if a table reads the rows; JSON does not
+        decimal = value.to_decimal_string()
+        for m in values:
+            yield [m, n, exact, decimal]
+
     doc = {
         "time": n,
-        "values": [
-            {"method": m, "exact": str(v), "float": float(v)} for m, v in values.items()
-        ],
-        "all_equal": all_equal,
+        "values": [{"method": m, "exact": exact, "float": approx} for m in values],
+        "all_equal": True,
     }
-    em.table(columns, rows, json_doc=doc)
+    em.table(["method", "time", "probability_exact", "probability_decimal"], rows(),
+             json_doc=doc)
     return 0
 
 
@@ -186,24 +197,11 @@ def _cmd_genfun(args, em: Emitter) -> int:
         if work > MAX_SWEEP_WORK:
             raise ValueError(f"sweep work sum N+1 = {work} is above the limit "
                              f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
-        points = []
-        for z, n in zip(zs, truncations):
-            point = genfun.gf_point(z, n)
-            points.append(
-                {"z": z, "lhs_partial": point.lhs_partial, "rhs_closed": point.rhs_closed}
-            )
+        points = [{"z": p.z, "lhs_partial": p.lhs_partial, "rhs_closed": p.rhs_closed}
+                  for p in map(genfun.gf_point, zs, truncations)]
         em.table(list(points[0]), map(em.cells, points), json_doc={"sweep": points})
         return 0
-    point = genfun.gf_point(args.z, args.truncate)
-    doc = {
-        "z": point.z,
-        "lhs_partial": point.lhs_partial,
-        "rhs_closed": point.rhs_closed,
-        "truncation": point.truncation,
-        "tail_bound": point.tail_bound,
-        "abs_diff": point.abs_diff,
-    }
-    em.record(doc)
+    em.record(dataclasses.asdict(genfun.gf_point(args.z, args.truncate)))
     return 0
 
 
@@ -226,13 +224,7 @@ def _cmd_classical(args, em: Emitter) -> int:
 
 
 def _cmd_watson(args, em: Emitter) -> int:
-    result = classical.watson_return_prob(args.tol)
-    em.record({
-        "g_quadrature": result.g_quadrature,
-        "g_closed": result.g_closed,
-        "f_return": result.f_return,
-        "quadrature_error_estimate": result.quadrature_error_estimate,
-    })
+    em.record(dataclasses.asdict(classical.watson_return_prob(args.tol)))
     return 0
 
 
@@ -361,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.precision < 0:
         parser.error(f"argument --precision: must be nonnegative, got {args.precision}")
+    if args.precision > MAX_PRECISION:
+        parser.error(f"argument --precision: must be at most {MAX_PRECISION}, "
+                     f"got {args.precision}")
     em = Emitter(args.format, args.precision)
     try:
         return args.handler(args, em)

@@ -170,10 +170,7 @@ class GfPoint:
     rhs_closed: float
     truncation: int
     tail_bound: float
-
-    @property
-    def abs_diff(self) -> float:
-        return abs(self.lhs_partial - self.rhs_closed)
+    abs_diff: float
 
 
 def gf_point(z: float, truncation: int | None = None) -> GfPoint:
@@ -182,13 +179,8 @@ def gf_point(z: float, truncation: int | None = None) -> GfPoint:
         truncation = truncation_for(z)
     elif truncation < 4:
         raise ValueError("truncation must be at least 4 for a valid tail bound")
-    return GfPoint(
-        z=z,
-        lhs_partial=gf_partial_sum(z, truncation),
-        rhs_closed=gf_closed_form(z),
-        truncation=truncation,
-        tail_bound=tail_bound(z, truncation),
-    )
+    lhs, rhs = gf_partial_sum(z, truncation), gf_closed_form(z)
+    return GfPoint(z, lhs, rhs, truncation, tail_bound(z, truncation), abs(lhs - rhs))
 
 
 def _check_z(z: float) -> None:

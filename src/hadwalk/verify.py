@@ -271,18 +271,21 @@ def _check_hyp_chain(report: VerifyReport, n_max: int) -> None:
          "four equal rationals", "holds" if not bad else f"{bad[:5]}")
 
 
+def _series_row(report: VerifyReport, name: str, lhs: float, rhs: float, tail: float,
+                n: int) -> None:
+    """A series truncated after term n against its closed form: they may
+    differ by the tail bound plus 1e-10 of rounding slack."""
+    diff = abs(lhs - rhs)
+    tol = tail + 1e-10
+    _add(report, name, diff <= tol, f"|lhs-rhs| <= {tol:.3e}", f"{diff:.3e} (N={n})",
+         f"{tol:.3e}")
+
+
 def _check_gf_identity(report: VerifyReport, zs: tuple[float, ...]) -> None:
     for z in zs:
         point = genfun.gf_point(z)
-        tol = point.tail_bound + 1e-10
-        _add(
-            report,
-            f"generating function identity z={z}",
-            point.abs_diff <= tol,
-            f"|lhs-rhs| <= {tol:.3e}",
-            f"{point.abs_diff:.3e} (N={point.truncation})",
-            f"{tol:.3e}",
-        )
+        _series_row(report, f"generating function identity z={z}", point.lhs_partial,
+                    point.rhs_closed, point.tail_bound, point.truncation)
 
 
 def _check_polya(report: VerifyReport, zs: tuple[float, ...]) -> None:
@@ -298,16 +301,8 @@ def _check_polya(report: VerifyReport, zs: tuple[float, ...]) -> None:
         partial = math.fsum(
             float(classical.rw_return_prob(2, n)) * z**n for n in range(n_trunc + 1)
         )
-        closed = classical.rw_gf(2, z)
-        tol = classical.rw_gf_tail_bound(2, z, n_trunc) + 1e-10
-        _add(
-            report,
-            f"2d random-walk generating function z={z}",
-            abs(partial - closed) <= tol,
-            f"|lhs-rhs| <= {tol:.3e}",
-            f"{abs(partial - closed):.3e} (N={n_trunc})",
-            f"{tol:.3e}",
-        )
+        _series_row(report, f"2d random-walk generating function z={z}", partial,
+                    classical.rw_gf(2, z), classical.rw_gf_tail_bound(2, z, n_trunc), n_trunc)
 
 
 def _check_watson(report: VerifyReport, with_quadrature: bool) -> None:

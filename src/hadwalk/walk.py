@@ -175,8 +175,9 @@ class QubitState:
     def __init__(self, left: GaussianInteger, right: GaussianInteger, scale_exp: int) -> None:
         if scale_exp < 0:
             raise ValueError("scale_exp must be nonnegative")
-        total = DyadicRational(left.norm_sq() + right.norm_sq(), scale_exp)
-        if total != 1:
+        norm_sq = left.norm_sq() + right.norm_sq()
+        if norm_sq != 1 << scale_exp:
+            total = DyadicRational(norm_sq, scale_exp)
             raise ValueError(f"initial qubit not normalized: |L|^2+|R|^2 = {total}")
         self.left = left
         self.right = right
@@ -370,10 +371,8 @@ def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | Floa
     return psi_f
 
 
-def distribution(psi: WaveFunction | FloatWaveFunction) -> Distribution | dict[int, float]:
-    """Position distribution; exact (dyadic) for the exact engine."""
-    if isinstance(psi, FloatWaveFunction):
-        return psi.probabilities()
+def distribution(psi: WaveFunction) -> Distribution:
+    """The exact (dyadic) position distribution of an exact state."""
     probs = {
         x: DyadicRational(a * a + b * b + c * c + d * d, psi.scale_exp)
         for x, a, b, c, d in zip(psi.support(), *psi._components())

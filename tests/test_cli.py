@@ -215,6 +215,21 @@ class TestReturnProb:
         assert "1225/2^15" in out
         assert "0.037384033203125" in out
 
+    @pytest.mark.parametrize("fmt,calls", [("json", 0), ("csv", 1), ("plain", 1)])
+    def test_decimal_expansion_once_and_only_for_tables(self, capsys, monkeypatch, fmt, calls):
+        # the four routes agree on one value, so its expansion is built once,
+        # and only where a row prints it
+        assert all(r.covers(1002) for r in verify.ROUTES)
+        expand = DyadicRational.to_decimal_string
+        seen = []
+        monkeypatch.setattr(DyadicRational, "to_decimal_string",
+                            lambda self: seen.append(self) or expand(self))
+        code, out, _ = run_cli(capsys, "--format", fmt, "return-prob", "-n", "1002",
+                               "--method", "all")
+        assert code == 0
+        assert out.count("closed") == 1
+        assert len(seen) == calls
+
 
 class TestRouteCaps:
     def test_each_route_refuses_far_above_its_cap_at_once(self):
@@ -569,6 +584,27 @@ class TestGlobalFlagPlacement:
         assert exit_info.value.code == 2
         assert "argument --precision: must be nonnegative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--precision", "768", "genfun", "--z", "0.5"],
+        ["genfun", "--z", "0.5", "--precision", "100000"],
+    ])
+    def test_precision_above_cap_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        got = argv[argv.index("--precision") + 1]
+        err = capsys.readouterr().err
+        assert f"argument --precision: must be at most {cli.MAX_PRECISION}, got {got}" in err
+
+    def test_precision_at_cap_prints_the_exact_expansion(self, capsys):
+        # 767 digits reach the end of every double's decimal expansion
+        assert cli.MAX_PRECISION == 767
+        lhs = run_json(capsys, "genfun", "--z", "0.5")["lhs_partial"]
+        code, out, _ = run_cli(capsys, "--format", "csv", "--precision", "767",
+                               "genfun", "--z", "0.5")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][1] == f"{lhs:.5000g}"
+
     def test_zero_precision_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "--precision", "0", "genfun", "--z", "0.5")
         assert code == 0
@@ -610,15 +646,19 @@ class TestEntryPoint:
         assert doc["values"]
         assert all(v["exact"] == "9/2^7" for v in doc["values"])
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_watson_bad_tolerance_exit_2(self, tol):
+    # at 1e308 the absolute target would overflow to inf and accept one panel
+    @pytest.mark.parametrize("tol,message", [
+        *((tol, "rel_tol must be a finite positive number") for tol in ("nan", "inf", "-1", "0")),
+        *((tol, "rel_tol must be below 1") for tol in ("1", "1e308")),
+    ], ids=["nan", "inf", "-1", "0", "1", "1e308"])
+    def test_watson_bad_tolerance_exit_2(self, tol, message):
         # a child with a timeout, so a hang fails the test instead of the suite
         result = subprocess.run(
             [sys.executable, "-m", "hadwalk.cli", "watson", "--tol", tol],
             capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert result.returncode == 2, result.stderr
-        assert "rel_tol must be a finite positive number" in result.stderr
+        assert message in result.stderr
         assert result.stdout == ""
 
     @pytest.mark.parametrize("argv", [

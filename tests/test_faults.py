@@ -166,3 +166,10 @@ def test_ziv_test_dropped_passes_every_row(monkeypatch, scope):
     wrong = genfun.gf_partial_sum(0.98, 1221)
     assert 0 < abs(wrong - right) < 1e-10
     assert failed_rows(scope) == []
+
+
+def test_equality_that_always_holds_does_not_admit_an_unnormalized_qubit(monkeypatch):
+    # |1|^2 + |1|^2 = 2 is not 2^0; the constructor compares the ints
+    always_equal(monkeypatch)
+    with pytest.raises(ValueError, match="not normalized"):
+        walk.QubitState(G_ONE, G_ONE, 0)

@@ -547,7 +547,7 @@ class TestFloatEngine:
             psi_f = psi_f.step(coin)
             psi_e = psi_e.step()
         exact = distribution(psi_e)
-        floats = distribution(psi_f)
+        floats = psi_f.probabilities()
         assert set(floats) == set(exact.probs)
         for x, p in floats.items():
             assert p == pytest.approx(float(exact.at(x)), abs=1e-12)
@@ -555,7 +555,7 @@ class TestFloatEngine:
     def test_general_coin_normalization(self):
         coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
         psi = evolve(QubitState.symmetric(), coin, 40)
-        probs = distribution(psi)
+        probs = psi.probabilities()
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_step_dispatch_demotes_exact_coin(self):
