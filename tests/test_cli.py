@@ -155,6 +155,11 @@ EXACT_STDOUT_SHA256 = {
     ("simulate -n 300", "json"): "30a17de7e8a7815cb1002de1388cc99efadde09c15ba8cba86ff652fafe0e05c",
     ("simulate -n 300", "csv"): "8c322e0dc1ba0c8604fbffd744a4c8763f1ee2a14616b21ebda51be4ece3198d",
     ("simulate -n 300", "plain"): "a5e0600840de56cdfc44a87ba5da5d73245a56f70bf1c027adcd1332a5666931",
+    # an odd time, and T = 2 (mod 4), which T = 300 does not reach
+    ("simulate -n 301", "json"): "5e83339e7997f968505799392945fabae77b423f630a3beadeade8bc9743adce",
+    ("simulate -n 301", "csv"): "3f45510832639c1ad6dbeeba62e13e6a09ecdc92d36bd628bb6e3320cf1e4ce4",
+    ("simulate -n 302", "json"): "1c1182c48e4bb9e076f9ec03c73c4382fc84871d81df73012f19410b9f19a38a",
+    ("simulate -n 302", "csv"): "d96386d13ed14c301eca8e840c4f04cdfca4a00dc487be24f322775b39f058d0",
     ("return-prob -n 1002 --method all", "json"): "0de1dbcbbd6eefba4fe01f01525f350096e88ea3287768c9544c608f9d718e90",
     ("return-prob -n 1002 --method all", "csv"): "342260e469a9528434ce0f5b36d24349b5056596e82410ba707c5a33c7b7112d",
     ("return-prob -n 1002 --method all", "plain"): "4e55acec16e279b422ad05379db4e2dc05603ca05a785b5ddb48cf956d2afa0c",
