@@ -89,10 +89,11 @@ def _cmd_simulate(args, em: Emitter) -> int:
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
-    psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
     if coin.is_exact:
-        probs = ((x, str(p), float(p)) for x, p in walk.distribution(psi).probs.items())
+        dist = walk.symmetric_distribution(args.time)
+        probs = ((x, str(p), float(p)) for x, p in dist.probs.items())
     else:
+        psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
         probs = ((x, None, p) for x, p in psi.probabilities().items())
     entries = [
         {"position": x, "probability_exact": exact, "probability_float": approx}

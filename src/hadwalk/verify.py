@@ -110,12 +110,21 @@ def _check_value_table(report: VerifyReport) -> None:
 #: compares the direct row, besides its top time.
 DIRECT_TIMES = (20, 30, 46, 100, 150)
 
+#: Every time up to this one, besides the top two, at which the walk check
+#: compares walk.symmetric_distribution with the walk's own distribution.
+#: Each comparison steps the real half from scratch, at a cost growing as
+#: t^3, so the times above it are left to the top two.
+REAL_HALF_TIMES = 30
+
 
 def _check_walk(report: VerifyReport, n_max: int) -> None:
     """One incremental exact walk from the symmetric qubit to time 2 n_max:
     every route but the first against it at each even time, the mirror
-    identity at the origin, the closed-row anchor, and normalization and
-    symmetry of its distribution at each time up to n_max.
+    identity at the origin, the closed-row anchor, normalization and
+    symmetry of its distribution at each time up to n_max, and that
+    distribution against walk.symmetric_distribution, which simulate runs,
+    at every position at the times up to REAL_HALF_TIMES and at n_max - 1
+    and n_max.
 
     The incremental walk steps all four parts of every position; the direct
     row steps only the real parts, to n/2 and then in the origin's backward
@@ -132,8 +141,11 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     mirror identity (see walk.return_probability_direct).  At the origin at
     an even time it reads Lim = -Rre and Rim = Lre, and the second row checks
     that on the walk's own cores, which do not assume it.
+    walk.symmetric_distribution steps only the real parts too, and rebuilds
+    every position from the identity, so its row checks the identity at
+    every position, both parities of t and both residues of t mod 4.
     """
-    bad, mirror_bad = [], []
+    bad, mirror_bad, half_bad = [], [], []
     bad_norm = bad_sym = 0
     psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
     for t in range(1, 2 * n_max + 1):
@@ -142,10 +154,15 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
             # the probabilities at positions -t..t as int pairs; they sum to
             # 1 exactly when the numerators, each brought to the largest
             # exponent top, sum to 2^top
-            pairs = [_pair(p) for p in walk.distribution(psi).probs.values()]
+            dist = walk.distribution(psi).probs
+            pairs = [_pair(p) for p in dist.values()]
             top = max(e for _, e in pairs)
             bad_norm += sum(num << (top - e) for num, e in pairs) != 1 << top
             bad_sym += pairs != pairs[::-1]
+            if t <= REAL_HALF_TIMES or t >= n_max - 1:
+                half = walk.symmetric_distribution(t).probs
+                if list(half) != list(dist) or [_pair(p) for p in half.values()] != pairs:
+                    half_bad.append(t)
         if t % 2 == 0:
             gl, gr = psi.cores(0)
             if gl.im != -gr.re or gr.im != gl.re:
@@ -163,6 +180,10 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
          "holds" if not bad_norm else f"{bad_norm} failures")
     _add(report, f"symmetry n<={n_max}", bad_sym == 0, "p(x) = p(-x) exactly",
          "holds" if not bad_sym else f"{bad_sym} failures")
+    top_times = f" and t={n_max - 1},{n_max}" if n_max - 1 > REAL_HALF_TIMES else ""
+    _add(report, f"real-half distribution = walk's, t<={REAL_HALF_TIMES}{top_times}",
+         not half_bad, "equal pairs at every position",
+         "holds" if not half_bad else f"{len(half_bad)} failures, first at t={half_bad[0]}")
 
 
 def _check_closed_anchor(report: VerifyReport, top: int) -> None:

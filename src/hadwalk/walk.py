@@ -10,8 +10,9 @@ the cores evolve independently; each part of the left and of the right cores
 is held as sum_k v_k 2^(w k), one signed w-bit slot per position, and a step
 is L' = L + R, R' = (L - R) << w on each pair: a few big-int operations and
 no per-position Python work.  From the symmetric qubit the imaginary parts
-are the real parts mirrored, so return_probability_direct steps only the
-real pair.
+are the real parts mirrored, so symmetric_distribution, which simulate
+runs, and return_probability_direct step only the real pair; WaveFunction
+keeps all four parts, as the reference verify checks them against.
 
 Both engines store only the time's parity.  The walk moves every amplitude
 one position per step, so at time t only the t + 1 positions x = 2k - t
@@ -26,19 +27,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactnum import G_I, G_ONE, G_ZERO, DyadicRational, GaussianInteger
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNITARITY_TOL = 1e-12
 
 #: Largest time the exact engine evolves to, and the direct route's largest
-#: even time.  A state grows as T^2/2 bits and the work as T^3: evolve, which
-#: simulate runs, took 44 / 55 s at T = 8000 / 9000, and return-prob --method
-#: direct, which steps only the real parts, to T/2 and then in the light
-#: cone, took 0.24 / 1.3 / 15 s at T = 992 / 4000 / 9000, interpreter start
-#: included, on one core of a 2-vCPU x86-64 host.
+#: even time.  A state grows as T^2/2 bits and the work as T^3:
+#: symmetric_distribution, which simulate runs, took 2.4 / 30 s at
+#: T = 4000 / 9000, and simulate --format json 2.8 / 36 s, interpreter start
+#: included, printing 4.7 / 23 MB; return-prob --method direct, which steps
+#: only the real parts, to T/2 and then in the light cone, took 0.24 / 1.3 /
+#: 15 s at T = 992 / 4000 / 9000, interpreter start included, on one core of
+#: a 2-vCPU x86-64 host.
 MAX_EXACT_TIME = 9000
 
 #: Largest time the float engine evolves to.  Its time grows at least as T^2:
@@ -95,11 +100,11 @@ def _widen(packed: int, width: int, new_width: int, count: int) -> int:
     bytes on top, so no slot passes through a Python int of its own."""
     size, new_size = width // 8, new_width // 8
     biased = (packed + _bias(width, count)) & ((1 << (width * count)) - 1)
-    slots = np.frombuffer(biased.to_bytes(size * count, "little"), np.uint8)
-    padded = np.zeros((count, new_size), np.uint8)
-    padded[:, :size] = slots.reshape(count, size)
+    slots = biased.to_bytes(size * count, "little")
+    pad = bytes(new_size - size)
+    padded = pad.join([slots[i : i + size] for i in range(0, size * count, size)]) + pad
     half = (1 << (width - 1)).to_bytes(new_size, "little")
-    return int.from_bytes(padded.tobytes(), "little") - int.from_bytes(half * count, "little")
+    return int.from_bytes(padded, "little") - int.from_bytes(half * count, "little")
 
 
 def _read_slot(packed: int, width: int, k: int) -> int:
@@ -283,6 +288,9 @@ class FloatWaveFunction:
     `left` and `right` hold one complex amplitude per position of the
     time's parity: slot k is position 2k - time, so each has time + 1
     entries.  Positions off that parity hold no amplitude and are not stored.
+
+    Only this engine uses numpy, and its methods import it, so the exact
+    commands never load it.
     """
 
     __slots__ = ("time", "left", "right")
@@ -299,6 +307,8 @@ class FloatWaveFunction:
 
     @classmethod
     def point_mass(cls, qubit: QubitState) -> FloatWaveFunction:
+        import numpy as np
+
         l0, r0 = qubit.to_complex()
         return cls(0, np.array([l0], complex), np.array([r0], complex))
 
@@ -309,6 +319,8 @@ class FloatWaveFunction:
         # The arrays are new, so a state a caller holds never changes.  The
         # coin entry stays the first factor: numpy's complex multiply may use
         # fused multiply-adds, whose rounding depends on the operand order.
+        import numpy as np
+
         n = self.left.size
         left = np.empty(n + 1, complex)
         right = np.empty(n + 1, complex)
@@ -321,6 +333,8 @@ class FloatWaveFunction:
         return FloatWaveFunction(self.time + 1, left, right)
 
     def probabilities(self) -> dict[int, float]:
+        import numpy as np
+
         probs = np.abs(self.left) ** 2 + np.abs(self.right) ** 2
         t = self.time
         return dict(zip(range(-t, t + 1, 2), probs.tolist()))
@@ -380,14 +394,23 @@ def distribution(psi: WaveFunction) -> Distribution:
     return Distribution(psi.time, probs)
 
 
-def return_probability_direct(n: int) -> DyadicRational:
-    """Exact p_n(0) for the Hadamard walk from the symmetric qubit.
+def _refit(lre: int, rre: int, norm: int, width: int, count: int) -> tuple[int, int, int]:
+    """(lre, rre, width), their lowest `count` slots repacked wider first if
+    the summed squares `norm` no longer fit `width`."""
+    if _fits(norm, width):
+        return lre, rre, width
+    new_width = _slot_width(norm)
+    return _widen(lre, width, new_width, count), _widen(rre, width, new_width, count), new_width
 
-    The route steps only the real parts of the cores, two packed ints where
-    `WaveFunction` has four.  The Hadamard coin is real, so the real parts
-    (Lre, Rre) evolve on their own, from (1, 0) for the qubit (1, i)/sqrt(2);
-    the imaginary parts are the real ones mirrored.  At time t, slot k
-    (position 2k - t):
+
+def _real_half(n: int) -> tuple[int, int, int, int]:
+    """The real parts (Lre, Rre) of the cores at time n from the symmetric
+    qubit, each packed in n + 1 slots, with the bound on their summed
+    squares and their slot width: (Lre, Rre, norm, width).
+
+    The Hadamard coin is real, so the real parts evolve on their own, from
+    (1, 0) for the qubit (1, i)/sqrt(2); the imaginary parts are the real
+    ones mirrored.  At time t, slot k (position 2k - t):
 
         Lim[k] = (-1)^(t+1) Rre[t - k],    Rim[k] = (-1)^t Lre[t - k].
 
@@ -401,19 +424,60 @@ def return_probability_direct(n: int) -> DyadicRational:
         Rim'[k] = Lim[k-1] - Rim[k-1] = (-1)^(t+1) (Rre[t+1-k] + Lre[t+1-k])
                 = (-1)^(t+1) Lre'[t+1-k].
 
-    At the origin k = t - k = n/2, so |L|^2 + |R|^2 there is
-    2(Lre^2 + Rre^2), and p_n(0) = 2(Lre[n/2]^2 + Rre[n/2]^2) 2^-(n+1).
-    verify checks the identity at the origin on its own four-part walk,
-    which does not assume it.
+    A step is `WaveFunction.step`'s, L' = L + R and R' = (L - R) << w, on
+    the real pair alone.  The slots are sized from the real half's own
+    summed squares, 1 at time 0: (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a
+    step doubles them, and `_fits` and `_slot_width` size the slots as
+    soundly as in `step`.  verify checks the identity on its own four-part
+    walk, which does not assume it.
+    """
+    lre, rre, norm = 1, 0, 1
+    width = _slot_width(norm)
+    for t in range(n):
+        norm <<= 1
+        lre, rre, width = _refit(lre, rre, norm, width, t + 1)
+        lre, rre = lre + rre, (lre - rre) << width
+    return lre, rre, norm, width
 
-    The first n/2 steps are `WaveFunction.step`'s, L' = L + R and
-    R' = (L - R) << w, on every slot; the remaining n/2 keep only the
-    origin's backward light cone.  A step moves amplitude one position, so
-    at time t only the positions |x| <= n - t can still reach 0 by time n.
-    Slot j of the cone at time t is position 2j - (n - t), so the cone has
-    n - t + 1 slots, and at t = n/2 it is the whole state.  From the forward
-    rule the next cone's slot j takes its left core from slot j + 1 and its
-    right core from slot j:
+
+def symmetric_distribution(n: int) -> Distribution:
+    """The exact distribution at time n of the Hadamard walk from the
+    symmetric qubit, from the real half alone.
+
+    By the mirror identity (see `_real_half`), the imaginary parts at slot k
+    are the real parts at slot n - k, so with sq[k] = Lre[k]^2 + Rre[k]^2
+    and the shared exponent n + 1 of 1/sqrt(2),
+
+        p(2k - n) = (sq[k] + sq[n - k]) / 2^(n+1)
+
+    (Konno, Quantum Inf. Process. 1 (2002) 345).  `distribution(evolve(...))`
+    gives the same values from all four parts, and verify compares the two.
+    """
+    if n < 0:
+        raise ValueError("time must be nonnegative")
+    _check_exact_time(n)
+    lre, rre, _, width = _real_half(n)
+    sq = [a * a + b * b for a, b in zip(_unpack(lre, width, n + 1), _unpack(rre, width, n + 1))]
+    probs = {2 * k - n: DyadicRational(sq[k] + sq[n - k], n + 1) for k in range(n + 1)}
+    return Distribution(n, probs)
+
+
+def return_probability_direct(n: int) -> DyadicRational:
+    """Exact p_n(0) for the Hadamard walk from the symmetric qubit.
+
+    The route steps only the real parts of the cores, two packed ints where
+    `WaveFunction` has four, and rebuilds the imaginary parts by the mirror
+    identity (see `_real_half`).  At the origin k = t - k = n/2, so
+    |L|^2 + |R|^2 there is 2(Lre^2 + Rre^2), and
+    p_n(0) = 2(Lre[n/2]^2 + Rre[n/2]^2) 2^-(n+1).
+
+    The first n/2 steps are `_real_half`'s, on every slot; the remaining n/2
+    keep only the origin's backward light cone.  A step moves amplitude one
+    position, so at time t only the positions |x| <= n - t can still reach
+    0 by time n.  Slot j of the cone at time t is position 2j - (n - t), so
+    the cone has n - t + 1 slots, and at t = n/2 it is the whole state.
+    From the forward rule the next cone's slot j takes its left core from
+    slot j + 1 and its right core from slot j:
 
         L' = (L + R) >> w,    R' = L - R.
 
@@ -424,31 +488,19 @@ def return_probability_direct(n: int) -> DyadicRational:
     above the cone; those slots hold positions beyond n - t, whose values
     reach only positions beyond n - t - 1 and so never flow back in.  They
     stay until the next widening, which repacks only the cone's slots.
-
-    The slots are sized from the real half's own summed squares, 1 at time
-    0.  (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a step doubles them, and
-    dropping a slot only removes some, so `norm << 1` stays an upper bound
-    on the summed squares of every slot, the cone's or not.  `_fits` and
-    `_slot_width` therefore size the slots as soundly as in `step`.
+    Dropping a slot only removes summed squares, so `norm << 1` stays an
+    upper bound on those of every slot, the cone's or not, and the slots
+    stay soundly sized.
     """
     if n < 0:
         raise ValueError("time must be nonnegative")
     if n % 2 == 1:
         return DyadicRational(0)
     _check_exact_time(n)
-    lre, rre, norm = 1, 0, 1
-    width = _slot_width(norm)
-    for t in range(n):
-        # the slots that matter at time t: all t + 1 up to n/2, then the cone
-        count = min(t, n - t) + 1
+    lre, rre, norm, width = _real_half(n // 2)
+    for t in range(n // 2, n):
         norm <<= 1
-        if not _fits(norm, width):
-            new_width = _slot_width(norm)
-            lre, rre = (_widen(p, width, new_width, count) for p in (lre, rre))
-            width = new_width
-        if 2 * t < n:
-            lre, rre = lre + rre, (lre - rre) << width
-        else:
-            lre, rre = (lre + rre + (1 << (width - 1))) >> width, lre - rre
+        lre, rre, width = _refit(lre, rre, norm, width, n - t + 1)
+        lre, rre = (lre + rre + (1 << (width - 1))) >> width, lre - rre
     lre, rre = _read_slot(lre, width, 0), _read_slot(rre, width, 0)
     return DyadicRational(2 * (lre * lre + rre * rre), n + 1)

@@ -42,14 +42,14 @@ def always_equal(monkeypatch):
     monkeypatch.setattr(DyadicRational, "__eq__", lambda self, other: True)
 
 
-def with_direct_route_edited(monkeypatch, old, new):
-    """Replace walk.return_probability_direct by its own source with the one
+def with_walk_function_edited(monkeypatch, name, old, new):
+    """Replace the function walk.<name> by its own source with the one
     occurrence of `old` replaced by `new`, run in walk's namespace."""
-    source = inspect.getsource(walk.return_probability_direct)
+    source = inspect.getsource(getattr(walk, name))
     assert source.count(old) == 1
     namespace = dict(vars(walk))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(walk, "return_probability_direct", namespace["return_probability_direct"])
+    monkeypatch.setattr(walk, name, namespace[name])
 
 
 @pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
@@ -76,7 +76,8 @@ def test_equality_that_always_holds_does_not_hide_a_wrong_distribution(
         return walk.Distribution(dist.time, probs)
 
     monkeypatch.setattr(walk, "distribution", distribution)
-    assert failed_rows(scope) == [f"normalization n<={n_max}", f"symmetry n<={n_max}"]
+    real_half = "real-half distribution = walk's, t<=30" + (" and t=99,100" if n_max == 100 else "")
+    assert failed_rows(scope) == [f"normalization n<={n_max}", f"symmetry n<={n_max}", real_half]
 
 
 @pytest.mark.parametrize("scope,n_max,m_max", [("fast", 30, 15), ("full", 100, 50)])
@@ -102,9 +103,18 @@ def test_equality_that_always_holds_does_not_hide_a_broken_pairing(
 )
 def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
     # edits of return_probability_direct alone: no other route runs it
-    with_direct_route_edited(monkeypatch, old, new)
+    with_walk_function_edited(monkeypatch, "return_probability_direct", old, new)
     assert failed_rows(scope) == ["value table p_0..p_18",
                                   f"four-oracle equality p_2n, n<={n_max}"]
+
+
+@pytest.mark.parametrize("scope,times", [("fast", "t<=30"), ("full", "t<=30 and t=99,100")])
+def test_unmirrored_real_half_distribution_fails_its_row(monkeypatch, scope, times):
+    # sq[k] read where the mirror identity puts sq[n - k]: an edit of
+    # simulate's engine alone, which no route runs
+    with_walk_function_edited(monkeypatch, "symmetric_distribution",
+                              "DyadicRational(sq[k] + sq[n - k]", "DyadicRational(sq[k] + sq[k]")
+    assert failed_rows(scope) == [f"real-half distribution = walk's, {times}"]
 
 
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):

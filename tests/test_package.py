@@ -25,14 +25,23 @@ def test_test_extra_lists_the_test_only_modules():
     assert sorted(names) == sorted(TEST_ONLY_MODULES)
 
 
+#: Every hadwalk module but the package itself.
+ALL_LAYERS = ["hadwalk.classical", "hadwalk.exactnum", "hadwalk.genfun", "hadwalk.pathsum",
+              "hadwalk.specfun", "hadwalk.verify", "hadwalk.walk"]
+
 #: What a fresh interpreter holds of hadwalk after importing one module alone:
-#: the package itself and the layers that module imports, never numpy.
+#: the package itself and the layers that module imports, never numpy, which
+#: only the float engine's methods import.
 LAYER_IMPORTS = {
     "hadwalk": ["hadwalk"],
     "hadwalk.exactnum": ["hadwalk", "hadwalk.exactnum"],
     "hadwalk.specfun": ["hadwalk", "hadwalk.specfun"],
     "hadwalk.genfun": ["hadwalk", "hadwalk.exactnum", "hadwalk.genfun", "hadwalk.specfun"],
     "hadwalk.classical": ["hadwalk", "hadwalk.classical", "hadwalk.specfun"],
+    "hadwalk.walk": ["hadwalk", "hadwalk.exactnum", "hadwalk.walk"],
+    "hadwalk.pathsum": ["hadwalk", "hadwalk.exactnum", "hadwalk.pathsum", "hadwalk.walk"],
+    "hadwalk.verify": ["hadwalk", *ALL_LAYERS],
+    "hadwalk.cli": sorted(["hadwalk", "hadwalk.cli", *ALL_LAYERS]),
 }
 
 
@@ -64,6 +73,26 @@ importlib.import_module({module!r})
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "hadwalk"), "numpy" in sys.modules)
 """
     assert run_fresh(script) == f"{LAYER_IMPORTS[module]} False\n"
+
+
+def test_exact_commands_run_without_numpy():
+    # every exact command leaves numpy unloaded; the first float simulate
+    # loads it
+    script = """
+import contextlib, io
+from hadwalk.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+for argv in (["verify", "--scope", "fast"], ["simulate", "-n", "9"],
+             ["return-prob", "-n", "40", "--method", "all"], ["genfun", "--z", "0.5"],
+             ["xi", "--l", "5", "--m", "7"], ["watson"]):
+    run(*argv)
+print("numpy" in sys.modules)
+run("simulate", "-n", "9", "--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6")
+print("numpy" in sys.modules)
+"""
+    assert run_fresh(script) == "False\nTrue\n"
 
 
 def test_commands_import_numpy_alone():

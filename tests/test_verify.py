@@ -13,6 +13,7 @@ FAST_CHECKS = [
     "closed row anchor C(2m,m)^2/2^(4m+1), m<=60",
     "normalization n<=30",
     "symmetry n<=30",
+    "real-half distribution = walk's, t<=30",
     "odd-time return zero n<=29",
     "pairing p_4m = p_4m+2, m<=15",
     "closed-form coefficients = DP, l,m<=12",
@@ -32,6 +33,7 @@ FULL_CHECKS = [
     "closed row anchor C(2m,m)^2/2^(4m+1), m<=200",
     "normalization n<=100",
     "symmetry n<=100",
+    "real-half distribution = walk's, t<=30 and t=99,100",
     "odd-time return zero n<=99",
     "pairing p_4m = p_4m+2, m<=50",
     "closed-form coefficients = DP, l,m<=30",

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hadwalk.walk import (
     distribution,
     evolve,
     return_probability_direct,
+    symmetric_distribution,
 )
 
 
@@ -268,6 +270,18 @@ class TestPackedEngine:
             want = walk._pack(values[:count], new_width)
             assert walk._widen(packed, width, new_width, count) == want, count
 
+    def test_widen_equals_packing_at_the_direct_route_sizes(self):
+        # 4001 slots at 2048 -> 2080 bits, as at T = 8000, seeded random with
+        # the extremes mixed in, and 100 nonzero slots above `count`
+        rng = random.Random(21)
+        width, new_width, count = 2048, 2080, 4001
+        top = (1 << (width - 1)) - 1
+        values = [rng.randint(-top, top) for _ in range(count + 100)]
+        values[::97] = [rng.choice((top, -top, 0, -1, 1)) for _ in values[::97]]
+        packed = walk._pack(values, width)
+        want = walk._pack(walk._unpack(packed, width, len(values))[:count], new_width)
+        assert walk._widen(packed, width, new_width, count) == want
+
     @pytest.mark.parametrize("width,count", [(8, 1), (8, 9), (40, 17), (536, 5)])
     def test_bias_is_the_closed_form(self, width, count):
         closed = (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
@@ -361,6 +375,39 @@ class TestLightCone:
         monkeypatch.setattr(walk, "evolve", refuse)
         monkeypatch.setattr(WaveFunction, "step", refuse)
         assert return_probability_direct(400) == genfun.p0_legendre(200)
+
+
+def int_pairs(dist):
+    """A distribution as (position, numerator, denom_exp) ints."""
+    return [(x, p.numerator, p.denom_exp) for x, p in dist.probs.items()]
+
+
+class TestRealHalfDistribution:
+    def test_equals_the_four_part_walk_at_every_small_time(self):
+        psi = WaveFunction.point_mass(QubitState.symmetric())
+        for t in range(65):
+            assert int_pairs(symmetric_distribution(t)) == int_pairs(distribution(psi)), t
+            psi = psi.step()
+
+    @pytest.mark.parametrize("n", [1001, 2000])
+    def test_equals_the_four_part_walk_at_large_times(self, n):
+        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n)
+        assert int_pairs(symmetric_distribution(n)) == int_pairs(distribution(psi))
+
+    def test_calls_neither_evolve_nor_step(self, monkeypatch):
+        # verify compares it with the four-part walk, so it must not be one
+        def refuse(*args):
+            raise AssertionError("the real-half engine called the four-part engine")
+
+        monkeypatch.setattr(walk, "evolve", refuse)
+        monkeypatch.setattr(WaveFunction, "step", refuse)
+        assert symmetric_distribution(40).at(0) == genfun.p0_legendre(20)
+
+    def test_refuses_negative_and_too_large_times(self):
+        with pytest.raises(ValueError, match="time must be nonnegative"):
+            symmetric_distribution(-1)
+        with pytest.raises(ValueError, match=f"MAX_EXACT_TIME = {MAX_EXACT_TIME};"):
+            symmetric_distribution(MAX_EXACT_TIME + 1)
 
 
 class TestMirrorIdentity:
