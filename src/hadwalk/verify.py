@@ -138,7 +138,7 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     closed route, so the direct row is compared on both.
 
     The direct row rebuilds the imaginary parts from the real ones by the
-    mirror identity (see walk.return_probability_direct).  At the origin at
+    mirror identity (proved in walk._real_half).  At the origin at
     an even time it reads Lim = -Rre and Rim = Lre, and the second row checks
     that on the walk's own cores, which do not assume it.
     walk.symmetric_distribution steps only the real parts too, and rebuilds
@@ -154,14 +154,14 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
             # the probabilities at positions -t..t as int pairs; they sum to
             # 1 exactly when the numerators, each brought to the largest
             # exponent top, sum to 2^top
-            dist = walk.distribution(psi).probs
-            pairs = [_pair(p) for p in dist.values()]
+            probs = walk.distribution(psi).probs
+            pairs = [_pair(p) for p in probs.values()]
             top = max(e for _, e in pairs)
             bad_norm += sum(num << (top - e) for num, e in pairs) != 1 << top
             bad_sym += pairs != pairs[::-1]
             if t <= REAL_HALF_TIMES or t >= n_max - 1:
                 half = walk.symmetric_distribution(t).probs
-                if list(half) != list(dist) or [_pair(p) for p in half.values()] != pairs:
+                if list(half) != list(probs) or [_pair(p) for p in half.values()] != pairs:
                     half_bad.append(t)
         if t % 2 == 0:
             gl, gr = psi.cores(0)

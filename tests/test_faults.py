@@ -32,6 +32,11 @@ from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
 from test_verify import with_route_off
 
 
+#: The row that compares walk.symmetric_distribution with the walk's own.
+REAL_HALF_ROW = {"fast": "real-half distribution = walk's, t<=30",
+                 "full": "real-half distribution = walk's, t<=30 and t=99,100"}
+
+
 def failed_rows(scope):
     return [c.name for c in verify.run_verify(scope).checks if not c.passed]
 
@@ -63,7 +68,7 @@ def test_equality_that_always_holds_does_not_hide_a_wrong_route(monkeypatch, sco
 def test_equality_that_always_holds_does_not_hide_a_wrong_distribution(
         monkeypatch, scope, n_max):
     # each distribution from time 3 on is off by 2^-40 at its top position,
-    # so it neither sums to 1 nor is symmetric
+    # so it neither sums to 1 nor is symmetric, nor equals the real half's
     always_equal(monkeypatch)
     right = walk.distribution
 
@@ -76,8 +81,8 @@ def test_equality_that_always_holds_does_not_hide_a_wrong_distribution(
         return walk.Distribution(dist.time, probs)
 
     monkeypatch.setattr(walk, "distribution", distribution)
-    real_half = "real-half distribution = walk's, t<=30" + (" and t=99,100" if n_max == 100 else "")
-    assert failed_rows(scope) == [f"normalization n<={n_max}", f"symmetry n<={n_max}", real_half]
+    assert failed_rows(scope) == [f"normalization n<={n_max}", f"symmetry n<={n_max}",
+                                  REAL_HALF_ROW[scope]]
 
 
 @pytest.mark.parametrize("scope,n_max,m_max", [("fast", 30, 15), ("full", 100, 50)])
@@ -108,13 +113,13 @@ def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
                                   f"four-oracle equality p_2n, n<={n_max}"]
 
 
-@pytest.mark.parametrize("scope,times", [("fast", "t<=30"), ("full", "t<=30 and t=99,100")])
-def test_unmirrored_real_half_distribution_fails_its_row(monkeypatch, scope, times):
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_unmirrored_real_half_distribution_fails_its_row(monkeypatch, scope):
     # sq[k] read where the mirror identity puts sq[n - k]: an edit of
     # simulate's engine alone, which no route runs
     with_walk_function_edited(monkeypatch, "symmetric_distribution",
                               "DyadicRational(sq[k] + sq[n - k]", "DyadicRational(sq[k] + sq[k]")
-    assert failed_rows(scope) == [f"real-half distribution = walk's, {times}"]
+    assert failed_rows(scope) == [REAL_HALF_ROW[scope]]
 
 
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):
