@@ -271,8 +271,9 @@ class TestPackedEngine:
             assert walk._widen(packed, width, new_width, count) == want, count
 
     def test_widen_equals_packing_at_the_direct_route_sizes(self):
-        # 4001 slots at 2048 -> 2080 bits, as at T = 8000, seeded random with
-        # the extremes mixed in, and 100 nonzero slots above `count`
+        # 4001 slots at 2048 -> 2080 bits, about what the direct route
+        # widens near T = 8000: seeded random values with the extremes mixed
+        # in, and 100 nonzero slots above `count`
         rng = random.Random(21)
         width, new_width, count = 2048, 2080, 4001
         top = (1 << (width - 1)) - 1
