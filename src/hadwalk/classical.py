@@ -73,13 +73,17 @@ def rw_return_prob(dim: int, n: int) -> Fraction:
     return one_d if dim == 1 else one_d * one_d
 
 
-def rw_gf(dim: int, z: float) -> float:
-    """Return-probability generating function: 1/sqrt(1-z^2) in 1D,
-    (2/pi) K(z) in 2D."""
+def _check_gf_args(dim: int, z: float) -> None:
     if dim not in (1, 2):
         raise ValueError("only dimensions 1 and 2 have closed-form generating functions")
     if not 0.0 <= z < 1.0:
         raise ValueError(f"z must lie in [0, 1), got {z}")
+
+
+def rw_gf(dim: int, z: float) -> float:
+    """Return-probability generating function: 1/sqrt(1-z^2) in 1D,
+    (2/pi) K(z) in 2D."""
+    _check_gf_args(dim, z)
     if dim == 1:
         return 1.0 / math.sqrt(1.0 - z * z)
     return 2.0 / math.pi * elliptic_k_agm(z)
@@ -87,7 +91,8 @@ def rw_gf(dim: int, z: float) -> float:
 
 def rw_gf_tail_bound(dim: int, z: float, truncation: int) -> float:
     """Tail of the generating-function series past N, from
-    C(2k,k)/4^k <= 1/sqrt(pi k)."""
+    C(2k,k)/4^k <= 1/sqrt(pi k), for the z and dims rw_gf takes."""
+    _check_gf_args(dim, z)
     if truncation < 4:
         raise ValueError("tail bound needs truncation >= 4")
     if z == 0.0:

@@ -81,7 +81,8 @@ def _cmd_simulate(args, em: Emitter) -> int:
     if args.coin == "hadamard":
         if args.entries is not None:
             raise ValueError("--entries requires --coin custom")
-        coin = walk.CoinMatrix.hadamard()
+        dist = walk.symmetric_distribution(args.time)
+        probs = ((x, str(p), float(p)) for x, p in dist.probs.items())
     else:
         if args.entries is None:
             raise ValueError("--coin custom requires --entries a,b,c,d")
@@ -89,10 +90,6 @@ def _cmd_simulate(args, em: Emitter) -> int:
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
-    if coin.is_exact:
-        dist = walk.symmetric_distribution(args.time)
-        probs = ((x, str(p), float(p)) for x, p in dist.probs.items())
-    else:
         psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
         probs = ((x, None, p) for x, p in psi.probabilities().items())
     entries = [

@@ -21,7 +21,8 @@ def _digits(n: int) -> str:
 
 
 class DyadicRational:
-    """numerator / 2^denom_exp, kept with the smallest possible exponent."""
+    """numerator / 2^denom_exp, kept with the smallest possible exponent.
+    It has no arithmetic: callers sum and compare (numerator, denom_exp)."""
 
     __slots__ = ("_num", "_exp")
 
@@ -62,9 +63,6 @@ class DyadicRational:
             raise ValueError(f"not a dyadic rational string: {text!r}")
         return cls(int(Decimal(m.group(1))), int(m.group(2)))
 
-    def to_fraction(self) -> Fraction:
-        return Fraction(self._num, 1 << self._exp)
-
     def to_decimal_string(self) -> str:
         """Exact terminating decimal expansion (n/2^k = n*5^k / 10^k)."""
         if self._exp == 0:
@@ -80,9 +78,9 @@ class DyadicRational:
     def __repr__(self) -> str:
         return f"DyadicRational({self._num}, {self._exp})"
 
-    def __hash__(self) -> int:
-        return hash((self._num, self._exp))
-
+    # no command compares through ==; it stays for the tests, and for the
+    # fault table in tests/test_faults.py, which patches it to show that no
+    # verify row trusts it
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = DyadicRational(other)
@@ -90,27 +88,14 @@ class DyadicRational:
             return self._num == other._num and self._exp == other._exp
         return NotImplemented
 
-    def __add__(self, other: DyadicRational | int) -> DyadicRational:
-        if isinstance(other, int):
-            other = DyadicRational(other)
-        if not isinstance(other, DyadicRational):
-            return NotImplemented
-        e = max(self._exp, other._exp)
-        num = (self._num << (e - self._exp)) + (other._num << (e - other._exp))
-        return DyadicRational(num, e)
-
-    __radd__ = __add__
-
     def __float__(self) -> float:
         # int true division rounds once, correctly, also past 2^1024
         return self._num / (1 << self._exp)
 
-    def __bool__(self) -> bool:
-        return self._num != 0
-
 
 class GaussianInteger:
-    """Element of Z[i] with arbitrary-precision components."""
+    """Element of Z[i] with arbitrary-precision components; callers compare
+    cores as (re, im)."""
 
     __slots__ = ("re", "im")
 
@@ -121,13 +106,9 @@ class GaussianInteger:
     def __repr__(self) -> str:
         return f"GaussianInteger({self.re}, {self.im})"
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = GaussianInteger(other)
-        if isinstance(other, GaussianInteger):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
+    # The five operators __add__, __radd__, __sub__, __mul__ and __rmul__
+    # stay because perfbench's tracer counts them as exactnum.gauss_ops;
+    # pathsum._symmetric_probability is their one caller.
     def __add__(self, other: GaussianInteger | int) -> GaussianInteger:
         if isinstance(other, int):
             other = GaussianInteger(other)
@@ -137,13 +118,10 @@ class GaussianInteger:
 
     __radd__ = __add__
 
-    def __neg__(self) -> GaussianInteger:
-        return GaussianInteger(-self.re, -self.im)
-
     def __sub__(self, other: GaussianInteger | int) -> GaussianInteger:
         if isinstance(other, int):
             other = GaussianInteger(other)
-        return self + (-other)
+        return GaussianInteger(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: GaussianInteger | int) -> GaussianInteger:
         if isinstance(other, int):

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .exactnum import DyadicRational
-from .specfun import central_binomial, elliptic_k_agm, legendre_p0
+from .specfun import central_binomial, elliptic_k_from_complement, legendre_p0
 
 # Largest truncation of the generating-function series.  The sum streams, so
 # its time grows linearly with the truncation and its memory stays flat:
@@ -127,9 +127,14 @@ def _rounded_pair_probability(c: int, m: int, bits: int) -> float:
 
 
 def gf_closed_form(z: float) -> float:
-    """Closed form (1+z^2)/pi * K(z^2) + 1/2 of the generating function."""
+    """Closed form (1+z^2)/pi * K(z^2) + 1/2 of the generating function.
+
+    K's complement 1 - z^4 is taken as the product (1 - z)(1 + z)(1 + z^2),
+    which has no cancellation near z = 1, where 1 - z^4 by subtraction does.
+    """
     _check_z(z)
-    return (1.0 + z * z) / math.pi * elliptic_k_agm(z * z) + 0.5
+    one_minus_z4 = (1.0 - z) * (1.0 + z) * (1.0 + z * z)
+    return (1.0 + z * z) / math.pi * elliptic_k_from_complement(one_minus_z4) + 0.5
 
 
 def tail_bound(z: float, truncation: int) -> float:

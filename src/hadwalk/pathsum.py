@@ -173,11 +173,6 @@ def _symmetric_probability(vec: PQRSVector) -> DyadicRational:
     return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 1 + qubit.scale_exp)
 
 
-def path_sum_probability(steps: StepPair) -> DyadicRational:
-    """Squared norm of the path-sum applied to the symmetric qubit (DP route)."""
-    return _symmetric_probability(path_sum_dp(steps))
-
-
 def return_probability_paths(n: int) -> DyadicRational:
     """Exact p_{2n}(0) from the closed-form coefficients at l = m = n."""
     if n < 1:

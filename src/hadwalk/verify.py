@@ -151,17 +151,14 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     for t in range(1, 2 * n_max + 1):
         psi = psi.step()
         if t <= n_max:
-            # the probabilities at positions -t..t as int pairs; they sum to
-            # 1 exactly when the numerators, each brought to the largest
-            # exponent top, sum to 2^top
-            probs = walk.distribution(psi).probs
-            pairs = [_pair(p) for p in probs.values()]
-            top = max(e for _, e in pairs)
-            bad_norm += sum(num << (top - e) for num, e in pairs) != 1 << top
+            # the probabilities at positions -t..t as int pairs
+            dist = walk.distribution(psi)
+            pairs = [_pair(p) for p in dist.probs.values()]
+            bad_norm += _pair(dist.total()) != (1, 0)
             bad_sym += pairs != pairs[::-1]
             if t <= REAL_HALF_TIMES or t >= n_max - 1:
                 half = walk.symmetric_distribution(t).probs
-                if list(half) != list(probs) or [_pair(p) for p in half.values()] != pairs:
+                if list(half) != list(dist.probs) or [_pair(p) for p in half.values()] != pairs:
                     half_bad.append(t)
         if t % 2 == 0:
             gl, gr = psi.cores(0)

@@ -12,7 +12,7 @@ is L' = L + R, R' = (L - R) << w on each pair: a few big-int operations and
 no per-position Python work.  From the symmetric qubit the imaginary parts
 are the real parts mirrored, so symmetric_distribution, which simulate
 runs, and return_probability_direct step only the real pair; WaveFunction
-keeps all four parts, as the reference verify checks them against.
+keeps all four parts, as verify's reference.  evolve runs only the float one.
 
 Both engines store only the time's parity.  The walk moves every amplitude
 one position per step, so at time t only the t + 1 positions x = 2k - t
@@ -114,34 +114,14 @@ def _read_slot(packed: int, width: int, k: int) -> int:
 
 
 class CoinMatrix:
-    """2x2 unitary coin [[a, b], [c, d]].
+    """Unitary coin [[a, b], [c, d]] of the float engine (the exact engines
+    step HADAMARD_CORES); ValueError names any violated unitarity condition."""
 
-    Only the coin from hadamard() is exact: its entries are HADAMARD_CORES
-    times 1/sqrt(2), and the exact engine steps it on those integer cores.
-    Any other coin is a float coin; the constructor raises ValueError naming
-    any violated unitarity condition.
-    """
-
-    __slots__ = ("a", "b", "c", "d", "_exact")
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
-        self.a = complex(a)
-        self.b = complex(b)
-        self.c = complex(c)
-        self.d = complex(d)
-        self._exact = False
+        self.a, self.b, self.c, self.d = map(complex, (a, b, c, d))
         self._validate_unitary()
-
-    @classmethod
-    def hadamard(cls) -> CoinMatrix:
-        r = 2.0**-0.5
-        coin = cls(*(core * r for core in HADAMARD_CORES))
-        coin._exact = True
-        return coin
-
-    @property
-    def is_exact(self) -> bool:
-        return self._exact
 
     def _validate_unitary(self) -> None:
         entries = dict(zip("abcd", (self.a, self.b, self.c, self.d)))
@@ -167,8 +147,7 @@ class CoinMatrix:
             )
 
     def __repr__(self) -> str:
-        kind = "exact" if self.is_exact else "float"
-        return f"CoinMatrix({self.a}, {self.b}, {self.c}, {self.d}; {kind})"
+        return f"CoinMatrix({self.a}, {self.b}, {self.c}, {self.d})"
 
 
 class QubitState:
@@ -348,10 +327,10 @@ class Distribution:
     probs: dict[int, DyadicRational]
 
     def total(self) -> DyadicRational:
-        return sum(self.probs.values(), DyadicRational(0))
-
-    def at(self, x: int) -> DyadicRational:
-        return self.probs.get(x, DyadicRational(0))
+        # an int sum, each numerator brought to the largest exponent
+        probs = self.probs.values()
+        top = max(p.denom_exp for p in probs)
+        return DyadicRational(sum(p.numerator << (top - p.denom_exp) for p in probs), top)
 
 
 def _check_exact_time(n: int) -> None:
@@ -364,16 +343,10 @@ def _check_exact_time(n: int) -> None:
         )
 
 
-def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> WaveFunction | FloatWaveFunction:
-    """n steps from a point mass at the origin."""
+def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> FloatWaveFunction:
+    """n float steps of `coin` from a point mass at the origin."""
     if n < 0:
         raise ValueError("time must be nonnegative")
-    if coin.is_exact:
-        _check_exact_time(n)
-        psi = WaveFunction.point_mass(initial)
-        for _ in range(n):
-            psi = psi.step()
-        return psi
     if n > MAX_FLOAT_TIME:
         raise ValueError(
             f"time {n} is above the float engine's limit MAX_FLOAT_TIME = "
@@ -450,7 +423,7 @@ def symmetric_distribution(n: int) -> Distribution:
 
         p(2k - n) = (sq[k] + sq[n - k]) / 2^(n+1)
 
-    (Konno, Quantum Inf. Process. 1 (2002) 345).  `distribution(evolve(...))`
+    (Konno, Quantum Inf. Process. 1 (2002) 345).  A stepped `WaveFunction`
     gives the same values from all four parts, and verify compares the two.
     """
     if n < 0:

@@ -65,6 +65,21 @@ class TestGeneratingFunctions:
         with pytest.raises(ValueError):
             rw_gf(3, 0.5)
 
+    @pytest.mark.parametrize("dim,z,message", [
+        (3, 0.5, "only dimensions 1 and 2"),
+        (0, 0.5, "only dimensions 1 and 2"),
+        (1, -0.5, r"z must lie in \[0, 1\), got -0.5"),
+        (2, 1.5, r"z must lie in \[0, 1\), got 1.5"),
+        (1, 1.0, r"z must lie in \[0, 1\), got 1.0"),
+        (2, float("nan"), r"z must lie in \[0, 1\), got nan"),
+    ])
+    def test_tail_bound_refuses_what_rw_gf_refuses(self, dim, z, message):
+        # before, dim 3 gave the 1-D bound, z = -0.5 and 1.5 negative
+        # bounds, z = 1 a ZeroDivisionError and NaN a NaN
+        for call in (lambda: rw_gf(dim, z), lambda: rw_gf_tail_bound(dim, z, 10)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_tail_bound_actually_bounds(self):
         for dim in (1, 2):
             for z in (0.3, 0.6):

@@ -29,7 +29,7 @@ from hadwalk import genfun, pathsum, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
 
-from test_verify import with_route_off
+from test_verify import plus, with_route_off
 
 
 #: The row that compares walk.symmetric_distribution with the walk's own.
@@ -77,7 +77,7 @@ def test_equality_that_always_holds_does_not_hide_a_wrong_distribution(
         if dist.time < 3:
             return dist
         probs = dict(dist.probs)
-        probs[dist.time] += DyadicRational(1, 40)
+        probs[dist.time] = plus(probs[dist.time], DyadicRational(1, 40))
         return walk.Distribution(dist.time, probs)
 
     monkeypatch.setattr(walk, "distribution", distribution)
@@ -93,7 +93,7 @@ def test_equality_that_always_holds_does_not_hide_a_broken_pairing(
     always_equal(monkeypatch)
     right = genfun.p0_legendre
     monkeypatch.setattr(genfun, "p0_legendre",
-                        lambda n: right(n) + DyadicRational(1, 60) if n == 21 else right(n))
+                        lambda n: plus(right(n), DyadicRational(1, 60)) if n == 21 else right(n))
     assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}",
                                   f"pairing p_4m = p_4m+2, m<={m_max}"]
 

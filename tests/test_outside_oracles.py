@@ -1,4 +1,5 @@
-"""K(k) and Watson's G against mpmath at 30 digits.
+"""K(k), Watson's G and the generating function's closed form against
+mpmath at 30 digits.
 
 mpmath is a test-only dependency.  Each tolerance is a first-order rounding
 bound for the float evaluation, derived in the comments below; U = 2^-53 is
@@ -13,7 +14,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from hadwalk import classical, specfun
+from hadwalk import classical, genfun, specfun
 
 U = 2.0**-53
 
@@ -39,30 +40,39 @@ class CountingMath:
         return math.sqrt(x)
 
 
-def agm_value_and_bound(monkeypatch, k):
-    """elliptic_k_agm(k) and a bound on its relative error.
+def with_agm_bound(monkeypatch, call):
+    """call() and a bound on the relative error of the one K it computes,
+    against K at the complement s = 1 - k^2 that reached the AGM, exactly:
 
-    s = fl(1 - fl(k k)) is the AGM's input; its relative error eps_s against
-    1 - k^2 is measured exactly in mpmath.  After it:
-    - b0 = sqrt(s) is off by eps_s / 2 + U.  M(a, b) is homogeneous of degree
-      1 and increasing in both arguments, so a relative change of at most e
-      in a or b changes M by at most e.
+    - b0 = sqrt(s) is off by U.  M(a, b) is homogeneous of degree 1 and
+      increasing in both arguments, so a relative change of at most e in a
+      or b changes M by at most e.
     - Each iteration rounds a' = (a + b) / 2 once (U) and b' = sqrt(a b)
       twice (U / 2 + U), so it moves M by at most 1.5 U; 2 U per iteration
       also covers the second-order terms.
     - The loop stops when |a - b| <= 4 ulp(1) a = 8 U a, and b <= M <= a, so
       the returned a is within 8 U of M.
     - fl(pi) / (2 a) adds 2 U: pi's rounding and the division's.
+
+    A relative error eps_s of s itself moves b0, and so K, by eps_s / 2 more.
     """
     counter = CountingMath()
     with monkeypatch.context() as patch:
         patch.setattr(specfun, "math", counter)
-        value = specfun.elliptic_k_agm(k)
+        value = call()
     iterations = counter.sqrts - 1
     assert iterations < specfun._AGM_MAX_ITER  # converged, so the 8 U step holds
+    return value, U + 2 * U * iterations + 8 * U + 2 * U
+
+
+def agm_value_and_bound(monkeypatch, k):
+    """elliptic_k_agm(k) and a bound on its relative error.  s = fl(1 - fl(k k))
+    is the AGM's input; its relative error eps_s against 1 - k^2 is measured
+    exactly in mpmath."""
+    value, agm_rel = with_agm_bound(monkeypatch, lambda: specfun.elliptic_k_agm(k))
     m_comp = 1 - mpf(k) ** 2
     eps_s = float(abs(mpf(1.0 - k * k) - m_comp) / m_comp)
-    return value, eps_s / 2 + U + 2 * U * iterations + 8 * U + 2 * U
+    return value, eps_s / 2 + agm_rel
 
 
 def k_values():
@@ -111,4 +121,27 @@ def test_watson_g_closed_against_mpmath_surd_form(monkeypatch):
     bound = prefactor_rel + 2 * k_rel + 5 * U + 3 * U
 
     value = classical.watson_g_closed()
+    assert abs(mpf(value) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 0.7, 0.9, 0.98, 0.99, 0.999, 0.9999, 0.99999,
+                               0.999999, 1 - 2.0**-30, 1 - 2.0**-52])
+def test_gf_closed_form_against_mpmath(monkeypatch, z):
+    """(1 + z^2)/pi K(z^2) + 1/2, K at the modulus z^2, so at the complement
+    1 - z^4.
+
+    The complement s = fl(fl(fl(1 - z) fl(1 + z)) fl(1 + fl(z z))): 1 - z,
+    1 + z, z z, 1 + z z and the two products each round once, and z z's
+    error reaches 1 + z z scaled by z^2 / (1 + z^2) <= 1/2.  So s is off by
+    at most 5.5 U relative, to first order; 6 U is taken, and K moves by half
+    of it (with_agm_bound).  Subtracting z^4 from 1 instead would lose
+    |log2(1 - z^4)| bits near z = 1: 2.6e-13 relative at z = 0.999999.
+    The prefactor fl(1 + z z) / fl(pi) is off by 1.5 U + 2 U and its product
+    with K by U more.  That product lies below the result, so its error is
+    at most its relative error times the result; the + 1/2 adds U of it.
+    """
+    value, agm_rel = with_agm_bound(monkeypatch, lambda: genfun.gf_closed_form(z))
+    bound = 6 * U / 2 + agm_rel + 1.5 * U + 2 * U + U + U
+    zz = mpf(z)
+    exact = (1 + zz**2) / mpmath.pi * mpmath.ellipk(zz**4) + mpf(1) / 2
     assert abs(mpf(value) - exact) <= bound * exact

@@ -115,3 +115,29 @@ print(sorted(m for m in {TEST_ONLY_MODULES!r} if m in sys.modules))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_failing_property_test_does_not_end_the_session(tmp_path):
+    # with warnings as errors, hypothesis's failure report (which imports
+    # libcst) must not turn one failed @given test into an INTERNALERROR that
+    # stops every later test
+    (tmp_path / "test_one_fails.py").write_text('''
+from hypothesis import given, settings, strategies as st
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+def test_passes():
+    pass
+''')
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_one_fails.py"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -13,12 +13,12 @@ from hadwalk.pathsum import (
     path_sum_closed,
     path_sum_dp,
     path_sum_grid,
-    path_sum_probability,
     return_probability_paths,
 )
-from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, distribution, evolve
+from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, WaveFunction, distribution
 
-HADAMARD = CoinMatrix.hadamard()
+#: the Hadamard coin in floats
+HADAMARD = CoinMatrix(*(core * 2**-0.5 for core in HADAMARD_CORES))
 
 
 # -- exact 2x2 matrices, used as the literal-product oracle.  A value is an
@@ -233,15 +233,18 @@ class TestReturnProbability:
         assert return_probability_paths(n) == expected
 
     def test_consistency_with_evolution(self):
+        # the DP's probability at every endpoint -l + m against the exact walk
+        psi = WaveFunction.point_mass(QubitState.symmetric())
         for n in range(1, 13):
-            dist = distribution(evolve(QubitState.symmetric(), HADAMARD, n))
-            total = DyadicRational(0)
-            for l in range(n + 1):
-                m = n - l
-                p = path_sum_probability(StepPair(l, m))
-                assert p == dist.at(m - l), (l, m)
-                total = total + p
-            assert total == DyadicRational(1)
+            psi = psi.step()
+            want = [(x, p.numerator, p.denom_exp) for x, p in distribution(psi).probs.items()]
+            got = []
+            for l in range(n, -1, -1):
+                p = pathsum._symmetric_probability(path_sum_dp(StepPair(l, n - l)))
+                got.append((n - 2 * l, p.numerator, p.denom_exp))
+            assert got == want, n
+            top = max(e for _, _, e in got)
+            assert sum(num << (top - e) for _, num, e in got) == 1 << top, n
 
 
 class TestStepPair:

@@ -55,33 +55,20 @@ big = st.integers(-(10**40), 10**40)
 gaussians = st.builds(GaussianInteger, big, big)
 
 
+def core(g: GaussianInteger) -> tuple[int, int]:
+    return g.re, g.im
+
+
 @PROPERTY
 @given(gaussians, gaussians, gaussians)
 def test_gaussian_ring_laws(a, b, c):
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert core(a + b) == core(b + a)
+    assert core(a * b) == core(b * a)
+    assert core((a + b) + c) == core(a + (b + c))
+    assert core((a * b) * c) == core(a * (b * c))
+    assert core(a * (b + c)) == core(a * b + a * c)
+    assert core(a * (b - c)) == core(a * b - a * c)
     assert (a * b).norm_sq() == a.norm_sq() * b.norm_sq()
-
-
-#: numerators with up to 60 factors of 2, so that results must be reduced
-dyadics = st.builds(
-    lambda k, j, e: DyadicRational(k << j, e), big, st.integers(0, 60), st.integers(0, 200)
-)
-
-
-def in_lowest_terms(x: DyadicRational) -> bool:
-    return x.numerator % 2 == 1 or x.denom_exp == 0
-
-
-@PROPERTY
-@given(dyadics, dyadics)
-def test_dyadic_arithmetic_matches_fraction(x, y):
-    fx, fy = x.to_fraction(), y.to_fraction()
-    assert (x + y).to_fraction() == fx + fy
-    assert all(in_lowest_terms(v) for v in (x, y, x + y))
 
 
 @settings(PROPERTY, max_examples=10)
@@ -90,7 +77,7 @@ def test_covering_routes_agree(n):
     # the direct row's engine grows as n^3: 0.9 s at n = 2000 on one x86-64 core
     values = {r.name: r.value(n) for r in verify.ROUTES if r.covers(n)}
     assert {"direct", "prop1"} <= values.keys()
-    assert len(set(values.values())) == 1, (n, values)
+    assert len({(v.numerator, v.denom_exp) for v in values.values()}) == 1, (n, values)
 
 
 def strip_twos_by_bits(numerator: int, denom_exp: int) -> tuple[int, int]:

@@ -52,12 +52,19 @@ FULL_CHECKS = [
 ]
 
 
+def plus(x, y):
+    """x + y for two DyadicRationals, summed as ints at the larger exponent."""
+    e = max(x.denom_exp, y.denom_exp)
+    num = (x.numerator << (e - x.denom_exp)) + (y.numerator << (e - y.denom_exp))
+    return DyadicRational(num, e)
+
+
 def with_route_off(monkeypatch, route, at, delta):
     """Replace one row of verify.ROUTES by one whose value is off by delta at
     the given time and right everywhere else."""
 
     def value(n, right=route.value):
-        return right(n) + delta if n == at else right(n)
+        return plus(right(n), delta) if n == at else right(n)
 
     rows = tuple(r._replace(value=value) if r is route else r for r in verify.ROUTES)
     monkeypatch.setattr(verify, "ROUTES", rows)

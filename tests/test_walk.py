@@ -3,13 +3,16 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hadwalk import genfun, verify, walk
 from hadwalk.cli import main
-from hadwalk.exactnum import DyadicRational, G_I, G_ONE, G_ZERO, GaussianInteger
+from hadwalk.exactnum import DyadicRational, G_ONE, G_ZERO, GaussianInteger
 from hadwalk.walk import (
     MAX_EXACT_TIME,
     CoinMatrix,
@@ -21,6 +24,8 @@ from hadwalk.walk import (
     return_probability_direct,
     symmetric_distribution,
 )
+
+from test_verify import plus
 
 
 def brute_force_distribution(n):
@@ -41,12 +46,20 @@ def brute_force_distribution(n):
     return {pos: float(np.vdot(vec, vec).real) for pos, vec in amps.items()}
 
 
-class TestCoinMatrix:
-    def test_hadamard_is_exact(self):
-        coin = CoinMatrix.hadamard()
-        assert coin.is_exact
-        assert coin.a == pytest.approx(2**-0.5)
+def exact_walk(qubit, n):
+    """The four-part exact walk n steps from a point mass, as verify steps it."""
+    psi = WaveFunction.point_mass(qubit)
+    for _ in range(n):
+        psi = psi.step()
+    return psi
 
+
+def int_cores(pairs):
+    """(left, right) Gaussian-integer core pairs as (Lre, Lim, Rre, Rim) ints."""
+    return [(gl.re, gl.im, gr.re, gr.im) for gl, gr in pairs]
+
+
+class TestCoinMatrix:
     def test_unitarity_violations_named(self):
         with pytest.raises(ValueError, match=r"\|a\|\^2\+\|c\|\^2"):
             CoinMatrix(1.0, 0.0, 0.5, 1.0)
@@ -85,7 +98,8 @@ class TestQubitState:
 
     def test_symmetric_cores(self):
         q = QubitState.symmetric()
-        assert (q.left, q.right, q.scale_exp) == (G_ONE, G_I, 1)
+        assert int_cores([(q.left, q.right)]) == [(1, 0, 0, 1)]
+        assert q.scale_exp == 1
         assert q.to_complex() == (2**-0.5 + 0j, 2**-0.5 * 1j)
 
     def test_unnormalized_rejected(self):
@@ -112,32 +126,28 @@ class TestQubitState:
             for x, (gl, gr) in zip(range(-t, t + 1), pairs)
             if (x + t) % 2 == 0
         }
-        psi = evolve(QubitState(G_ONE, G_ZERO, 0), CoinMatrix.hadamard(), t)
-        assert distribution(psi).probs == want
+        assert distribution(exact_walk(QubitState(G_ONE, G_ZERO, 0), t)).probs == want
 
 
 class TestExactEngine:
     def test_single_step_amplitudes(self):
-        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 1)
+        psi = exact_walk(QubitState.symmetric(), 1)
         # (1/2)(1+i) |L> at x=-1 and (1/2)(1-i) |R> at x=+1
         assert psi.scale_exp == 2
-        assert psi.cores(-1) == (GaussianInteger(1, 1), G_ZERO)
-        assert psi.cores(1) == (G_ZERO, GaussianInteger(1, -1))
-        dist = distribution(psi)
-        assert dist.at(-1) == DyadicRational(1, 1)
-        assert dist.at(1) == DyadicRational(1, 1)
+        assert int_cores([psi.cores(-1), psi.cores(1)]) == [(1, 1, 0, 0), (0, 0, 1, -1)]
+        assert distribution(psi).probs == {-1: DyadicRational(1, 1), 1: DyadicRational(1, 1)}
 
     def test_zero_state_stays_zero(self):
         zero = WaveFunction(0, 0, [(G_ZERO, G_ZERO)])
         stepped = zero.step()
-        assert dense_pairs(stepped) == [(G_ZERO, G_ZERO)] * 3
+        assert int_cores(dense_pairs(stepped)) == [(0, 0, 0, 0)] * 3
 
     def test_time_zero_is_point_mass(self):
-        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 0)
+        psi = WaveFunction.point_mass(QubitState.symmetric())
         assert distribution(psi).probs == {0: DyadicRational(1)}
 
     def test_two_step_distribution(self):
-        dist = distribution(evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 2))
+        dist = distribution(exact_walk(QubitState.symmetric(), 2))
         assert dist.probs == {
             -2: DyadicRational(1, 2),
             0: DyadicRational(1, 1),
@@ -147,9 +157,9 @@ class TestExactEngine:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 10])
     def test_against_brute_force(self, n):
         oracle = brute_force_distribution(n)
-        dist = distribution(evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n))
-        for x in dist.probs:
-            assert float(dist.at(x)) == pytest.approx(oracle.get(x, 0.0), abs=1e-12)
+        dist = distribution(exact_walk(QubitState.symmetric(), n))
+        for x, p in dist.probs.items():
+            assert float(p) == pytest.approx(oracle.get(x, 0.0), abs=1e-12)
 
     @pytest.mark.parametrize(
         "n,expected",
@@ -175,17 +185,26 @@ class TestExactEngine:
             psi = psi.step()
             dist = distribution(psi)
             assert dist.total() == DyadicRational(1)
-            assert all(dist.at(x) == dist.at(-x) for x in dist.probs)
+            assert all(dist.probs[x] == dist.probs[-x] for x in dist.probs)
             # off-parity positions hold no amplitude
             for x in range(-psi.time, psi.time + 1):
                 if (x - psi.time) % 2 != 0:
-                    assert psi.cores(x) == (G_ZERO, G_ZERO)
+                    assert int_cores([psi.cores(x)]) == [(0, 0, 0, 0)]
 
     def test_asymmetric_initial_qubit(self):
         left_only = QubitState(GaussianInteger(1), G_ZERO, 0)
-        dist = distribution(evolve(left_only, CoinMatrix.hadamard(), 6))
+        dist = distribution(exact_walk(left_only, 6))
         assert dist.total() == DyadicRational(1)
-        assert dist.at(-2) != dist.at(2)
+        assert dist.probs[-2] != dist.probs[2]
+
+    def test_total_is_one_only_for_a_normalized_distribution(self):
+        # one probability raised by 2^-40: its int sum is 1 + 2^-40
+        dist = symmetric_distribution(10)
+        assert (dist.total().numerator, dist.total().denom_exp) == (1, 0)
+        probs = dict(dist.probs)
+        probs[10] = plus(probs[10], DyadicRational(1, 40))
+        total = walk.Distribution(10, probs).total()
+        assert (total.numerator, total.denom_exp) == ((1 << 40) + 1, 40)
 
 
 def dense_pairs(psi):
@@ -230,21 +249,20 @@ class TestPackedEngine:
             pairs = reference_step(pairs)
             widths.add(psi._width)
             assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
-            assert dense_pairs(psi) == pairs, t
+            assert int_cores(dense_pairs(psi)) == int_cores(pairs), t
         assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
 
     def test_single_slot_reads_match_unpacked_state(self):
         # at T = 41 and at the first time after the slots widen
-        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), 41)
+        psi = exact_walk(QubitState.symmetric(), 41)
         widened = psi.step()
         while widened._width == psi._width:
             widened = widened.step()
         for state in (psi, widened):
             parts = (walk._unpack(p, state._width, state.time + 1) for p in state._parts)
-            want = [(GaussianInteger(a, b), GaussianInteger(c, d)) for a, b, c, d in zip(*parts)]
-            pairs = dense_pairs(state)
-            assert pairs[::2] == want, state.time
-            assert all(pair == (G_ZERO, G_ZERO) for pair in pairs[1::2]), state.time
+            pairs = int_cores(dense_pairs(state))
+            assert pairs[::2] == list(zip(*parts)), state.time
+            assert pairs[1::2] == [(0, 0, 0, 0)] * state.time, state.time
 
     @pytest.mark.parametrize("n", [1002, 1600])
     def test_deep_return_probability_matches_legendre(self, n):
@@ -325,8 +343,6 @@ class TestPackedEngine:
         # the cone evolves only to n/2, so the route states the cap itself
         with pytest.raises(ValueError, match=f"MAX_EXACT_TIME = {MAX_EXACT_TIME};"):
             return_probability_direct(MAX_EXACT_TIME + 2)
-        with pytest.raises(ValueError, match=f"MAX_EXACT_TIME = {MAX_EXACT_TIME};"):
-            evolve(QubitState.symmetric(), CoinMatrix.hadamard(), MAX_EXACT_TIME + 2)
 
 
 class TestLightCone:
@@ -392,7 +408,7 @@ class TestRealHalfDistribution:
 
     @pytest.mark.parametrize("n", [1001, 2000])
     def test_equals_the_four_part_walk_at_large_times(self, n):
-        psi = evolve(QubitState.symmetric(), CoinMatrix.hadamard(), n)
+        psi = exact_walk(QubitState.symmetric(), n)
         assert int_pairs(symmetric_distribution(n)) == int_pairs(distribution(psi))
 
     def test_calls_neither_evolve_nor_step(self, monkeypatch):
@@ -402,7 +418,7 @@ class TestRealHalfDistribution:
 
         monkeypatch.setattr(walk, "evolve", refuse)
         monkeypatch.setattr(WaveFunction, "step", refuse)
-        assert symmetric_distribution(40).at(0) == genfun.p0_legendre(20)
+        assert symmetric_distribution(40).probs[0] == genfun.p0_legendre(20)
 
     def test_refuses_negative_and_too_large_times(self):
         with pytest.raises(ValueError, match="time must be nonnegative"):
@@ -598,18 +614,13 @@ class TestFloatEngine:
         floats = psi_f.probabilities()
         assert set(floats) == set(exact.probs)
         for x, p in floats.items():
-            assert p == pytest.approx(float(exact.at(x)), abs=1e-12)
+            assert p == pytest.approx(float(exact.probs[x]), abs=1e-12)
 
     def test_general_coin_normalization(self):
         coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
         psi = evolve(QubitState.symmetric(), coin, 40)
         probs = psi.probabilities()
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_step_dispatch_demotes_exact_coin(self):
-        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
-        out = psi.step(CoinMatrix.hadamard())
-        assert isinstance(out, FloatWaveFunction)
 
     @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
     def test_bit_identical_to_full_width_stepper(self, coin):
@@ -659,6 +670,45 @@ class TestFloatEngine:
         norms = np.linalg.norm(stepped) + np.linalg.norm(oracle)
         slack = 8 * U * (probs.sum() + oracle_probs.sum())
         assert np.abs(probs - oracle_probs).sum() <= norms * bound + slack
+
+    @settings(deadline=None, database=None, derandomize=True, max_examples=10)
+    @given(st.integers(0, 1500))
+    @example(1500)
+    def test_rounded_hadamard_coin_matches_the_real_half_engine(self, t):
+        """The float engine with the Hadamard coin rounded to floats against
+        the exact distribution of symmetric_distribution, which shares no
+        code with it, in L1 over positions.
+
+        Let psi be the exact walk with the exact coin H and qubit
+        phi = (1, i)/sqrt2, psi' the exact walk with the float coin C and
+        float qubit phi~ = (r, i r), r = fl(1/sqrt2), and psi~ the stepped
+        state.  Then ||psi~ - psi|| <= E with E the sum of
+        - ||psi~ - psi'|| <= engine_error_bound(C, phi~, t);
+        - ||psi' - psi|| <= t coin_growth(t) ||C - H|| ||phi~|| + ||phi~ - phi||,
+          from W_C^t - W_H^t = sum_n W_C^(t-1-n) (W_C - W_H) W_H^n with
+          ||W_H|| = 1 and ||W_C - W_H|| = ||C - H||.  Every entry of C and
+          of phi~ is off by delta = |r - 1/sqrt2| = |r^2 - 1/2| / (r + 1/sqrt2),
+          and r + 1/sqrt2 > 1.4, so ||C - H|| <= ||C - H||_F = 2 delta and
+          ||phi~ - phi|| = sqrt2 delta.
+        As in test_matches_fourier_oracle_within_roundoff_bound,
+        sum_x | |u_x|^2 - |v_x|^2 | <= (||u|| + ||v||) ||u - v||, with
+        ||psi|| = 1 and ||psi~|| <= 1 + E, plus the rounding of each side's
+        probabilities: 8 u of the float sums, and float() of an exact value
+        rounds it by at most u of itself.
+        """
+        r = 2**-0.5
+        coin = CoinMatrix(r, r, r, -r)
+        qubit = QubitState.symmetric().to_complex()
+        delta = float(abs(Fraction(r) ** 2 - Fraction(1, 2))) / 1.4 * (1 + 2 * U)
+        qubit_norm = math.hypot(*map(abs, qubit)) * (1 + 2 * U)
+        bound = (engine_error_bound(coin, qubit, t)
+                 + t * coin_growth(t) * 2 * delta * qubit_norm + math.sqrt(2) * delta)
+        floats = evolve(QubitState.symmetric(), coin, t).probabilities()
+        exact = {x: float(p) for x, p in symmetric_distribution(t).probs.items()}
+        assert list(floats) == list(exact)
+        l1 = math.fsum(abs(floats[x] - exact[x]) for x in exact)
+        slack = 8 * U * (math.fsum(floats.values()) + math.fsum(exact.values()))
+        assert l1 <= (2 + bound) * bound + slack, (t, l1, bound)
 
     def test_time_limit_boundary(self, monkeypatch):
         coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
