@@ -131,9 +131,11 @@ def gf_closed_form(z: float) -> float:
 
     K's complement 1 - z^4 is taken as the product (1 - z)(1 + z)(1 + z^2),
     which has no cancellation near z = 1, where 1 - z^4 by subtraction does.
+    For small z its four roundings can lift the product to 1 + 2^-52; the
+    true complement is at most 1, so clamping to 1 only moves it closer.
     """
     _check_z(z)
-    one_minus_z4 = (1.0 - z) * (1.0 + z) * (1.0 + z * z)
+    one_minus_z4 = min(1.0, (1.0 - z) * (1.0 + z) * (1.0 + z * z))
     return (1.0 + z * z) / math.pi * elliptic_k_from_complement(one_minus_z4) + 0.5
 
 

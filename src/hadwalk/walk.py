@@ -120,7 +120,10 @@ class CoinMatrix:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex) -> None:
-        self.a, self.b, self.c, self.d = map(complex, (a, b, c, d))
+        self.a = complex(a)
+        self.b = complex(b)
+        self.c = complex(c)
+        self.d = complex(d)
         self._validate_unitary()
 
     def _validate_unitary(self) -> None:

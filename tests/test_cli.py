@@ -378,6 +378,12 @@ class TestGenfun:
         assert doc["tail_bound"] <= 1e-12
         assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
 
+    def test_small_z_whose_complement_rounds_above_one(self, capsys):
+        # (1 - z)(1 + z)(1 + z^2) rounds to 1 + 2^-52 at this z
+        doc = run_json(capsys, "genfun", "--z", "2.8367682571105613e-08")
+        assert abs(doc["rhs_closed"] - 1.0) <= 1e-15  # p_0 = 1
+        assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
+
     def test_explicit_truncation(self, capsys):
         doc = run_json(capsys, "genfun", "--z", "0.3", "--truncate", "60")
         assert doc["truncation"] == 60

