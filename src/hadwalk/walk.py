@@ -19,8 +19,12 @@ one position per step, so at time t only the t + 1 positions x = 2k - t
 (slot k = 0..t) can hold amplitude.  The float engine keeps one complex
 array per chirality in that layout, and a step is L'[k] = a L[k] + b R[k]
 for k <= t with L'[t+1] = 0, and R'[0] = 0 with R'[k+1] = c L[k] + d R[k].
-Each amplitude goes through the same floating-point operations as on a dense
-array over [-t, t], so the probabilities are the same to the last bit.
+It stores and steps only a live window of slots, and drops each end slot
+whose amplitudes fall below 2^-900, far under any printed probability.  A
+kept slot goes through the same floating-point operations as on a dense
+array over [-t, t].  A dropped slot is 0 where a dense stepper keeps a tiny
+value, so the last bits of nearby values can differ after many steps; with
+the coins tested, no printed probability differed up to T = 10000.
 """
 
 from __future__ import annotations
@@ -46,10 +50,25 @@ UNITARITY_TOL = 1e-12
 #: a 2-vCPU x86-64 host.
 MAX_EXACT_TIME = 9000
 
-#: Largest time the float engine evolves to.  Its time grows at least as T^2:
-#: simulate with the coin (0.6, 0.8i, 0.8i, 0.6) took 0.38 / 1.7 / 8.6 s at
-#: T = 4000 / 10000 / 20000 on one core of a 2-vCPU x86-64 host.
-MAX_FLOAT_TIME = 20_000
+#: Largest time the float engine evolves to.  Its time grows as T^2, and is
+#: longest for a coin whose live window keeps every slot: simulate with the
+#: coin (0.999, s, s, -0.999), s = sqrt(1 - 0.999^2), the slowest coin
+#: measured, took 2.6-3.4 / 9.0-9.9 s at T = 20000 / 35000, interpreter
+#: start included, on one core of a 2-vCPU x86-64 host.  The coin
+#: (0.6, 0.8i, 0.8i, 0.6) took 1.4-1.7 s at T = 20000, and 9.0-9.6 s on the
+#: same host before the window, when subnormal tails were stepped too.
+MAX_FLOAT_TIME = 35_000
+
+#: A float step drops an end slot of the window whose left and right
+#: amplitudes both lie below this.  Any cut in [2^-1022, 2^-538] is safe.
+#: At or above 2^-1022, the smallest normal float, it drops every end slot
+#: whose amplitudes lie below the normal range, so the tails of subnormals
+#: that make a dense step slow are gone.  Below 2^-538, a dropped slot's
+#: probability |L|^2 + |R|^2 already rounds to 0.0 when kept: each square
+#: is at most 2^-1076, under half the smallest subnormal.  The dropped
+#: amplitudes' norms bound the change in the state (see engine_error_bound
+#: in tests/test_walk.py); 2^-900 leaves room at both ends.
+_FLOAT_CUT = 2.0**-900
 
 #: Bits added beyond the bound whenever slots are (re)sized, so a widening
 #: comes only about every 2 * _WIDTH_MARGIN steps.
@@ -271,11 +290,21 @@ class FloatWaveFunction:
     time's parity: slot k is position 2k - time, so each has time + 1
     entries.  Positions off that parity hold no amplitude and are not stored.
 
+    The state stores only its live window of slots lo..hi, and every slot
+    outside it is exactly 0; `left` and `right` spread the window over all
+    time + 1 slots.  A step computes the window's slots and then drops each
+    end slot whose left and right amplitudes both lie below _FLOAT_CUT.  A
+    kept slot goes through the same floating-point operations as on a dense
+    array over [-t, t]; a dropped one becomes 0 instead of a value below the
+    cut, so near the window's ends later values can differ in their last
+    bits from a dense stepper's.  The public constructor's window is the
+    whole range.
+
     Only this engine uses numpy, and its methods import it, so the exact
     commands never load it.
     """
 
-    __slots__ = ("time", "left", "right")
+    __slots__ = ("time", "lo", "_left", "_right")
 
     def __init__(self, time: int, left: np.ndarray, right: np.ndarray) -> None:
         if left.shape != (time + 1,) or right.shape != (time + 1,):
@@ -284,8 +313,20 @@ class FloatWaveFunction:
                 f"got {left.shape} and {right.shape}"
             )
         self.time = time
-        self.left = left
-        self.right = right
+        self.lo = 0
+        self._left = left
+        self._right = right
+
+    @classmethod
+    def _from_window(
+        cls, time: int, lo: int, left: np.ndarray, right: np.ndarray
+    ) -> FloatWaveFunction:
+        psi = cls.__new__(cls)
+        psi.time = time
+        psi.lo = lo
+        psi._left = left
+        psi._right = right
+        return psi
 
     @classmethod
     def point_mass(cls, qubit: QubitState) -> FloatWaveFunction:
@@ -294,30 +335,64 @@ class FloatWaveFunction:
         l0, r0 = qubit.to_complex()
         return cls(0, np.array([l0], complex), np.array([r0], complex))
 
+    @property
+    def hi(self) -> int:
+        """The window's last slot (lo - 1 if the window is empty)."""
+        return self.lo + self._left.size - 1
+
+    @property
+    def left(self) -> np.ndarray:
+        return self._spread(self._left)
+
+    @property
+    def right(self) -> np.ndarray:
+        return self._spread(self._right)
+
+    def _spread(self, window: np.ndarray) -> np.ndarray:
+        """A new array of all time + 1 slots: the window's values, 0 elsewhere."""
+        import numpy as np
+
+        full = np.zeros(self.time + 1, complex)
+        full[self.lo : self.hi + 1] = window
+        return full
+
     def step(self, coin: CoinMatrix) -> FloatWaveFunction:
         # new position 2k - (t+1) draws its left amplitude from old slot k
         # (position 2k - t, one step right) and its right amplitude from old
-        # slot k - 1: left slots keep their index, right slots move up by one.
+        # slot k - 1: left slots keep their index, right slots move up by one,
+        # so the window lo..hi becomes lo..hi + 1, and its ends are trimmed.
         # The arrays are new, so a state a caller holds never changes.  The
         # coin entry stays the first factor: numpy's complex multiply may use
         # fused multiply-adds, whose rounding depends on the operand order.
         import numpy as np
 
-        n = self.left.size
+        n = self._left.size
         left = np.empty(n + 1, complex)
         right = np.empty(n + 1, complex)
         new_left, new_right = left[:-1], right[1:]
-        np.multiply(coin.a, self.left, out=new_left)
-        np.add(new_left, coin.b * self.right, out=new_left)
-        np.multiply(coin.c, self.left, out=new_right)
-        np.add(new_right, coin.d * self.right, out=new_right)
+        np.multiply(coin.a, self._left, out=new_left)
+        np.add(new_left, coin.b * self._right, out=new_left)
+        np.multiply(coin.c, self._left, out=new_right)
+        np.add(new_right, coin.d * self._right, out=new_right)
         left[-1] = right[0] = 0
-        return FloatWaveFunction(self.time + 1, left, right)
+        # a step adds one slot to the window and a slot leaves it only once,
+        # so these checks cost O(1) a step, amortized
+        lo, hi = 0, n
+        while lo <= hi and abs(left[lo]) < _FLOAT_CUT and abs(right[lo]) < _FLOAT_CUT:
+            lo += 1
+        while lo <= hi and abs(right[hi]) < _FLOAT_CUT and abs(left[hi]) < _FLOAT_CUT:
+            hi -= 1
+        return FloatWaveFunction._from_window(
+            self.time + 1, self.lo + lo, left[lo : hi + 1], right[lo : hi + 1]
+        )
 
     def probabilities(self) -> dict[int, float]:
         import numpy as np
 
-        probs = np.abs(self.left) ** 2 + np.abs(self.right) ** 2
+        # a slot outside the window is 0.0, as a dropped slot's probability
+        # would round to (see _FLOAT_CUT)
+        probs = np.zeros(self.time + 1)
+        probs[self.lo : self.hi + 1] = np.abs(self._left) ** 2 + np.abs(self._right) ** 2
         t = self.time
         return dict(zip(range(-t, t + 1, 2), probs.tolist()))
 

@@ -449,6 +449,15 @@ def full_width_step(left, right, coin):
     return new_left, new_right
 
 
+def untrimmed_step(left, right, coin):
+    """Oracle: one float step over all t + 1 slots, dropping none."""
+    new_left = np.zeros(left.size + 1, complex)
+    new_right = np.zeros(left.size + 1, complex)
+    new_left[:-1] = coin.a * left + coin.b * right
+    new_right[1:] = coin.c * left + coin.d * right
+    return new_left, new_right
+
+
 def full_width_probabilities(t, left, right):
     probs = (np.abs(left) ** 2 + np.abs(right) ** 2).real
     return {x: float(probs[x + t]) for x in range(-t, t + 1, 2)}
@@ -473,6 +482,12 @@ FLOAT_COINS = {
     "real": CoinMatrix(0.6, 0.8, 0.8, -0.6),
     "phases": _general_phase_coin(),
 }
+#: |a| = 0.999 keeps the end amplitudes far above the cut for 10^5 steps
+NEAR_IDENTITY = CoinMatrix(0.999, math.sqrt(1 - 0.999**2), math.sqrt(1 - 0.999**2), -0.999)
+#: (t, coin name): every coin to t = 2000, and (0.6, 0.8i, 0.8i, 0.6), whose
+#: window drops a fifth of the slots by t = 3980 and a third by 20 000
+FOURIER_CASES = [(t, name) for t in (1, 2, 7, 100, 1001, 2000) for name in FLOAT_COINS]
+FOURIER_CASES += [(3980, "0.6,0.8j"), (20_000, "0.6,0.8j")]
 
 #: unit roundoff of IEEE binary64
 U = 2.0**-53
@@ -513,14 +528,24 @@ def engine_error_bound(coin, qubit, t):
     """Bound on ||psi~_t - psi_t||_2, the stepped state against the exact
     walk with the same float coin C and float initial qubit.
 
-    A step computes each new slot as fl(a L + b R) or fl(c L + d R), so its
-    local error is at most ETA |C| (|L|, |R|) slot by slot, of 2-norm at most
-    ETA ||C||_F ||psi~_t||.  The exact step S has ||S||_2 = ||C||_2 <= c, so
-    e_{t+1} <= c e_t + ETA ||C||_F (c^t nu_0 + e_t), which gives
-    e_t <= nu_0 ((c + x)^t - c^t) <= nu_0 c^t expm1(t x) for x = ETA ||C||_F
-    and c >= 1 (coin_growth)."""
+    A step computes each slot of its window as fl(a L + b R) or
+    fl(c L + d R), as a dense step would, so its local error is at most
+    ETA |C| (|L|, |R|) slot by slot, of 2-norm at most ETA ||C||_F ||psi~_t||.
+    It then drops the end slots whose two amplitudes both lie below the cut
+    walk._FLOAT_CUT, each a change of norm below sqrt(2) cut.  The window
+    starts with one slot, and a step adds one slot (lo..hi becomes
+    lo..hi + 1) before it drops any, so over t steps at most t + 1 slots are
+    dropped, and the drops of step s have norm delta_s with
+    sum_s delta_s <= sqrt(2) cut (t + 1).  The exact step S has
+    ||S||_2 = ||C||_2 <= c, so
+    e_{s+1} <= c e_s + ETA ||C||_F (c^s nu_0 + e_s) + delta_s, which gives
+    e_t <= nu_0 ((c + x)^t - c^t) + (c + x)^t sum_s delta_s
+        <= c^t (nu_0 expm1(t x) + e^(t x) sqrt(2) cut (t + 1))
+    for x = ETA ||C||_F and c >= 1 (coin_growth)."""
     nu0 = math.hypot(*map(abs, qubit)) * (1 + 2 * U)
-    return nu0 * coin_growth(t) * math.expm1(t * ETA * np.linalg.norm(coin_array(coin)))
+    x = ETA * np.linalg.norm(coin_array(coin))
+    window = math.exp(t * x) * math.sqrt(2) * walk._FLOAT_CUT * (t + 1)
+    return coin_growth(t) * (nu0 * math.expm1(t * x) + window)
 
 
 def fourier_walk(coin, qubit, t):
@@ -625,10 +650,10 @@ class TestFloatEngine:
     def test_bit_identical_to_full_width_stepper(self, coin):
         psi = FloatWaveFunction.point_mass(QubitState.symmetric())
         left, right = psi.left, psi.right
-        for t in range(1, 3001):
+        for t in range(1, 3981):
             psi = psi.step(coin)
             left, right = full_width_step(left, right, coin)
-            if t <= 200 or t in (1001, 3000):
+            if t <= 200 or t in (1001, 3000, 3980):
                 want = full_width_probabilities(t, left, right)
                 got = psi.probabilities()
                 assert list(got) == list(want), t
@@ -646,13 +671,60 @@ class TestFloatEngine:
         assert not np.shares_memory(first.right, psi.right)
         assert first.left.size == first.right.size == 52
 
+    @pytest.mark.parametrize(
+        "coin",
+        [*FLOAT_COINS.values(), CoinMatrix(0.6, 0.48 + 0.64j, -0.48 + 0.64j, 0.6),
+         CoinMatrix(1, 0, 0, 1), CoinMatrix(0, 1, 1, 0)],
+        ids=[*FLOAT_COINS, "0.6,0.48+0.64j", "identity", "swap"],
+    )
+    def test_window_holds_every_slot_at_or_above_the_cut(self, coin):
+        """Step by step against the same step over every slot: the window
+        is the span of the slots with an amplitude at or above the cut, its
+        slots hold that step's values bit for bit, and all else is exactly 0.
+        The three coins with a = 0.6 start dropping slots at both ends near
+        t = 1220; the window's arrays then start at another offset than the
+        full ones, which the coin with complex b and c checks under fused
+        multiply-adds.  The identity coin leaves zeros between its two live
+        edges, and the swap coin keeps the walk on x = 0 and x = +-1."""
+        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        for t in range(1, 1501):
+            want_left, want_right = untrimmed_step(psi.left, psi.right, coin)
+            psi = psi.step(coin)
+            lo, hi = psi.lo, psi.hi
+            live = np.flatnonzero(np.maximum(abs(want_left), abs(want_right)) >= walk._FLOAT_CUT)
+            assert (lo, hi) == (live[0], live[-1]), t
+            left, right = psi.left, psi.right
+            assert np.array_equal(left[lo : hi + 1], want_left[lo : hi + 1]), t
+            assert np.array_equal(right[lo : hi + 1], want_right[lo : hi + 1]), t
+            outside = np.r_[left[:lo], left[hi + 1 :], right[:lo], right[hi + 1 :]]
+            assert not outside.any(), t
+        if coin.a == 0.6:
+            assert 0 < lo and hi < t
+
+    @pytest.mark.parametrize("coin", [FLOAT_COINS["phases"], NEAR_IDENTITY], ids=["phases", "0.999"])
+    def test_full_window_coin_keeps_every_slot(self, coin):
+        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        for t in range(1, 3981):
+            psi = psi.step(coin)
+            assert (psi.lo, psi.hi) == (0, t), t
+
+    def test_constructor_window_is_the_whole_range(self):
+        left, right = np.zeros(4, complex), np.array([0, 0.6, 0.8j, 0])
+        psi = FloatWaveFunction(3, left, right)
+        assert (psi.lo, psi.hi) == (0, 3)
+        assert np.array_equal(psi.left, left) and np.array_equal(psi.right, right)
+        stepped = psi.step(FLOAT_COINS["real"])
+        assert (stepped.lo, stepped.hi) == (1, 3)
+        empty = FloatWaveFunction(2, np.zeros(3, complex), np.zeros(3, complex))
+        assert empty.step(FLOAT_COINS["real"]).probabilities() == {-3: 0.0, -1: 0.0, 1: 0.0, 3: 0.0}
+
     def test_slot_count_must_match_time(self):
         with pytest.raises(ValueError, match="time \\+ 1 = 3 slots"):
             FloatWaveFunction(2, np.zeros(5, complex), np.zeros(5, complex))
 
-    @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
-    @pytest.mark.parametrize("t", [1, 2, 7, 100, 1001, 2000])
-    def test_matches_fourier_oracle_within_roundoff_bound(self, coin, t):
+    @pytest.mark.parametrize("t,name", FOURIER_CASES, ids=[f"{t}-{name}" for t, name in FOURIER_CASES])
+    def test_matches_fourier_oracle_within_roundoff_bound(self, t, name):
+        coin = FLOAT_COINS[name]
         qubit = QubitState.symmetric().to_complex()
         psi = evolve(QubitState.symmetric(), coin, t)
         oracle, oracle_bound = fourier_walk(coin, qubit, t)
