@@ -126,12 +126,14 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     at every position at the times up to REAL_HALF_TIMES and at n_max - 1
     and n_max.
 
-    The incremental walk steps all four parts of every position; the direct
-    row steps only the real parts, to n/2 and then in the origin's backward
-    light cone, so where both are compared, two code paths meet.  The direct
-    row starts from scratch, at a cost growing as n^3, so it is compared
-    only at the top time 2 n_max and at the DIRECT_TIMES below it;
-    the value table and the odd-time check test it at the other small times.
+    The incremental walk steps all four parts of every position as plain
+    lists of ints, and shares no packing helper with the real-half engines.
+    The direct row steps only the real parts, to n/2 and then in the
+    origin's backward light cone, so where both are compared, two code paths
+    meet.  The direct row starts from scratch, at a cost growing as n^3, so
+    it is compared only at the top time 2 n_max and at the DIRECT_TIMES
+    below it; the value table and the odd-time check test it at the other
+    small times.
     Those times start at 20, the first time the table does not cover, and
     spread over both scopes (n_max 30 and 100), each of which reaches both
     residues mod 4 below its top: p_4m and p_4m+2 are the two branches of the

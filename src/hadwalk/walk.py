@@ -4,15 +4,16 @@ Two engines share one stepping rule psi'(x) = P psi(x+1) + Q psi(x-1):
 an exact engine for the Hadamard coin (Gaussian-integer cores under a shared
 power of 1/sqrt(2)) and a float engine for arbitrary unitary coins.
 
-The exact engine packs each integer vector into one Python int (Kronecker
-substitution).  The Hadamard coin is real, so the real and imaginary parts of
-the cores evolve independently; each part of the left and of the right cores
-is held as sum_k v_k 2^(w k), one signed w-bit slot per position, and a step
-is L' = L + R, R' = (L - R) << w on each pair: a few big-int operations and
-no per-position Python work.  From the symmetric qubit the imaginary parts
-are the real parts mirrored, so symmetric_distribution, which simulate
-runs, and return_probability_direct step only the real pair; WaveFunction
-keeps all four parts, as verify's reference.  evolve runs only the float one.
+The Hadamard coin is real, so the real and imaginary parts of the cores
+evolve independently, and from the symmetric qubit the imaginary parts are
+the real parts mirrored.  So the real-half engines, symmetric_distribution,
+which simulate runs, and return_probability_direct, step only the real pair,
+and only they pack: each part is one Python int (Kronecker substitution),
+sum_k v_k 2^(w k) with one signed w-bit slot per position, and a step is
+L' = L + R, R' = (L - R) << w, a few big-int operations.  WaveFunction,
+verify's reference, keeps all four parts as plain lists of ints, so it
+shares no packing code with the engines it checks.  evolve runs only the
+float engine.
 
 Both engines store only the time's parity.  The walk moves every amplitude
 one position per step, so at time t only the t + 1 positions x = 2k - t
@@ -97,13 +98,6 @@ def _bias(width: int, count: int) -> int:
     """2^(w-1) in each of `count` slots, i.e. the closed form
     2^(w-1) (2^(w count) - 1) / (2^w - 1), built as a repeated byte pattern."""
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * count, "little")
-
-
-def _pack(values: list[int], width: int) -> int:
-    """sum_k values[k] 2^(width k), for |values[k]| < 2^(width-1)."""
-    half, size = 1 << (width - 1), width // 8
-    data = b"".join((v + half).to_bytes(size, "little") for v in values)
-    return int.from_bytes(data, "little") - _bias(width, len(values))
 
 
 def _unpack(packed: int, width: int, count: int) -> list[int]:
@@ -202,61 +196,32 @@ class QubitState:
 class WaveFunction:
     """Exact walk state on [-n, n] under one shared power of 1/sqrt(2).
 
-    `pairs` holds the (left, right) cores of the time + 1 positions of the
-    time's parity (slot k is position 2k - time); positions off that parity
-    hold no amplitude.  The cores' real and imaginary parts are packed into
-    four integers, one signed slot per position.
+    `parts` holds four plain lists of ints, (Lre, Lim, Rre, Rim): the real
+    and imaginary parts of the left and of the right cores at the time + 1
+    positions of the time's parity (slot k is position 2k - time); positions
+    off that parity hold no amplitude.  This is verify's reference, so it
+    packs nothing and shares no helper with the real-half engines.
     """
 
-    __slots__ = ("time", "scale_exp", "_norm", "_width", "_parts")
+    __slots__ = ("time", "scale_exp", "parts")
 
-    def __init__(
-        self,
-        time: int,
-        scale_exp: int,
-        pairs: list[tuple[GaussianInteger, GaussianInteger]],
-    ) -> None:
-        if len(pairs) != time + 1:
-            raise ValueError(f"time {time} needs {time + 1} slot pairs, got {len(pairs)}")
-        columns = (
-            [gl.re for gl, _ in pairs],
-            [gl.im for gl, _ in pairs],
-            [gr.re for _, gr in pairs],
-            [gr.im for _, gr in pairs],
-        )
-        norm = sum(v * v for column in columns for v in column)
-        width = _slot_width(norm)
+    def __init__(self, time: int, scale_exp: int, parts: tuple[list[int], ...]) -> None:
+        if any(len(part) != time + 1 for part in parts):
+            lengths = [len(part) for part in parts]
+            raise ValueError(f"time {time} needs {time + 1} slots per part, got {lengths}")
         self.time = time
         self.scale_exp = scale_exp
-        self._norm = norm
-        self._width = width
-        self._parts = tuple(_pack(column, width) for column in columns)
-
-    @classmethod
-    def _from_packed(
-        cls, time: int, scale_exp: int, norm: int, width: int, parts: tuple[int, ...]
-    ) -> WaveFunction:
-        psi = cls.__new__(cls)
-        psi.time = time
-        psi.scale_exp = scale_exp
-        psi._norm = norm
-        psi._width = width
-        psi._parts = parts
-        return psi
+        self.parts = parts
 
     @classmethod
     def point_mass(cls, qubit: QubitState) -> WaveFunction:
-        return cls(0, qubit.scale_exp, [(qubit.left, qubit.right)])
-
-    def _components(self) -> tuple[list[int], ...]:
-        """Left re, left im, right re, right im: one list each over support()."""
-        return tuple(_unpack(p, self._width, self.time + 1) for p in self._parts)
+        gl, gr = qubit.left, qubit.right
+        return cls(0, qubit.scale_exp, ([gl.re], [gl.im], [gr.re], [gr.im]))
 
     def cores(self, x: int) -> tuple[GaussianInteger, GaussianInteger]:
         if abs(x) > self.time or (x + self.time) % 2:
             return _ZERO_PAIR
-        k = (x + self.time) // 2
-        lre, lim, rre, rim = (_read_slot(p, self._width, k) for p in self._parts)
+        lre, lim, rre, rim = (part[(x + self.time) // 2] for part in self.parts)
         return GaussianInteger(lre, lim), GaussianInteger(rre, rim)
 
     def support(self) -> range:
@@ -265,22 +230,15 @@ class WaveFunction:
 
     def step(self) -> WaveFunction:
         """One step of the Hadamard coin, HADAMARD_CORES on each pair."""
-        # |l+r|^2 + |l-r|^2 = 2(|l|^2 + |r|^2): each step doubles the norm
-        norm = self._norm << 1
-        width, parts = self._width, self._parts
-        if not _fits(norm, width):
-            width = _slot_width(norm)
-            parts = tuple(_widen(p, self._width, width, self.time + 1) for p in parts)
-        lre, lim, rre, rim = parts
         # new x draws its left core from old x+1 and its right core from
         # old x-1: left slots keep their index, right slots move up by one
-        return WaveFunction._from_packed(
-            self.time + 1,
-            self.scale_exp + 1,
-            norm,
-            width,
-            (lre + rre, lim + rim, (lre - rre) << width, (lim - rim) << width),
-        )
+        lre, lim, rre, rim = self.parts
+        return WaveFunction(self.time + 1, self.scale_exp + 1, (
+            [l + r for l, r in zip(lre, rre)] + [0],
+            [l + r for l, r in zip(lim, rim)] + [0],
+            [0] + [l - r for l, r in zip(lre, rre)],
+            [0] + [l - r for l, r in zip(lim, rim)],
+        ))
 
 
 class FloatWaveFunction:
@@ -440,7 +398,7 @@ def distribution(psi: WaveFunction) -> Distribution:
     """The exact (dyadic) position distribution of an exact state."""
     probs = {
         x: DyadicRational(a * a + b * b + c * c + d * d, psi.scale_exp)
-        for x, a, b, c, d in zip(psi.support(), *psi._components())
+        for x, a, b, c, d in zip(psi.support(), *psi.parts)
     }
     return Distribution(psi.time, probs)
 
@@ -475,12 +433,11 @@ def _real_half(n: int) -> tuple[int, int, int, int]:
         Rim'[k] = Lim[k-1] - Rim[k-1] = (-1)^(t+1) (Rre[t+1-k] + Lre[t+1-k])
                 = (-1)^(t+1) Lre'[t+1-k].
 
-    A step is `WaveFunction.step`'s, L' = L + R and R' = (L - R) << w, on
-    the real pair alone.  The slots are sized from the real half's own
-    summed squares, 1 at time 0: (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a
-    step doubles them, and `_fits` and `_slot_width` size the slots as
-    soundly as in `step`.  verify checks the identity on its own four-part
-    walk, which does not assume it.
+    A step is L' = L + R and R' = (L - R) << w on the packed real pair.
+    The slots are sized from the real half's own summed squares, 1 at time
+    0: (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a step doubles them, and
+    `_fits` and `_slot_width` keep every slot within its width.  verify
+    checks the identity on its own four-part walk, which does not assume it.
     """
     lre, rre, norm = 1, 0, 1
     width = _slot_width(norm)
@@ -517,8 +474,8 @@ def return_probability_direct(n: int) -> DyadicRational:
     """Exact p_n(0) for the Hadamard walk from the symmetric qubit.
 
     The route steps only the real parts of the cores, two packed ints where
-    `WaveFunction` has four, and rebuilds the imaginary parts by the mirror
-    identity (see `_real_half`).  At the origin k = t - k = n/2, so
+    `WaveFunction` has four lists, and rebuilds the imaginary parts by the
+    mirror identity (see `_real_half`).  At the origin k = t - k = n/2, so
     |L|^2 + |R|^2 there is 2(Lre^2 + Rre^2), and
     p_n(0) = 2(Lre[n/2]^2 + Rre[n/2]^2) 2^-(n+1).
 

@@ -707,7 +707,7 @@ class TestEntryPoint:
          f"MAX_SWEEP_POINTS = {cli.MAX_SWEEP_POINTS}"),
         (["genfun", "--sweep", "0:0.5:10000", "--truncate", "100000"],
          f"MAX_SWEEP_WORK = {cli.MAX_SWEEP_WORK}"),
-    ])
+    ], ids=["MAX_RW_TIME", "MAX_FLOAT_TIME", "MAX_SWEEP_POINTS", "MAX_SWEEP_WORK"])
     def test_size_cap_exit_2(self, argv, limit):
         # refused before any work; the timeout turns a runaway loop into a failure
         result = subprocess.run(

@@ -8,8 +8,11 @@ Known faults that no verify row catches, listed so that nobody chases them:
   does, as test_conjugate_qubit_fails_only_the_mirror_identity pins;
 - walk._fits comparing with <= instead of <, and walk._slot_width without its
   + 1, each pass verify in both scopes: the margin bits of _WIDTH_MARGIN hide
-  them.  Tier-1 catches both, in test_walk.py's
-  test_matches_reference_stepper[at-bound-0], which sets that margin to 0;
+  them, and with that margin set to 0 no state the real-half engines build
+  reaches the bound (both matched the four-part walk at every t <= 400).
+  Tier-1 catches both, in test_walk.py's test_fits_at_byte_boundaries,
+  test_slot_width_at_byte_boundaries and
+  test_refit_widens_a_one_slot_pair_at_the_bound;
 - genfun's rounding test dropped, every term the lower end of its interval,
   at 40 carry bits: verify's generating-function rows sum at z <= 0.7 with
   N <= 69, where the 40-bit carry is still exact, so their sums do not move;
@@ -111,6 +114,14 @@ def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
     with_walk_function_edited(monkeypatch, "return_probability_direct", old, new)
     assert failed_rows(scope) == ["value table p_0..p_18",
                                   f"four-oracle equality p_2n, n<={n_max}"]
+
+
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_unpack_off_by_one_fails_only_the_real_half_row(monkeypatch, scope):
+    # every unpacked slot read one too high: simulate's engine is the only
+    # caller, and verify's four-part walk shares no packing helper with it
+    with_walk_function_edited(monkeypatch, "_unpack", "- half", "- half + 1")
+    assert failed_rows(scope) == [REAL_HALF_ROW[scope]]
 
 
 @pytest.mark.parametrize("scope", ["fast", "full"])

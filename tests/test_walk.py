@@ -138,9 +138,43 @@ class TestExactEngine:
         assert distribution(psi).probs == {-1: DyadicRational(1, 1), 1: DyadicRational(1, 1)}
 
     def test_zero_state_stays_zero(self):
-        zero = WaveFunction(0, 0, [(G_ZERO, G_ZERO)])
+        zero = WaveFunction(0, 0, ([0], [0], [0], [0]))
         stepped = zero.step()
         assert int_cores(dense_pairs(stepped)) == [(0, 0, 0, 0)] * 3
+
+    @pytest.mark.parametrize(
+        "start",
+        [
+            WaveFunction.point_mass(QubitState.symmetric()),
+            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
+            # not normalized, with negative components
+            WaveFunction(0, 0, ([3], [4], [-7], [0])),
+            # one component equal to sqrt(norm), the largest it can be
+            WaveFunction(0, 0, ([-255], [0], [0], [0])),
+        ],
+        ids=["symmetric", "left-only", "unnormalized", "at-bound"],
+    )
+    def test_matches_reference_stepper(self, start):
+        psi, pairs = start, dense_pairs(start)
+        for t in range(1, 151):
+            psi = psi.step()
+            pairs = reference_step(pairs)
+            assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
+            assert int_cores(dense_pairs(psi)) == int_cores(pairs), t
+
+    def test_steps_without_the_packing_helpers(self, monkeypatch):
+        # verify's reference must not share a fault with the real-half
+        # engines it checks, so it calls none of their helpers
+        def refuse(*args):
+            raise AssertionError("the four-part walk called a packing helper")
+
+        for name in ("_bias", "_unpack", "_widen", "_read_slot", "_fits", "_slot_width"):
+            monkeypatch.setattr(walk, name, refuse)
+        psi = exact_walk(QubitState.symmetric(), 200)
+        assert distribution(psi).total() == DyadicRational(1)
+        gl, gr = psi.cores(0)
+        p0 = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+        assert p0 == distribution(psi).probs[0] == genfun.p0_legendre(100)
 
     def test_time_zero_is_point_mass(self):
         psi = WaveFunction.point_mass(QubitState.symmetric())
@@ -208,13 +242,13 @@ class TestExactEngine:
 
 
 def dense_pairs(psi):
-    """(left, right) cores on [-time, time], one packed slot per call."""
+    """(left, right) cores on [-time, time], one cores() call per position."""
     return [psi.cores(x) for x in range(-psi.time, psi.time + 1)]
 
 
 def reference_step(pairs):
     """Oracle: one Hadamard step over dense Gaussian-integer pairs on
-    [-n, n], position by position, as the unpacked engine did it."""
+    [-n, n], position by position, the off-parity positions included."""
     n = len(pairs)
     new_l = [G_ZERO] * (n + 2)
     new_r = [G_ZERO] * (n + 2)
@@ -225,45 +259,16 @@ def reference_step(pairs):
     return list(zip(new_l, new_r))
 
 
+def packed(values, width):
+    """Oracle: the literal sum_k values[k] 2^(width k), summed by halves so
+    that thousands of wide slots cost O(n log n) big-int work."""
+    if len(values) < 2:
+        return sum(values)
+    mid = len(values) // 2
+    return packed(values[:mid], width) + (packed(values[mid:], width) << (width * mid))
+
+
 class TestPackedEngine:
-    @pytest.mark.parametrize("margin", [walk._WIDTH_MARGIN, 0])
-    @pytest.mark.parametrize(
-        "start",
-        [
-            WaveFunction.point_mass(QubitState.symmetric()),
-            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
-            # not normalized, with negative components
-            WaveFunction(0, 0, [(GaussianInteger(3, 4), GaussianInteger(-7))]),
-            # one component equal to sqrt(norm) = 2^8 - 1: needs a ninth, sign bit
-            WaveFunction(0, 0, [(GaussianInteger(-255), G_ZERO)]),
-        ],
-        ids=["symmetric", "left-only", "unnormalized", "at-bound"],
-    )
-    def test_matches_reference_stepper(self, monkeypatch, start, margin):
-        monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
-        psi = WaveFunction(start.time, start.scale_exp, dense_pairs(start)[::2])
-        pairs = dense_pairs(psi)
-        widths = {psi._width}
-        for t in range(1, 151):
-            psi = psi.step()
-            pairs = reference_step(pairs)
-            widths.add(psi._width)
-            assert (psi.time, psi.scale_exp) == (t, start.scale_exp + t)
-            assert int_cores(dense_pairs(psi)) == int_cores(pairs), t
-        assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
-
-    def test_single_slot_reads_match_unpacked_state(self):
-        # at T = 41 and at the first time after the slots widen
-        psi = exact_walk(QubitState.symmetric(), 41)
-        widened = psi.step()
-        while widened._width == psi._width:
-            widened = widened.step()
-        for state in (psi, widened):
-            parts = (walk._unpack(p, state._width, state.time + 1) for p in state._parts)
-            pairs = int_cores(dense_pairs(state))
-            assert pairs[::2] == list(zip(*parts)), state.time
-            assert pairs[1::2] == [(0, 0, 0, 0)] * state.time, state.time
-
     @pytest.mark.parametrize("n", [1002, 1600])
     def test_deep_return_probability_matches_legendre(self, n):
         assert return_probability_direct(n) == genfun.p0_legendre(n // 2)
@@ -272,21 +277,19 @@ class TestPackedEngine:
     def test_pack_round_trip_at_slot_extremes(self, width):
         top = (1 << (width - 1)) - 1
         values = [top, -top, 0, -1, 1, top, top, -top, -top, 0]
-        packed = walk._pack(values, width)
-        assert walk._unpack(packed, width, len(values)) == values
-        assert [walk._read_slot(packed, width, k) for k in range(len(values))] == values
-        with pytest.raises(OverflowError):
-            walk._pack([1 << (width - 1)], width)
+        state = packed(values, width)
+        assert walk._unpack(state, width, len(values)) == values
+        assert [walk._read_slot(state, width, k) for k in range(len(values))] == values
 
     @pytest.mark.parametrize("width,new_width", [(8, 16), (40, 72), (536, 576)])
     def test_widen_equals_packing_at_the_new_width(self, width, new_width):
         top = (1 << (width - 1)) - 1
         values = [top, -top, 0, -1, 1, -top, top, 0, -1]
-        packed = walk._pack(values, width)
+        state = packed(values, width)
         for count in range(1, len(values) + 1):
             # the slots above `count` are nonzero, and dropped
-            want = walk._pack(values[:count], new_width)
-            assert walk._widen(packed, width, new_width, count) == want, count
+            want = packed(values[:count], new_width)
+            assert walk._widen(state, width, new_width, count) == want, count
 
     def test_widen_equals_packing_at_the_direct_route_sizes(self):
         # 4001 slots at 2048 -> 2080 bits, about what the direct route
@@ -297,18 +300,50 @@ class TestPackedEngine:
         top = (1 << (width - 1)) - 1
         values = [rng.randint(-top, top) for _ in range(count + 100)]
         values[::97] = [rng.choice((top, -top, 0, -1, 1)) for _ in values[::97]]
-        packed = walk._pack(values, width)
-        want = walk._pack(walk._unpack(packed, width, len(values))[:count], new_width)
-        assert walk._widen(packed, width, new_width, count) == want
+        want = packed(values[:count], new_width)
+        assert walk._widen(packed(values, width), width, new_width, count) == want
 
     @pytest.mark.parametrize("width,count", [(8, 1), (8, 9), (40, 17), (536, 5)])
     def test_bias_is_the_closed_form(self, width, count):
         closed = (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
         assert walk._bias(width, count) == closed
 
+    # No state the program builds reaches these bounds, even with margin 0,
+    # so only these tests see _fits compare with <= or _slot_width drop its + 1
+    @pytest.mark.parametrize("norm,width,fits", [
+        (127**2, 8, True), (128**2 - 1, 8, True), (128**2, 8, False), (255**2, 8, False),
+        (255**2, 16, True), (32767**2, 16, True), (32768**2, 16, False),
+    ])
+    def test_fits_at_byte_boundaries(self, norm, width, fits):
+        assert walk._fits(norm, width) is fits
+
+    @pytest.mark.parametrize("norm,width", [
+        (0, 8), (1, 8), (127**2, 8), (128**2 - 1, 8), (128**2, 16), (255**2, 16),
+        (256**2, 16), (32767**2, 16), (32768**2, 24),
+    ])
+    def test_slot_width_at_byte_boundaries(self, monkeypatch, norm, width):
+        monkeypatch.setattr(walk, "_WIDTH_MARGIN", 0)
+        assert walk._slot_width(norm) == width
+        # the slots hold +-isqrt(norm), the largest components of that norm
+        top = math.isqrt(norm)
+        values = [top, -top, 0, -top, top]
+        assert walk._unpack(packed(values, width), width, len(values)) == values
+
+    @pytest.mark.parametrize("lre,rre", [(64, 64), (-90, 90)])
+    def test_refit_widens_a_one_slot_pair_at_the_bound(self, monkeypatch, lre, rre):
+        # 8-bit slots hold the pair, but not its step: the doubled bound is
+        # 128^2 (L = 128) and 180^2 (R = -180), past the largest 8-bit slot
+        monkeypatch.setattr(walk, "_WIDTH_MARGIN", 0)
+        norm = lre * lre + rre * rre
+        assert walk._slot_width(norm) == 8
+        new_lre, new_rre, width = walk._refit(lre, rre, 2 * norm, 8, 1)
+        assert width == 16
+        assert walk._read_slot(new_lre + new_rre, width, 0) == lre + rre
+        assert walk._read_slot(new_lre - new_rre, width, 0) == lre - rre
+
     def test_constructor_rejects_wrong_slot_count(self):
-        with pytest.raises(ValueError, match="time 1 needs 2 slot pairs, got 3"):
-            WaveFunction(1, 0, [(G_ZERO, G_ZERO), (G_ONE, G_ZERO), (G_ZERO, G_ZERO)])
+        with pytest.raises(ValueError, match=r"time 1 needs 2 slots per part, got \[2, 3, 2, 2\]"):
+            WaveFunction(1, 0, ([0, 0], [0, 1, 0], [0, 0], [0, 0]))
 
     @pytest.mark.parametrize(
         "argv",
@@ -431,7 +466,7 @@ class TestMirrorIdentity:
         # at time t, slot k: Lim[k] = (-1)^(t+1) Rre[t-k], Rim[k] = (-1)^t Lre[t-k]
         psi = WaveFunction.point_mass(QubitState.symmetric())
         for t in range(301):
-            lre, lim, rre, rim = psi._components()
+            lre, lim, rre, rim = psi.parts
             sign = -1 if t % 2 else 1
             assert lim == [-sign * v for v in reversed(rre)], t
             assert rim == [sign * v for v in reversed(lre)], t
