@@ -11,8 +11,9 @@ Known faults that no verify row catches, listed so that nobody chases them:
   them, and with that margin set to 0 no state the real-half engines build
   reaches the bound (both matched the four-part walk at every t <= 400).
   Tier-1 catches both, in test_walk.py's test_fits_at_byte_boundaries,
-  test_slot_width_at_byte_boundaries and
-  test_refit_widens_a_one_slot_pair_at_the_bound;
+  test_slot_width_at_byte_boundaries,
+  test_refit_widens_a_one_slot_pair_at_the_bound and the margin-0 cases of
+  TestPackedEngine's test_matches_reference_stepper;
 - genfun's rounding test dropped, every term the lower end of its interval,
   at 40 carry bits: verify's generating-function rows sum at z <= 0.7 with
   N <= 69, where the 40-bit carry is still exact, so their sums do not move;

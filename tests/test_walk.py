@@ -269,6 +269,44 @@ def packed(values, width):
 
 
 class TestPackedEngine:
+    @pytest.mark.parametrize("margin", [walk._WIDTH_MARGIN, 0])
+    @pytest.mark.parametrize(
+        "start",
+        [
+            WaveFunction.point_mass(QubitState.symmetric()),
+            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
+            # not normalized, with negative components
+            WaveFunction(0, 0, ([3], [4], [-7], [0])),
+            # one component equal to sqrt(norm) = 2^8 - 1: needs a ninth, sign bit
+            WaveFunction(0, 0, ([-255], [0], [0], [0])),
+        ],
+        ids=["symmetric", "left-only", "unnormalized", "at-bound"],
+    )
+    def test_matches_reference_stepper(self, monkeypatch, start, margin):
+        # the Hadamard coin is real, so the real pair and the imaginary pair
+        # of each start step on their own; each is stepped as _real_half
+        # steps its pair, _refit and then L' = L + R, R' = (L - R) << w
+        monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
+        pairs = dense_pairs(start)
+        (lre, lim, rre, rim), = int_cores(pairs)
+        halves = [(l, r, l * l + r * r) for l, r in ((lre, rre), (lim, rim))]
+        halves = [(l, r, norm, walk._slot_width(norm)) for l, r, norm in halves]
+        widths = {width for *_, width in halves}
+        for t in range(1, 151):
+            pairs = reference_step(pairs)
+            stepped = []
+            for l, r, norm, width in halves:
+                norm <<= 1
+                l, r, width = walk._refit(l, r, norm, width, t)
+                stepped.append((l + r, (l - r) << width, norm, width))
+                widths.add(width)
+            halves = stepped
+            want = list(zip(*int_cores(pairs[::2])))
+            for (l, r, _, width), (want_l, want_r) in zip(halves, (want[::2], want[1::2])):
+                assert walk._unpack(l, width, t + 1) == list(want_l), t
+                assert walk._unpack(r, width, t + 1) == list(want_r), t
+        assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
+
     @pytest.mark.parametrize("n", [1002, 1600])
     def test_deep_return_probability_matches_legendre(self, n):
         assert return_probability_direct(n) == genfun.p0_legendre(n // 2)
