@@ -40,8 +40,11 @@ def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fractio
     sum_{j=0}^{-a} (a)_j (b)_j / ((c)_j j!) z^j.
 
     Horner's rule over the term ratios (a+j)(b+j)z / ((c+j)(j+1)), from
-    j = -a-1 down to 0, on one unreduced int numerator and denominator; the
-    only gcd is in the Fraction built at the end.
+    j = -a-1 down to 0, on one unreduced int numerator and denominator.
+    Each term multiplies its small factors together first, then the
+    denominator once by its product, and reuses that new denominator in the
+    numerator: two big-int products per term.  The only gcd is in the
+    Fraction built at the end.
     """
     if a > 0:
         raise ValueError("first parameter must be a nonpositive integer")
@@ -55,9 +58,8 @@ def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fractio
     bottom_const = bd * z.denominator
     num = den = 1
     for j in range(-a - 1, -1, -1):
-        step_den = (cn + j * cd) * (j + 1) * bottom_const
-        num = num * (a + j) * (bn + j * bd) * top_const + den * step_den
-        den *= step_den
+        den *= (cn + j * cd) * (j + 1) * bottom_const
+        num = num * ((a + j) * (bn + j * bd) * top_const) + den
     return Fraction(num, den)
 
 

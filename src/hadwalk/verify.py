@@ -272,14 +272,22 @@ def _check_jacobi_recurrence(report: VerifyReport, n_max: int) -> None:
 
 
 def _check_hyp_chain(report: VerifyReport, n_max: int) -> None:
+    """Four rationals that must be equal for each n <= n_max: the literal
+    sum S = sum_{g=1}^{n} (-1)^(g-1) C(n-1, g-1)^2 / g, the two 2F1 forms
+    2F1(1-n, 1-n; 2; -1) and 2^(n-1) 2F1(1-n, n+1; 2; 1/2), and the Jacobi
+    form 2^(n-1)/n P_(n-1)^(1,0)(0).
+
+    S is taken in ints over L = lcm(1..n), as the sum of the terms times
+    L // g, and built as one Fraction; it shares no code with specfun.
+    """
     from fractions import Fraction
 
     bad = []
+    lcm = 1
     for n in range(1, n_max + 1):
-        direct = sum(
-            Fraction((-1) ** (g - 1) * math.comb(n - 1, g - 1) ** 2, g)
-            for g in range(1, n + 1)
-        )
+        lcm = math.lcm(lcm, n)
+        direct = Fraction(sum((-1) ** (g - 1) * math.comb(n - 1, g - 1) ** 2 * (lcm // g)
+                              for g in range(1, n + 1)), lcm)
         f1 = specfun.hyp2f1_terminating(-(n - 1), Fraction(-(n - 1)), Fraction(2), Fraction(-1))
         f2 = 2 ** (n - 1) * specfun.hyp2f1_terminating(
             -(n - 1), Fraction(n + 1), Fraction(2), Fraction(1, 2)

@@ -20,7 +20,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
     import tomli as tomllib
 
 import hadwalk
-from hadwalk import classical, cli, genfun, pathsum, verify, walk
+from hadwalk import classical, cli, genfun, pathsum, specfun, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -570,6 +570,45 @@ class TestVerify:
         names = [c["name"] for c in doc["checks"]]
         assert any("generating function identity z=0.5" in n for n in names)
         assert any("watson" in n for n in names)
+
+
+class KernelCalled(Exception):
+    pass
+
+
+class TestOnlyVerifyReachesTheRationalKernels:
+    """No command but verify calls specfun's terminating 2F1 or jacobi_p0."""
+
+    @pytest.fixture
+    def kernels_refuse(self, monkeypatch):
+        def refuse(*args):
+            raise KernelCalled
+
+        for name in ("hyp2f1_terminating", "jacobi_p0"):
+            monkeypatch.setattr(specfun, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-n", "12"],
+        ["simulate", "-n", "12", "--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6"],
+        ["return-prob", "-n", "20", "--method", "all"],
+        ["xi", "--l", "5", "--m", "6"],
+        ["genfun", "--z", "0.5"],
+        ["genfun", "--sweep", "0.1:0.5:3"],
+        ["classical", "--dim", "1", "--time", "10"],
+        ["classical", "--dim", "2", "--gf", "0.3"],
+        ["ellipk", "--k", "0.5"],
+        ["ellipk", "--k", "0.5", "--method", "series"],
+        ["watson", "--tol", "1e-6"],
+    ], ids=["simulate-exact", "simulate-float", "return-prob", "xi", "genfun-z",
+            "genfun-sweep", "classical-time", "classical-gf", "ellipk-agm", "ellipk-series",
+            "watson"])
+    def test_other_commands_exit_0(self, capsys, kernels_refuse, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+    def test_verify_calls_them(self, kernels_refuse):
+        with pytest.raises(KernelCalled):
+            main(["verify", "--scope", "fast"])
 
 
 class TestGlobalFlagPlacement:

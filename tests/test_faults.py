@@ -29,7 +29,7 @@ import math
 
 import pytest
 
-from hadwalk import genfun, pathsum, verify, walk
+from hadwalk import genfun, pathsum, specfun, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
 
@@ -51,14 +51,14 @@ def always_equal(monkeypatch):
     monkeypatch.setattr(DyadicRational, "__eq__", lambda self, other: True)
 
 
-def with_walk_function_edited(monkeypatch, name, old, new):
-    """Replace the function walk.<name> by its own source with the one
-    occurrence of `old` replaced by `new`, run in walk's namespace."""
-    source = inspect.getsource(getattr(walk, name))
+def with_function_edited(monkeypatch, module, name, old, new):
+    """Replace the function module.<name> by its own source with the one
+    occurrence of `old` replaced by `new`, run in the module's namespace."""
+    source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
-    namespace = dict(vars(walk))
+    namespace = dict(vars(module))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(walk, name, namespace[name])
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 @pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
@@ -112,7 +112,7 @@ def test_equality_that_always_holds_does_not_hide_a_broken_pairing(
 )
 def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
     # edits of return_probability_direct alone: no other route runs it
-    with_walk_function_edited(monkeypatch, "return_probability_direct", old, new)
+    with_function_edited(monkeypatch, walk, "return_probability_direct", old, new)
     assert failed_rows(scope) == ["value table p_0..p_18",
                                   f"four-oracle equality p_2n, n<={n_max}"]
 
@@ -121,7 +121,7 @@ def test_wrong_direct_route_fails_its_rows(monkeypatch, scope, n_max, old, new):
 def test_unpack_off_by_one_fails_only_the_real_half_row(monkeypatch, scope):
     # every unpacked slot read one too high: simulate's engine is the only
     # caller, and verify's four-part walk shares no packing helper with it
-    with_walk_function_edited(monkeypatch, "_unpack", "- half", "- half + 1")
+    with_function_edited(monkeypatch, walk, "_unpack", "- half", "- half + 1")
     assert failed_rows(scope) == [REAL_HALF_ROW[scope]]
 
 
@@ -129,9 +129,30 @@ def test_unpack_off_by_one_fails_only_the_real_half_row(monkeypatch, scope):
 def test_unmirrored_real_half_distribution_fails_its_row(monkeypatch, scope):
     # sq[k] read where the mirror identity puts sq[n - k]: an edit of
     # simulate's engine alone, which no route runs
-    with_walk_function_edited(monkeypatch, "symmetric_distribution",
-                              "DyadicRational(sq[k] + sq[n - k]", "DyadicRational(sq[k] + sq[k]")
+    with_function_edited(monkeypatch, walk, "symmetric_distribution",
+                         "DyadicRational(sq[k] + sq[n - k]", "DyadicRational(sq[k] + sq[k]")
     assert failed_rows(scope) == [REAL_HALF_ROW[scope]]
+
+
+HYP2F1_DEN_LINE = "        den *= (cn + j * cd) * (j + 1) * bottom_const\n"
+HYP2F1_NUM_LINE = "        num = num * ((a + j) * (bn + j * bd) * top_const) + den\n"
+
+
+@pytest.mark.parametrize("scope,jacobi_max,chain_max", [("fast", 50, 20), ("full", 200, 50)])
+@pytest.mark.parametrize(
+    "old,new",
+    [(HYP2F1_DEN_LINE + HYP2F1_NUM_LINE, HYP2F1_NUM_LINE + HYP2F1_DEN_LINE),
+     ("(j + 1) * bottom_const", "(j + 2) * bottom_const"),
+     ("range(-a - 1, -1, -1)", "range(-a - 1, 0, -1)")],
+    ids=["shared-product-one-term-late", "wrong-factorial", "last-term-dropped"],
+)
+def test_wrong_hyp2f1_fails_the_jacobi_and_chain_rows(
+        monkeypatch, scope, jacobi_max, chain_max, old, new):
+    # edits of the terminating 2F1 alone: jacobi_p0 and the chain's two 2F1
+    # forms run it, the chain's literal sum does not
+    with_function_edited(monkeypatch, specfun, "hyp2f1_terminating", old, new)
+    assert failed_rows(scope) == [f"jacobi downward recurrence n<={jacobi_max}",
+                                  f"hypergeometric chain n<={chain_max}"]
 
 
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):

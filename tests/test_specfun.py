@@ -138,6 +138,20 @@ class TestHyp2F1:
             count += 1
         assert min(kinds.values()) >= 200, kinds
 
+    @pytest.mark.parametrize("a,b,c,z", [
+        # jacobi_p0(alpha, n), as verify's recurrence row reaches it (n <= 201)
+        *(pytest.param(-n, Fraction(n + alpha + 1), Fraction(alpha + 1), Fraction(1, 2),
+                       id=f"jacobi-alpha{alpha}-n{n}")
+          for alpha in (0, 1) for n in (31, 64, 100, 200, 201)),
+        # the two 2F1 forms of verify's hypergeometric chain (n <= 50)
+        *(pytest.param(-(n - 1), Fraction(-(n - 1)), Fraction(2), Fraction(-1),
+                       id=f"chain-z-minus-1-n{n}") for n in (1, 2, 25, 50)),
+        *(pytest.param(-(n - 1), Fraction(n + 1), Fraction(2), Fraction(1, 2),
+                       id=f"chain-z-half-n{n}") for n in (1, 2, 25, 50)),
+    ])
+    def test_horner_equals_fraction_loop_at_verify_sizes(self, a, b, c, z):
+        assert hyp2f1_terminating(a, b, c, z) == hyp2f1_fraction_loop(a, b, c, z)
+
     def test_result_is_reduced_fraction(self):
         got = hyp2f1_terminating(-6, Fraction(5, 3), Fraction(7, 2), Fraction(-4, 5))
         assert isinstance(got, Fraction)
