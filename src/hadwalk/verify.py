@@ -372,14 +372,18 @@ CHECKS = (
 
 def run_verify(scope: str = "fast") -> VerifyReport:
     """Run the cross-oracle suite; scope "fast" (n<=30) or "full" (n<=100
-    plus the Watson quadrature)."""
+    plus the Watson quadrature).  A check that raises adds one failed row
+    named after it, and the checks after it still run."""
     if scope not in ("fast", "full"):
         raise ValueError("scope must be 'fast' or 'full'")
     report = VerifyReport(scope)
     for check, fast, full in CHECKS:
         size = full if scope == "full" else fast
-        if size is None:
-            check(report)
-        else:
-            check(report, size)
+        try:
+            if size is None:
+                check(report)
+            else:
+                check(report, size)
+        except Exception as exc:
+            _add(report, check.__name__, False, "no exception", f"{type(exc).__name__}: {exc}")
     return report

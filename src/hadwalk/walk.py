@@ -82,16 +82,12 @@ HADAMARD_CORES = (1, 1, 1, -1)
 _ZERO_PAIR = (G_ZERO, G_ZERO)
 
 
-def _fits(norm: int, width: int) -> bool:
-    """Whether signed width-bit slots hold every component of a state whose
-    cores have summed squared norm `norm`: no component exceeds sqrt(norm)."""
-    return math.isqrt(norm).bit_length() < width
-
-
-def _slot_width(norm: int) -> int:
-    """Whole-byte slot width that fits `norm`, plus _WIDTH_MARGIN bits."""
-    need = math.isqrt(norm).bit_length() + 1
-    return -(-(need + _WIDTH_MARGIN) // 8) * 8
+def _slot_width(t: int) -> int:
+    """Whole-byte slot width for the real half at time t, plus _WIDTH_MARGIN.
+    Its summed squares are 2^t, as (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), and
+    at most 2^t in the light cone, which only drops slots.  So no slot
+    exceeds isqrt(2^t), of t // 2 + 1 bits, or t // 2 + 2 with a sign bit."""
+    return -(-(t // 2 + 2 + _WIDTH_MARGIN) // 8) * 8
 
 
 def _bias(width: int, count: int) -> int:
@@ -403,19 +399,18 @@ def distribution(psi: WaveFunction) -> Distribution:
     return Distribution(psi.time, probs)
 
 
-def _refit(lre: int, rre: int, norm: int, width: int, count: int) -> tuple[int, int, int]:
-    """(lre, rre, width), their lowest `count` slots repacked wider first if
-    the summed squares `norm` no longer fit `width`."""
-    if _fits(norm, width):
+def _refit(lre: int, rre: int, t: int, width: int, count: int) -> tuple[int, int, int]:
+    """(lre, rre, width) at time t, their lowest `count` slots repacked to
+    _slot_width(t) first if `width` no longer holds t // 2 + 2 bits."""
+    if t // 2 + 2 <= width:
         return lre, rre, width
-    new_width = _slot_width(norm)
+    new_width = _slot_width(t)
     return _widen(lre, width, new_width, count), _widen(rre, width, new_width, count), new_width
 
 
-def _real_half(n: int) -> tuple[int, int, int, int]:
+def _real_half(n: int) -> tuple[int, int, int]:
     """The real parts (Lre, Rre) of the cores at time n from the symmetric
-    qubit, each packed in n + 1 slots, with the bound on their summed
-    squares and their slot width: (Lre, Rre, norm, width).
+    qubit, each packed in n + 1 slots, and their slot width: (Lre, Rre, width).
 
     The Hadamard coin is real, so the real parts evolve on their own, from
     (1, 0) for the qubit (1, i)/sqrt(2); the imaginary parts are the real
@@ -434,18 +429,15 @@ def _real_half(n: int) -> tuple[int, int, int, int]:
                 = (-1)^(t+1) Lre'[t+1-k].
 
     A step is L' = L + R and R' = (L - R) << w on the packed real pair.
-    The slots are sized from the real half's own summed squares, 1 at time
-    0: (a + b)^2 + (a - b)^2 = 2(a^2 + b^2), so a step doubles them, and
-    `_fits` and `_slot_width` keep every slot within its width.  verify
-    checks the identity on its own four-part walk, which does not assume it.
+    The summed squares double each step, from 1, so they are 2^t at time t
+    and `_slot_width(t)` sizes the slots.  verify checks the identity on its
+    own four-part walk, which does not assume it.
     """
-    lre, rre, norm = 1, 0, 1
-    width = _slot_width(norm)
+    lre, rre, width = 1, 0, _slot_width(0)
     for t in range(n):
-        norm <<= 1
-        lre, rre, width = _refit(lre, rre, norm, width, t + 1)
+        lre, rre, width = _refit(lre, rre, t + 1, width, t + 1)
         lre, rre = lre + rre, (lre - rre) << width
-    return lre, rre, norm, width
+    return lre, rre, width
 
 
 def symmetric_distribution(n: int) -> Distribution:
@@ -464,7 +456,7 @@ def symmetric_distribution(n: int) -> Distribution:
     if n < 0:
         raise ValueError("time must be nonnegative")
     _check_exact_time(n)
-    lre, rre, _, width = _real_half(n)
+    lre, rre, width = _real_half(n)
     sq = [a * a + b * b for a, b in zip(_unpack(lre, width, n + 1), _unpack(rre, width, n + 1))]
     probs = {2 * k - n: DyadicRational(sq[k] + sq[n - k], n + 1) for k in range(n + 1)}
     return Distribution(n, probs)
@@ -496,19 +488,18 @@ def return_probability_direct(n: int) -> DyadicRational:
     above the cone; those slots hold positions beyond n - t, whose values
     reach only positions beyond n - t - 1 and so never flow back in.  They
     stay until the next widening, which repacks only the cone's slots.
-    Dropping a slot only removes summed squares, so `norm << 1` stays an
-    upper bound on those of every slot, the cone's or not, and the slots
-    stay soundly sized.
+    A step doubles the summed squares and dropping a slot only removes
+    some, so at time t they are at most 2^t, the cone's slots or not, and
+    the slots sized from t stay sound.
     """
     if n < 0:
         raise ValueError("time must be nonnegative")
     if n % 2 == 1:
         return DyadicRational(0)
     _check_exact_time(n)
-    lre, rre, norm, width = _real_half(n // 2)
+    lre, rre, width = _real_half(n // 2)
     for t in range(n // 2, n):
-        norm <<= 1
-        lre, rre, width = _refit(lre, rre, norm, width, n - t + 1)
+        lre, rre, width = _refit(lre, rre, t + 1, width, n - t + 1)
         lre, rre = (lre + rre + (1 << (width - 1))) >> width, lre - rre
     lre, rre = _read_slot(lre, width, 0), _read_slot(rre, width, 0)
     return DyadicRational(2 * (lre * lre + rre * rre), n + 1)

@@ -606,9 +606,15 @@ class TestOnlyVerifyReachesTheRationalKernels:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
 
-    def test_verify_calls_them(self, kernels_refuse):
-        with pytest.raises(KernelCalled):
-            main(["verify", "--scope", "fast"])
+    def test_verify_calls_them(self, capsys, kernels_refuse):
+        # each raise fails only its own check's row, and the report is whole
+        code, out, _ = run_cli(capsys, "--format", "json", "verify", "--scope", "fast")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        failed = [(c["name"], c["actual"]) for c in checks if c["status"] == "fail"]
+        assert failed == [("_check_jacobi_recurrence", "KernelCalled: "),
+                          ("_check_hyp_chain", "KernelCalled: ")]
+        assert len(checks) == 17  # every row of the fast report
 
 
 class TestGlobalFlagPlacement:

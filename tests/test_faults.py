@@ -6,14 +6,15 @@ Known faults that no verify row catches, listed so that nobody chases them:
 - the qubit (1, -i)/sqrt2 has every distribution of (1, i)/sqrt2, so no route
   and no distribution check tells them apart; only the mirror-identity row
   does, as test_conjugate_qubit_fails_only_the_mirror_identity pins;
-- walk._fits comparing with <= instead of <, and walk._slot_width without its
-  + 1, each pass verify in both scopes: the margin bits of _WIDTH_MARGIN hide
-  them, and with that margin set to 0 no state the real-half engines build
-  reaches the bound (both matched the four-part walk at every t <= 400).
-  Tier-1 catches both, in test_walk.py's test_fits_at_byte_boundaries,
-  test_slot_width_at_byte_boundaries,
-  test_refit_widens_a_one_slot_pair_at_the_bound and the margin-0 cases of
-  TestPackedEngine's test_matches_reference_stepper;
+- walk._slot_width with t // 2 + 1 for its t // 2 + 2, and walk._refit
+  comparing with < instead of <=, each pass verify in both scopes: the first
+  sizes slots one bit short, which the margin bits of _WIDTH_MARGIN hide, and
+  with that margin set to 0 the real half's slots stay below isqrt(2^t), so
+  no value overflows; the second only widens one step early, or repacks at
+  the same width when the margin is 0.  Tier-1 catches the first in
+  test_walk.py's test_slot_width_at_byte_boundaries (t = 14, 15, 30, 31) and
+  test_refit_widens_a_one_slot_pair_at_the_bound, and the second in
+  test_refit_widens_a_one_slot_pair_at_the_bound, which counts repacks;
 - genfun's rounding test dropped, every term the lower end of its interval,
   at 40 carry bits: verify's generating-function rows sum at z <= 0.7 with
   N <= 69, where the 40-bit carry is still exact, so their sums do not move;
@@ -153,6 +154,22 @@ def test_wrong_hyp2f1_fails_the_jacobi_and_chain_rows(
     with_function_edited(monkeypatch, specfun, "hyp2f1_terminating", old, new)
     assert failed_rows(scope) == [f"jacobi downward recurrence n<={jacobi_max}",
                                   f"hypergeometric chain n<={chain_max}"]
+
+
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_hyp2f1_zero_denominator_fails_the_jacobi_and_chain_rows(monkeypatch, scope):
+    # (j + 1) -> j makes the j = 0 denominator 0, so the 2F1 raises
+    # ZeroDivisionError inside both checks; each raise becomes one failed row
+    # named after its check, and the checks after it still run
+    rows = len(verify.run_verify(scope).checks)
+    with_function_edited(monkeypatch, specfun, "hyp2f1_terminating",
+                         "(j + 1) * bottom_const", "j * bottom_const")
+    report = verify.run_verify(scope)
+    assert len(report.checks) == rows
+    failed = [(c.name, c.expected, c.actual.split("(")[0]) for c in report.checks
+              if not c.passed]
+    raised = ("no exception", "ZeroDivisionError: Fraction")
+    assert failed == [("_check_jacobi_recurrence", *raised), ("_check_hyp_chain", *raised)]
 
 
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):

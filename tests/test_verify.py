@@ -1,4 +1,6 @@
+import itertools
 import json
+import sys
 
 import pytest
 
@@ -86,6 +88,44 @@ def test_route_rows_in_report_order():
         "prop1": [-2, 0, 2, 4, 6, 8],
         "closed": [4, 6, 8],
     }
+
+
+def traced_calls(route, times):
+    """The hadwalk Python functions and math functions route.value runs at
+    `times`, as "module.qualname", recorded by sys.setprofile; builtins and
+    verify's own lambdas are left out."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            module, code = frame.f_globals.get("__name__", ""), frame.f_code
+            if module.startswith("hadwalk.") and not (
+                    module == "hadwalk.verify" and code.co_name == "<lambda>"):
+                seen.add(f"{module.removeprefix('hadwalk.')}.{code.co_qualname}")
+        elif event == "c_call" and getattr(arg, "__module__", None) == "math":
+            seen.add(f"math.{arg.__name__}")
+
+    sys.setprofile(profile)
+    try:
+        for n in times:
+            route.value(n)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_routes_share_only_the_stated_functions():
+    # a fault in shared code could make routes agree on a wrong value, so
+    # each pair of routes may share only the DyadicRational constructor,
+    # which the closed-row anchor checks, and the two genfun routes also
+    # their time check and math.comb
+    calls = {r.name: traced_calls(r, (40, 42)) for r in verify.ROUTES}
+    assert all(len(names) > 1 for names in calls.values())
+    for a, b in itertools.combinations(calls, 2):
+        allowed = {"exactnum.DyadicRational.__init__"}
+        if {a, b} == {"prop1", "closed"}:
+            allowed |= {"genfun._check_p0_time", "math.comb"}
+        assert calls[a] & calls[b] == allowed, (a, b)
 
 
 @pytest.mark.parametrize("route", verify.ROUTES[1:], ids=lambda r: r.name)

@@ -168,7 +168,8 @@ class TestExactEngine:
         def refuse(*args):
             raise AssertionError("the four-part walk called a packing helper")
 
-        for name in ("_bias", "_unpack", "_widen", "_read_slot", "_fits", "_slot_width"):
+        for name in ("_bias", "_unpack", "_widen", "_read_slot", "_slot_width", "_refit",
+                     "_real_half"):
             monkeypatch.setattr(walk, name, refuse)
         psi = exact_walk(QubitState.symmetric(), 200)
         assert distribution(psi).total() == DyadicRational(1)
@@ -275,34 +276,30 @@ class TestPackedEngine:
         [
             WaveFunction.point_mass(QubitState.symmetric()),
             WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
-            # not normalized, with negative components
-            WaveFunction(0, 0, ([3], [4], [-7], [0])),
-            # one component equal to sqrt(norm) = 2^8 - 1: needs a ninth, sign bit
-            WaveFunction(0, 0, ([-255], [0], [0], [0])),
         ],
-        ids=["symmetric", "left-only", "unnormalized", "at-bound"],
+        ids=["symmetric", "left-only"],
     )
     def test_matches_reference_stepper(self, monkeypatch, start, margin):
         # the Hadamard coin is real, so the real pair and the imaginary pair
         # of each start step on their own; each is stepped as _real_half
-        # steps its pair, _refit and then L' = L + R, R' = (L - R) << w
+        # steps its pair, _refit and then L' = L + R, R' = (L - R) << w.
+        # Each pair's summed squares are at most 1 at time 0, so at most 2^t
+        # at time t, the bound the slots are sized for
         monkeypatch.setattr(walk, "_WIDTH_MARGIN", margin)
         pairs = dense_pairs(start)
         (lre, lim, rre, rim), = int_cores(pairs)
-        halves = [(l, r, l * l + r * r) for l, r in ((lre, rre), (lim, rim))]
-        halves = [(l, r, norm, walk._slot_width(norm)) for l, r, norm in halves]
+        halves = [(l, r, walk._slot_width(0)) for l, r in ((lre, rre), (lim, rim))]
         widths = {width for *_, width in halves}
         for t in range(1, 151):
             pairs = reference_step(pairs)
             stepped = []
-            for l, r, norm, width in halves:
-                norm <<= 1
-                l, r, width = walk._refit(l, r, norm, width, t)
-                stepped.append((l + r, (l - r) << width, norm, width))
+            for l, r, width in halves:
+                l, r, width = walk._refit(l, r, t, width, t)
+                stepped.append((l + r, (l - r) << width, width))
                 widths.add(width)
             halves = stepped
             want = list(zip(*int_cores(pairs[::2])))
-            for (l, r, _, width), (want_l, want_r) in zip(halves, (want[::2], want[1::2])):
+            for (l, r, width), (want_l, want_r) in zip(halves, (want[::2], want[1::2])):
                 assert walk._unpack(l, width, t + 1) == list(want_l), t
                 assert walk._unpack(r, width, t + 1) == list(want_r), t
         assert len(widths) >= (2 if margin == walk._WIDTH_MARGIN else 8)
@@ -346,36 +343,43 @@ class TestPackedEngine:
         closed = (1 << (width - 1)) * ((1 << (width * count)) - 1) // ((1 << width) - 1)
         assert walk._bias(width, count) == closed
 
-    # No state the program builds reaches these bounds, even with margin 0,
-    # so only these tests see _fits compare with <= or _slot_width drop its + 1
-    @pytest.mark.parametrize("norm,width,fits", [
-        (127**2, 8, True), (128**2 - 1, 8, True), (128**2, 8, False), (255**2, 8, False),
-        (255**2, 16, True), (32767**2, 16, True), (32768**2, 16, False),
+    # At time t the real half's slots need t // 2 + 2 bits: with the margin
+    # set to 0 these tests see _slot_width or _refit size one bit short, or
+    # widen one step early
+    @pytest.mark.parametrize("t,width", [
+        (0, 8), (1, 8), (12, 8), (13, 8), (14, 16), (15, 16), (28, 16), (29, 16),
+        (30, 24), (31, 24),
     ])
-    def test_fits_at_byte_boundaries(self, norm, width, fits):
-        assert walk._fits(norm, width) is fits
-
-    @pytest.mark.parametrize("norm,width", [
-        (0, 8), (1, 8), (127**2, 8), (128**2 - 1, 8), (128**2, 16), (255**2, 16),
-        (256**2, 16), (32767**2, 16), (32768**2, 24),
-    ])
-    def test_slot_width_at_byte_boundaries(self, monkeypatch, norm, width):
+    def test_slot_width_at_byte_boundaries(self, monkeypatch, t, width):
         monkeypatch.setattr(walk, "_WIDTH_MARGIN", 0)
-        assert walk._slot_width(norm) == width
-        # the slots hold +-isqrt(norm), the largest components of that norm
-        top = math.isqrt(norm)
+        assert walk._slot_width(t) == width
+        # the slots hold +-isqrt(2^t), the largest components at time t
+        top = math.isqrt(1 << t)
         values = [top, -top, 0, -top, top]
         assert walk._unpack(packed(values, width), width, len(values)) == values
+        if t in (14, 30):
+            # the width grows here: isqrt(2^t) is past the largest slot of
+            # the next narrower whole-byte width
+            assert top > (1 << (width - 9)) - 1
 
-    @pytest.mark.parametrize("lre,rre", [(64, 64), (-90, 90)])
+    @pytest.mark.parametrize("lre,rre", [(64, 64), (64, -64)])
     def test_refit_widens_a_one_slot_pair_at_the_bound(self, monkeypatch, lre, rre):
-        # 8-bit slots hold the pair, but not its step: the doubled bound is
-        # 128^2 (L = 128) and 180^2 (R = -180), past the largest 8-bit slot
+        # summed squares 2^13: 8-bit slots hold the pair up to time 13, but
+        # not its step at time 14, L = 128 or R = 128.  A repack to the same
+        # width would also keep the values, so the test counts repacks
         monkeypatch.setattr(walk, "_WIDTH_MARGIN", 0)
-        norm = lre * lre + rre * rre
-        assert walk._slot_width(norm) == 8
-        new_lre, new_rre, width = walk._refit(lre, rre, 2 * norm, 8, 1)
-        assert width == 16
+        widths, widen = [], walk._widen
+
+        def spy(state, width, new_width, count):
+            widths.append((width, new_width))
+            return widen(state, width, new_width, count)
+
+        monkeypatch.setattr(walk, "_widen", spy)
+        for t in range(14):
+            assert walk._refit(lre, rre, t, 8, 1) == (lre, rre, 8), t
+        assert widths == []
+        new_lre, new_rre, width = walk._refit(lre, rre, 14, 8, 1)
+        assert width == 16 and widths == [(8, 16), (8, 16)]
         assert walk._read_slot(new_lre + new_rre, width, 0) == lre + rre
         assert walk._read_slot(new_lre - new_rre, width, 0) == lre - rre
 
