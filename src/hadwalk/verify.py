@@ -142,7 +142,7 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     The direct row rebuilds the imaginary parts from the real ones by the
     mirror identity (proved in walk._real_half).  At the origin at
     an even time it reads Lim = -Rre and Rim = Lre, and the second row checks
-    that on the walk's own cores, which do not assume it.
+    that on the walk's own four parts, which do not assume it.
     walk.symmetric_distribution steps only the real parts too, and rebuilds
     every position from the identity, so its row checks the identity at
     every position, both parities of t and both residues of t mod 4.
@@ -163,10 +163,12 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
                 if list(half) != list(dist.probs) or [_pair(p) for p in half.values()] != pairs:
                     half_bad.append(t)
         if t % 2 == 0:
-            gl, gr = psi.cores(0)
-            if gl.im != -gr.re or gr.im != gl.re:
+            # the origin is slot t // 2 of each part
+            lre, lim, rre, rim = (part[t // 2] for part in psi.parts)
+            if lim != -rre or rim != lre:
                 mirror_bad.append(t)
-            direct = _pair(DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp))
+            direct = _pair(DyadicRational(lre * lre + lim * lim + rre * rre + rim * rim,
+                                          psi.scale_exp))
             rows = ROUTES if t in DIRECT_TIMES or t == 2 * n_max else ROUTES[1:]
             bad += [(t, r.name) for r in rows if r.covers(t) and _pair(r.value(t)) != direct]
     _add(report, f"four-oracle equality p_2n, n<={n_max}", not bad, "all routes identical",
@@ -364,7 +366,7 @@ CHECKS = (
     (_check_dp_step, None, None),
     (_check_jacobi_recurrence, 50, 200),
     (_check_hyp_chain, 20, 50),
-    (_check_gf_identity, (0.5,), (0.1, 0.3, 0.5, 0.7)),
+    (_check_gf_identity, (0.5,), (0.1, 0.3, 0.5, 0.7, 0.999)),
     (_check_polya, (0.3,), (0.3, 0.6)),
     (_check_watson, False, True),
 )

@@ -17,11 +17,11 @@ float engine.
 
 Both engines store only the time's parity.  The walk moves every amplitude
 one position per step, so at time t only the t + 1 positions x = 2k - t
-(slot k = 0..t) can hold amplitude.  The float engine keeps one complex
-array per chirality in that layout, and a step is L'[k] = a L[k] + b R[k]
-for k <= t with L'[t+1] = 0, and R'[0] = 0 with R'[k+1] = c L[k] + d R[k].
-It stores and steps only a live window of slots, and drops each end slot
-whose amplitudes fall below 2^-900, far under any printed probability.  A
+(slot k = 0..t) can hold amplitude.  The float engine's step over those
+slots is L'[k] = a L[k] + b R[k] for k <= t with L'[t+1] = 0, and R'[0] = 0
+with R'[k+1] = c L[k] + d R[k].  It stores and steps only a live window of
+slots, one complex array per chirality, and drops each end slot whose
+amplitudes fall below 2^-900, far under any printed probability.  A
 kept slot goes through the same floating-point operations as on a dense
 array over [-t, t].  A dropped slot is 0 where a dense stepper keeps a tiny
 value, so the last bits of nearby values can differ after many steps; with
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .exactnum import G_I, G_ONE, G_ZERO, DyadicRational, GaussianInteger
+from .exactnum import G_I, G_ONE, DyadicRational, GaussianInteger
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,8 +78,6 @@ _WIDTH_MARGIN = 32
 #: The Hadamard coin's entries a, b, c, d over 1/sqrt(2).  Every exact
 #: amplitude is a Gaussian integer times a power of 1/sqrt(2) because of them.
 HADAMARD_CORES = (1, 1, 1, -1)
-
-_ZERO_PAIR = (G_ZERO, G_ZERO)
 
 
 def _slot_width(t: int) -> int:
@@ -195,8 +193,10 @@ class WaveFunction:
     `parts` holds four plain lists of ints, (Lre, Lim, Rre, Rim): the real
     and imaginary parts of the left and of the right cores at the time + 1
     positions of the time's parity (slot k is position 2k - time); positions
-    off that parity hold no amplitude.  This is verify's reference, so it
-    packs nothing and shares no helper with the real-half engines.
+    off that parity hold no amplitude.  Callers read position x as index
+    (x + time) // 2 of each part; verify reads the origin at an even time.
+    This is verify's reference, so it packs nothing and shares no helper
+    with the real-half engines.
     """
 
     __slots__ = ("time", "scale_exp", "parts")
@@ -213,12 +213,6 @@ class WaveFunction:
     def point_mass(cls, qubit: QubitState) -> WaveFunction:
         gl, gr = qubit.left, qubit.right
         return cls(0, qubit.scale_exp, ([gl.re], [gl.im], [gr.re], [gr.im]))
-
-    def cores(self, x: int) -> tuple[GaussianInteger, GaussianInteger]:
-        if abs(x) > self.time or (x + self.time) % 2:
-            return _ZERO_PAIR
-        lre, lim, rre, rim = (part[(x + self.time) // 2] for part in self.parts)
-        return GaussianInteger(lre, lim), GaussianInteger(rre, rim)
 
     def support(self) -> range:
         """Positions sharing the time's parity, from -n to n."""
@@ -240,75 +234,48 @@ class WaveFunction:
 class FloatWaveFunction:
     """Float walk state for arbitrary unitary coins.
 
-    `left` and `right` hold one complex amplitude per position of the
-    time's parity: slot k is position 2k - time, so each has time + 1
-    entries.  Positions off that parity hold no amplitude and are not stored.
+    Slot k is position 2k - time, so the time + 1 positions of the time's
+    parity are slots 0..time; positions off that parity hold no amplitude
+    and are not stored.  The state stores only its live window of slots
+    lo..hi: `left` and `right` hold one complex amplitude per window slot,
+    and every slot outside the window is exactly 0.  The window may be
+    empty, at lo = time + 1, as a step of an all-zero state leaves it.
 
-    The state stores only its live window of slots lo..hi, and every slot
-    outside it is exactly 0; `left` and `right` spread the window over all
-    time + 1 slots.  A step computes the window's slots and then drops each
-    end slot whose left and right amplitudes both lie below _FLOAT_CUT.  A
-    kept slot goes through the same floating-point operations as on a dense
-    array over [-t, t]; a dropped one becomes 0 instead of a value below the
-    cut, so near the window's ends later values can differ in their last
-    bits from a dense stepper's.  The public constructor's window is the
-    whole range.
+    A step computes the window's slots and then drops each end slot whose
+    left and right amplitudes both lie below _FLOAT_CUT.  A kept slot goes
+    through the same floating-point operations as on a dense array over
+    [-t, t]; a dropped one becomes 0 instead of a value below the cut, so
+    near the window's ends later values can differ in their last bits from
+    a dense stepper's.
 
     Only this engine uses numpy, and its methods import it, so the exact
     commands never load it.
     """
 
-    __slots__ = ("time", "lo", "_left", "_right")
+    __slots__ = ("time", "lo", "left", "right")
 
-    def __init__(self, time: int, left: np.ndarray, right: np.ndarray) -> None:
-        if left.shape != (time + 1,) or right.shape != (time + 1,):
+    def __init__(self, time: int, lo: int, left: np.ndarray, right: np.ndarray) -> None:
+        if left.size != right.size or not 0 <= lo <= time + 1 - left.size:
             raise ValueError(
-                f"float amplitudes at time {time} need time + 1 = {time + 1} slots each, "
-                f"got {left.shape} and {right.shape}"
+                f"a float window at time {time} lies in slots 0..{time}, got "
+                f"{left.size} left and {right.size} right slots from slot {lo}"
             )
         self.time = time
-        self.lo = 0
-        self._left = left
-        self._right = right
-
-    @classmethod
-    def _from_window(
-        cls, time: int, lo: int, left: np.ndarray, right: np.ndarray
-    ) -> FloatWaveFunction:
-        psi = cls.__new__(cls)
-        psi.time = time
-        psi.lo = lo
-        psi._left = left
-        psi._right = right
-        return psi
+        self.lo = lo
+        self.left = left
+        self.right = right
 
     @classmethod
     def point_mass(cls, qubit: QubitState) -> FloatWaveFunction:
         import numpy as np
 
         l0, r0 = qubit.to_complex()
-        return cls(0, np.array([l0], complex), np.array([r0], complex))
+        return cls(0, 0, np.array([l0], complex), np.array([r0], complex))
 
     @property
     def hi(self) -> int:
         """The window's last slot (lo - 1 if the window is empty)."""
-        return self.lo + self._left.size - 1
-
-    @property
-    def left(self) -> np.ndarray:
-        return self._spread(self._left)
-
-    @property
-    def right(self) -> np.ndarray:
-        return self._spread(self._right)
-
-    def _spread(self, window: np.ndarray) -> np.ndarray:
-        """A new array of all time + 1 slots: the window's values, 0 elsewhere."""
-        import numpy as np
-
-        full = np.zeros(self.time + 1, complex)
-        full[self.lo : self.hi + 1] = window
-        return full
+        return self.lo + self.left.size - 1
 
     def step(self, coin: CoinMatrix) -> FloatWaveFunction:
         # new position 2k - (t+1) draws its left amplitude from old slot k
@@ -320,14 +287,14 @@ class FloatWaveFunction:
         # fused multiply-adds, whose rounding depends on the operand order.
         import numpy as np
 
-        n = self._left.size
+        n = self.left.size
         left = np.empty(n + 1, complex)
         right = np.empty(n + 1, complex)
         new_left, new_right = left[:-1], right[1:]
-        np.multiply(coin.a, self._left, out=new_left)
-        np.add(new_left, coin.b * self._right, out=new_left)
-        np.multiply(coin.c, self._left, out=new_right)
-        np.add(new_right, coin.d * self._right, out=new_right)
+        np.multiply(coin.a, self.left, out=new_left)
+        np.add(new_left, coin.b * self.right, out=new_left)
+        np.multiply(coin.c, self.left, out=new_right)
+        np.add(new_right, coin.d * self.right, out=new_right)
         left[-1] = right[0] = 0
         # a step adds one slot to the window and a slot leaves it only once,
         # so these checks cost O(1) a step, amortized
@@ -336,7 +303,7 @@ class FloatWaveFunction:
             lo += 1
         while lo <= hi and abs(right[hi]) < _FLOAT_CUT and abs(left[hi]) < _FLOAT_CUT:
             hi -= 1
-        return FloatWaveFunction._from_window(
+        return FloatWaveFunction(
             self.time + 1, self.lo + lo, left[lo : hi + 1], right[lo : hi + 1]
         )
 
@@ -346,7 +313,7 @@ class FloatWaveFunction:
         # a slot outside the window is 0.0, as a dropped slot's probability
         # would round to (see _FLOAT_CUT)
         probs = np.zeros(self.time + 1)
-        probs[self.lo : self.hi + 1] = np.abs(self._left) ** 2 + np.abs(self._right) ** 2
+        probs[self.lo : self.hi + 1] = np.abs(self.left) ** 2 + np.abs(self.right) ** 2
         t = self.time
         return dict(zip(range(-t, t + 1, 2), probs.tolist()))
 

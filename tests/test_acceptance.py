@@ -65,8 +65,8 @@ def test_criterion_2_four_oracle_equivalence():
         psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
         for n in range(1, 101):
             psi = psi.step().step()
-            gl, gr = psi.cores(0)
-            direct = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+            # the origin is slot n of each of the four parts at time 2n
+            direct = DyadicRational(sum(part[n] ** 2 for part in psi.parts), psi.scale_exp)
             assert pathsum.return_probability_paths(n) == direct, n
             assert genfun.p0_legendre(n) == direct, n
             if n >= 2:
@@ -178,7 +178,10 @@ def test_criterion_7_conservation_and_symmetry():
         for t in range(1, 202):
             psi = psi.step()
             if t % 2 == 1:
-                assert [(g.re, g.im) for g in psi.cores(0)] == [(0, 0), (0, 0)], t
+                # the parts store only the t + 1 positions of t's parity,
+                # and at an odd time the origin is not one of them
+                assert [len(part) for part in psi.parts] == [t + 1] * 4, t
+                assert 0 not in psi.support(), t
             if t <= 200:
                 dist = walk.distribution(psi)
                 assert dist.total() == DyadicRational(1), t

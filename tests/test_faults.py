@@ -1,5 +1,9 @@
 """Faults that a shared layer could carry into every route at once, each
 injected by one monkeypatch, and the verify rows that must catch them.
+genfun's rounding test dropped, with 40 carry bits, moves only the sum of
+the generating-function row near z = 1, which runs in full scope only; in
+fast scope tier-1 catches it, in test_genfun.py's bitwise comparisons with
+the exact carry (test_ziv_test_dropped_fails_only_the_row_near_one).
 
 Known faults that no verify row catches, listed so that nobody chases them:
 
@@ -14,15 +18,7 @@ Known faults that no verify row catches, listed so that nobody chases them:
   the same width when the margin is 0.  Tier-1 catches the first in
   test_walk.py's test_slot_width_at_byte_boundaries (t = 14, 15, 30, 31) and
   test_refit_widens_a_one_slot_pair_at_the_bound, and the second in
-  test_refit_widens_a_one_slot_pair_at_the_bound, which counts repacks;
-- genfun's rounding test dropped, every term the lower end of its interval,
-  at 40 carry bits: verify's generating-function rows sum at z <= 0.7 with
-  N <= 69, where the 40-bit carry is still exact, so their sums do not move;
-  where it moves a sum by less than 1e-10 (1.8e-12 at z = 0.98, N = 1221)
-  the rows' tolerance would hide it too, as
-  test_ziv_test_dropped_passes_every_row pins.
-  Tier-1 catches it, in test_genfun.py's bitwise comparisons with the exact
-  carry.
+  test_refit_widens_a_one_slot_pair_at_the_bound, which counts repacks.
 """
 
 import inspect
@@ -221,16 +217,22 @@ def test_direct_row_off_by_2_to_the_minus_40_fails_the_four_oracle_row(monkeypat
     assert main(["verify", "--scope", scope]) == 1
 
 
-@pytest.mark.parametrize("scope", ["fast", "full"])
-def test_ziv_test_dropped_passes_every_row(monkeypatch, scope):
-    # a known fault no verify row catches: see the module docstring
-    right = genfun.gf_partial_sum(0.98, 1221)
+@pytest.mark.parametrize(
+    "scope,rows", [("fast", []), ("full", ["generating function identity z=0.999"])],
+    ids=["fast", "full"])
+def test_ziv_test_dropped_fails_only_the_row_near_one(monkeypatch, scope, rows):
+    # genfun's rounding test dropped, every term the lower end of its
+    # interval, at 40 carry bits.  The rows at z <= 0.7 sum at most 69
+    # terms, where the 40-bit carry is still exact, so their sums do not
+    # move; at z = 0.999, N = 24655, the sum moves by about 1e-9, far past
+    # the row's tolerance of the tail bound plus 1e-10
+    right = genfun.gf_partial_sum(0.999, 24655)
     monkeypatch.setattr(genfun, "_CARRY_BITS", 40)
     monkeypatch.setattr(genfun, "_rounded_pair_probability",
                         lambda c, m, bits: math.ldexp(float(c * c), -2 * bits - 1))
-    wrong = genfun.gf_partial_sum(0.98, 1221)
-    assert 0 < abs(wrong - right) < 1e-10
-    assert failed_rows(scope) == []
+    wrong = genfun.gf_partial_sum(0.999, 24655)
+    assert abs(wrong - right) > 5e-10
+    assert failed_rows(scope) == rows
 
 
 def test_equality_that_always_holds_does_not_admit_an_unnormalized_qubit(monkeypatch):

@@ -46,6 +46,7 @@ FULL_CHECKS = [
     "generating function identity z=0.3",
     "generating function identity z=0.5",
     "generating function identity z=0.7",
+    "generating function identity z=0.999",
     "2d random-walk generating function z=0.3",
     "2d random-walk generating function z=0.6",
     "watson G closed form, 5-decimal prefix",

@@ -59,6 +59,20 @@ def int_cores(pairs):
     return [(gl.re, gl.im, gr.re, gr.im) for gl, gr in pairs]
 
 
+def origin_ints(psi):
+    """(Lre, Lim, Rre, Rim) at the origin, slot time // 2, of an exact state
+    at an even time."""
+    return [part[psi.time // 2] for part in psi.parts]
+
+
+def spread(psi):
+    """A float state's left and right amplitudes over all time + 1 slots,
+    0 outside its window."""
+    full = np.zeros((2, psi.time + 1), complex)
+    full[:, psi.lo : psi.hi + 1] = psi.left, psi.right
+    return full
+
+
 class TestCoinMatrix:
     def test_unitarity_violations_named(self):
         with pytest.raises(ValueError, match=r"\|a\|\^2\+\|c\|\^2"):
@@ -134,13 +148,13 @@ class TestExactEngine:
         psi = exact_walk(QubitState.symmetric(), 1)
         # (1/2)(1+i) |L> at x=-1 and (1/2)(1-i) |R> at x=+1
         assert psi.scale_exp == 2
-        assert int_cores([psi.cores(-1), psi.cores(1)]) == [(1, 1, 0, 0), (0, 0, 1, -1)]
+        assert list(zip(*psi.parts)) == [(1, 1, 0, 0), (0, 0, 1, -1)]
         assert distribution(psi).probs == {-1: DyadicRational(1, 1), 1: DyadicRational(1, 1)}
 
     def test_zero_state_stays_zero(self):
         zero = WaveFunction(0, 0, ([0], [0], [0], [0]))
         stepped = zero.step()
-        assert int_cores(dense_pairs(stepped)) == [(0, 0, 0, 0)] * 3
+        assert stepped.parts == ([0, 0],) * 4
 
     @pytest.mark.parametrize(
         "start",
@@ -173,8 +187,7 @@ class TestExactEngine:
             monkeypatch.setattr(walk, name, refuse)
         psi = exact_walk(QubitState.symmetric(), 200)
         assert distribution(psi).total() == DyadicRational(1)
-        gl, gr = psi.cores(0)
-        p0 = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+        p0 = DyadicRational(sum(v * v for v in origin_ints(psi)), psi.scale_exp)
         assert p0 == distribution(psi).probs[0] == genfun.p0_legendre(100)
 
     def test_time_zero_is_point_mass(self):
@@ -221,10 +234,9 @@ class TestExactEngine:
             dist = distribution(psi)
             assert dist.total() == DyadicRational(1)
             assert all(dist.probs[x] == dist.probs[-x] for x in dist.probs)
-            # off-parity positions hold no amplitude
-            for x in range(-psi.time, psi.time + 1):
-                if (x - psi.time) % 2 != 0:
-                    assert int_cores([psi.cores(x)]) == [(0, 0, 0, 0)]
+            # only the positions of the time's parity are stored
+            assert [len(part) for part in psi.parts] == [psi.time + 1] * 4
+            assert list(dist.probs) == list(range(-psi.time, psi.time + 1, 2))
 
     def test_asymmetric_initial_qubit(self):
         left_only = QubitState(GaussianInteger(1), G_ZERO, 0)
@@ -243,8 +255,11 @@ class TestExactEngine:
 
 
 def dense_pairs(psi):
-    """(left, right) cores on [-time, time], one cores() call per position."""
-    return [psi.cores(x) for x in range(-psi.time, psi.time + 1)]
+    """(left, right) cores on [-time, time] from the four parts, zero at the
+    positions off the time's parity."""
+    pairs = [(G_ZERO, G_ZERO)] * (2 * psi.time + 1)
+    pairs[::2] = [(GaussianInteger(a, b), GaussianInteger(c, d)) for a, b, c, d in zip(*psi.parts)]
+    return pairs
 
 
 def reference_step(pairs):
@@ -430,8 +445,7 @@ class TestLightCone:
         values = {0: DyadicRational(1)}
         for n in range(2, n_max + 1, 2):
             psi = psi.step().step()
-            gl, gr = psi.cores(0)
-            values[n] = DyadicRational(gl.norm_sq() + gr.norm_sq(), psi.scale_exp)
+            values[n] = DyadicRational(sum(v * v for v in origin_ints(psi)), psi.scale_exp)
         return values
 
     @pytest.mark.parametrize("margin", [walk._WIDTH_MARGIN, 0])
@@ -726,7 +740,7 @@ class TestFloatEngine:
     @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
     def test_bit_identical_to_full_width_stepper(self, coin):
         psi = FloatWaveFunction.point_mass(QubitState.symmetric())
-        left, right = psi.left, psi.right
+        left, right = spread(psi)
         for t in range(1, 3981):
             psi = psi.step(coin)
             left, right = full_width_step(left, right, coin)
@@ -744,6 +758,7 @@ class TestFloatEngine:
         assert np.array_equal(psi.left, left) and np.array_equal(psi.right, right)
         assert np.array_equal(first.left, second.left)
         assert np.array_equal(first.right, second.right)
+        # left and right are the window's own arrays: a step allocates new ones
         assert not np.shares_memory(first.left, psi.left)
         assert not np.shares_memory(first.right, psi.right)
         assert first.left.size == first.right.size == 52
@@ -756,8 +771,8 @@ class TestFloatEngine:
     )
     def test_window_holds_every_slot_at_or_above_the_cut(self, coin):
         """Step by step against the same step over every slot: the window
-        is the span of the slots with an amplitude at or above the cut, its
-        slots hold that step's values bit for bit, and all else is exactly 0.
+        is the span of the slots with an amplitude at or above the cut, and
+        its arrays hold that step's values there bit for bit.
         The three coins with a = 0.6 start dropping slots at both ends near
         t = 1220; the window's arrays then start at another offset than the
         full ones, which the coin with complex b and c checks under fused
@@ -765,16 +780,13 @@ class TestFloatEngine:
         edges, and the swap coin keeps the walk on x = 0 and x = +-1."""
         psi = FloatWaveFunction.point_mass(QubitState.symmetric())
         for t in range(1, 1501):
-            want_left, want_right = untrimmed_step(psi.left, psi.right, coin)
+            want_left, want_right = untrimmed_step(*spread(psi), coin)
             psi = psi.step(coin)
             lo, hi = psi.lo, psi.hi
             live = np.flatnonzero(np.maximum(abs(want_left), abs(want_right)) >= walk._FLOAT_CUT)
             assert (lo, hi) == (live[0], live[-1]), t
-            left, right = psi.left, psi.right
-            assert np.array_equal(left[lo : hi + 1], want_left[lo : hi + 1]), t
-            assert np.array_equal(right[lo : hi + 1], want_right[lo : hi + 1]), t
-            outside = np.r_[left[:lo], left[hi + 1 :], right[:lo], right[hi + 1 :]]
-            assert not outside.any(), t
+            assert np.array_equal(psi.left, want_left[lo : hi + 1]), t
+            assert np.array_equal(psi.right, want_right[lo : hi + 1]), t
         if coin.a == 0.6:
             assert 0 < lo and hi < t
 
@@ -785,19 +797,32 @@ class TestFloatEngine:
             psi = psi.step(coin)
             assert (psi.lo, psi.hi) == (0, t), t
 
-    def test_constructor_window_is_the_whole_range(self):
-        left, right = np.zeros(4, complex), np.array([0, 0.6, 0.8j, 0])
-        psi = FloatWaveFunction(3, left, right)
-        assert (psi.lo, psi.hi) == (0, 3)
-        assert np.array_equal(psi.left, left) and np.array_equal(psi.right, right)
-        stepped = psi.step(FLOAT_COINS["real"])
+    def test_constructor_accepts_a_window_in_slots_0_to_time(self):
+        coin = FLOAT_COINS["real"]
+        full = FloatWaveFunction(3, 0, np.zeros(4, complex), np.array([0, 0.6, 0.8j, 0]))
+        assert (full.lo, full.hi) == (0, 3)
+        stepped = full.step(coin)
         assert (stepped.lo, stepped.hi) == (1, 3)
-        empty = FloatWaveFunction(2, np.zeros(3, complex), np.zeros(3, complex))
-        assert empty.step(FLOAT_COINS["real"]).probabilities() == {-3: 0.0, -1: 0.0, 1: 0.0, 3: 0.0}
+        # the same state as its proper sub-window of slots 1..2
+        sub = FloatWaveFunction(3, 1, np.zeros(2, complex), np.array([0.6, 0.8j]))
+        assert (sub.lo, sub.hi) == (1, 2)
+        assert sub.probabilities() == full.probabilities()
+        assert sub.step(coin).probabilities() == stepped.probabilities()
+        # a step of an all-zero state leaves the empty window at lo = time + 1
+        empty = FloatWaveFunction(2, 0, np.zeros(3, complex), np.zeros(3, complex)).step(coin)
+        assert (empty.time, empty.lo, empty.hi) == (3, 4, 3)
+        assert empty.probabilities() == {-3: 0.0, -1: 0.0, 1: 0.0, 3: 0.0}
+        assert (empty.step(coin).lo, empty.step(coin).hi) == (5, 4)
 
-    def test_slot_count_must_match_time(self):
-        with pytest.raises(ValueError, match="time \\+ 1 = 3 slots"):
-            FloatWaveFunction(2, np.zeros(5, complex), np.zeros(5, complex))
+    @pytest.mark.parametrize(
+        "lo,sizes",
+        [(0, (3, 2)), (-1, (2, 2)), (1, (3, 3)), (0, (5, 5)), (4, (0, 0))],
+        ids=["sizes-differ", "negative-lo", "past-time", "too-many-slots", "empty-past-time"],
+    )
+    def test_constructor_refuses_a_window_outside_slots_0_to_time(self, lo, sizes):
+        left, right = (np.zeros(size, complex) for size in sizes)
+        with pytest.raises(ValueError, match=r"a float window at time 2 lies in slots 0\.\.2"):
+            FloatWaveFunction(2, lo, left, right)
 
     @pytest.mark.parametrize("t,name", FOURIER_CASES, ids=[f"{t}-{name}" for t, name in FOURIER_CASES])
     def test_matches_fourier_oracle_within_roundoff_bound(self, t, name):
@@ -808,7 +833,7 @@ class TestFloatEngine:
         bound = engine_error_bound(coin, qubit, t) + oracle_bound
         slots = (2 * np.arange(t + 1) - t) % (2 * t + 2)  # position x at x mod M
         stepped = np.zeros_like(oracle)
-        stepped[slots, 0], stepped[slots, 1] = psi.left, psi.right
+        stepped[slots, 0], stepped[slots, 1] = spread(psi)
         assert np.linalg.norm(stepped - oracle) <= bound
         # sum_x | |u_x|^2 - |v_x|^2 | <= (||u|| + ||v||) ||u - v||, plus the
         # rounding of each side's |L|^2 + |R|^2 (under 6u of it, 8u taken)
