@@ -13,7 +13,7 @@ smooth function instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .specfun import elliptic_k_agm, elliptic_k_from_complement
@@ -44,18 +44,14 @@ class QuadratureConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureValue:
-    value: float
-    error_estimate: float
+#: G by quadrature and the quadrature's error estimate, both floats.
+QuadratureValue = namedtuple("QuadratureValue", "value error_estimate")
 
-
-@dataclass(frozen=True)
-class WatsonResult:
-    g_quadrature: float
-    g_closed: float
-    f_return: float
-    quadrature_error_estimate: float
+#: G by quadrature and by the closed form, F = 1 - 1/G and the quadrature's
+#: error estimate, all floats.  The field order is watson's JSON key and
+#: column order.
+WatsonResult = namedtuple("WatsonResult",
+                          "g_quadrature g_closed f_return quadrature_error_estimate")
 
 
 def rw_return_prob(dim: int, n: int) -> Fraction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -199,7 +198,7 @@ def _cmd_genfun(args, em: Emitter) -> int:
                   for p in map(genfun.gf_point, zs, truncations)]
         em.table(list(points[0]), map(em.cells, points), json_doc={"sweep": points})
         return 0
-    em.record(dataclasses.asdict(genfun.gf_point(args.z, args.truncate)))
+    em.record(genfun.gf_point(args.z, args.truncate)._asdict())
     return 0
 
 
@@ -222,7 +221,7 @@ def _cmd_classical(args, em: Emitter) -> int:
 
 
 def _cmd_watson(args, em: Emitter) -> int:
-    em.record(dataclasses.asdict(classical.watson_return_prob(args.tol)))
+    em.record(classical.watson_return_prob(args.tol)._asdict())
     return 0
 
 

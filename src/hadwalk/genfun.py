@@ -13,8 +13,8 @@ import bisect
 import itertools
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .exactnum import DyadicRational
 from .specfun import central_binomial, elliptic_k_from_complement, legendre_p0
@@ -168,16 +168,10 @@ def truncation_for(z: float, target: float = 1e-12) -> int:
     )
 
 
-@dataclass(frozen=True)
-class GfPoint:
-    """One comparison of the truncated series against the closed form."""
-
-    z: float
-    lhs_partial: float
-    rhs_closed: float
-    truncation: int
-    tail_bound: float
-    abs_diff: float
+#: One comparison of the truncated series against the closed form: the int
+#: truncation and five floats.  The field order is genfun --z's JSON key and
+#: column order.
+GfPoint = namedtuple("GfPoint", "z lhs_partial rhs_closed truncation tail_bound abs_diff")
 
 
 def gf_point(z: float, truncation: int | None = None) -> GfPoint:

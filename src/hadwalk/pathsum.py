@@ -9,7 +9,7 @@ alternating binomial sums run on the int cores of the Hadamard coin, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .exactnum import DyadicRational
 from .walk import HADAMARD_CORES, QubitState
@@ -25,24 +25,27 @@ MAX_DP_CELLS = 250_000
 MAX_PATHS_TIME = 50_000
 
 
-@dataclass(frozen=True)
-class StepPair:
-    """l steps left and m steps right: time l+m, endpoint -l+m."""
+class StepPair(namedtuple("StepPair", "l m")):
+    """l steps left and m steps right: time l+m, endpoint -l+m.  Every
+    construction path, _make and _replace too, refuses a negative count."""
 
-    l: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.l < 0 or self.m < 0:
+    def __new__(cls, l: int, m: int) -> StepPair:
+        if l < 0 or m < 0:
             raise ValueError("step counts must be nonnegative")
+        return super().__new__(cls, l, m)
+
+    @classmethod
+    def _make(cls, iterable) -> StepPair:
+        return cls(*iterable)
 
     @property
     def time(self) -> int:
         return self.l + self.m
 
 
-@dataclass(frozen=True)
-class PQRSVector:
+class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
     """Coefficient vector w.r.t. the Hadamard (P, Q, R, S): each coefficient
     is an int core times (1/sqrt2)^scale_exp.
 
@@ -52,11 +55,7 @@ class PQRSVector:
     compare ==.
     """
 
-    p: int
-    q: int
-    r: int
-    s: int
-    scale_exp: int = 0
+    __slots__ = ()
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
         scale = 2.0 ** (-self.scale_exp / 2.0)

@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import classical, genfun, pathsum, specfun, walk
 from .exactnum import DyadicRational
@@ -28,14 +27,10 @@ VALUE_TABLE = {
 }
 
 
-class Route(NamedTuple):
-    """One route to the exact return probability p_n(0) at time n: its name,
-    the times it covers in words and as a predicate, and its value."""
-
-    name: str
-    needs: Callable[[], str]
-    covers: Callable[[int], bool]
-    value: Callable[[int], DyadicRational]
+#: One route to the exact return probability p_n(0) at time n: its name, the
+#: times it covers in words, needs() -> str, and as a predicate,
+#: covers(n) -> bool, and its value, value(n) -> DyadicRational.
+Route = namedtuple("Route", "name needs covers value")
 
 
 #: The four independent routes, in report order.  Each value and each cap is
@@ -59,19 +54,21 @@ ROUTES = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
-    name: str
-    passed: bool
-    expected: str
-    actual: str
-    tolerance: str = "exact"
+#: One report row: its name, whether it passed, and the expected value,
+#: actual value and tolerance as strings.
+VerifyCheck = namedtuple("VerifyCheck", "name passed expected actual tolerance",
+                         defaults=("exact",))
 
 
-@dataclass
 class VerifyReport:
-    scope: str
-    checks: list[VerifyCheck] = field(default_factory=list)
+    """The VerifyCheck rows of one verify run under its scope, in report
+    order; it passed when every row did."""
+
+    __slots__ = ("scope", "checks")
+
+    def __init__(self, scope: str) -> None:
+        self.scope = scope
+        self.checks: list[VerifyCheck] = []
 
     @property
     def passed(self) -> bool:

@@ -31,13 +31,9 @@ the coins tested, no printed probability differed up to T = 10000.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
 
 from .exactnum import G_I, G_ONE, DyadicRational, GaussianInteger
-
-if TYPE_CHECKING:
-    import numpy as np
 
 UNITARITY_TOL = 1e-12
 
@@ -249,12 +245,13 @@ class FloatWaveFunction:
     a dense stepper's.
 
     Only this engine uses numpy, and its methods import it, so the exact
-    commands never load it.
+    commands never load it.  The module imports annotations from
+    __future__, so the numpy.ndarray annotations below need no import.
     """
 
     __slots__ = ("time", "lo", "left", "right")
 
-    def __init__(self, time: int, lo: int, left: np.ndarray, right: np.ndarray) -> None:
+    def __init__(self, time: int, lo: int, left: numpy.ndarray, right: numpy.ndarray) -> None:
         if left.size != right.size or not 0 <= lo <= time + 1 - left.size:
             raise ValueError(
                 f"a float window at time {time} lies in slots 0..{time}, got "
@@ -318,12 +315,11 @@ class FloatWaveFunction:
         return dict(zip(range(-t, t + 1, 2), probs.tolist()))
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Exact position distribution at one time."""
+class Distribution(namedtuple("Distribution", "time probs")):
+    """Exact position distribution at one time: probs maps each position to
+    its DyadicRational probability."""
 
-    time: int
-    probs: dict[int, DyadicRational]
+    __slots__ = ()
 
     def total(self) -> DyadicRational:
         # an int sum, each numerator brought to the largest exponent

@@ -373,8 +373,9 @@ class TestEllipk:
 class TestGenfun:
     def test_fields(self, capsys):
         doc = run_json(capsys, "genfun", "--z", "0.5")
-        assert set(doc) == {"z", "lhs_partial", "rhs_closed", "truncation",
-                            "tail_bound", "abs_diff"}
+        # the key order is GfPoint's field order
+        assert list(doc) == ["z", "lhs_partial", "rhs_closed", "truncation", "tail_bound",
+                             "abs_diff"]
         assert doc["tail_bound"] <= 1e-12
         assert doc["abs_diff"] <= doc["tail_bound"] + 1e-10
 
@@ -500,6 +501,8 @@ class TestClassical:
 class TestWatson:
     def test_result_fields(self, capsys):
         doc = run_json(capsys, "watson", "--tol", "1e-8")
+        # the key order is WatsonResult's field order
+        assert list(doc) == ["g_quadrature", "g_closed", "f_return", "quadrature_error_estimate"]
         assert abs(doc["g_quadrature"] - doc["g_closed"]) < 1e-6
         assert doc["f_return"] == pytest.approx(0.3405373295, abs=1e-9)
 

@@ -45,11 +45,18 @@ LAYER_IMPORTS = {
 }
 
 
-def run_fresh(script: str) -> str:
-    """stdout of `script` run in a fresh interpreter that imports this hadwalk."""
+#: Modules no hadwalk import loads: what dataclasses, typing and inspect
+#: would bring, each costing start-up time, and numpy.
+UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "numpy")
+
+
+def run_fresh(script: str, *flags: str) -> str:
+    """stdout of `script` run in a fresh interpreter that imports this hadwalk,
+    started with the interpreter `flags`."""
     package_root = str(Path(hadwalk.__file__).resolve().parents[1])
     result = subprocess.run(
-        [sys.executable, "-c", f"import sys; sys.path.insert(0, {package_root!r})\n{script}"],
+        [sys.executable, *flags, "-c",
+         f"import sys; sys.path.insert(0, {package_root!r})\n{script}"],
         capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
@@ -73,6 +80,21 @@ importlib.import_module({module!r})
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "hadwalk"), "numpy" in sys.modules)
 """
     assert run_fresh(script) == f"{LAYER_IMPORTS[module]} False\n"
+
+
+@pytest.mark.parametrize("module", sorted(LAYER_IMPORTS))
+def test_import_loads_no_costly_stdlib_module(module):
+    # -S skips site, whose .pth files may preload typing and so hide a
+    # module that imports it; the CLI also builds its parser, as every
+    # command does before it runs
+    script = f"""
+import importlib
+importlib.import_module({module!r})
+if {module!r} == "hadwalk.cli":
+    sys.modules["hadwalk.cli"].build_parser()
+print(sorted(m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules))
+"""
+    assert run_fresh(script, "-S") == "[]\n"
 
 
 def test_exact_commands_run_without_numpy():

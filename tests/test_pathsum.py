@@ -251,10 +251,33 @@ class TestStepPair:
     def test_derived_quantities(self):
         steps = StepPair(3, 5)
         assert steps.time == 8
+        assert repr(steps) == "StepPair(l=3, m=5)"
+        assert steps._replace(m=1) == StepPair(3, 1) == StepPair._make((3, 1))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             StepPair(-1, 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: StepPair(2, -1),
+        lambda: StepPair(l=0, m=-1),
+        lambda: StepPair._make((-1, 2)),
+        lambda: StepPair._make([2, -1]),
+        lambda: StepPair(3, 5)._replace(l=-1),
+        lambda: StepPair(3, 5)._replace(m=-1),
+    ], ids=["positional-m", "keyword-m", "make-l", "make-m", "replace-l", "replace-m"])
+    def test_every_construction_path_refuses_a_negative_count(self, build):
+        with pytest.raises(ValueError, match="step counts must be nonnegative"):
+            build()
+
+
+class TestPQRSVector:
+    def test_scale_exponent_defaults_to_zero(self):
+        vec = PQRSVector(1, 2, 3, 4)
+        assert vec.scale_exp == 0
+        assert vec == PQRSVector(1, 2, 3, 4, 0) != PQRSVector(1, 2, 3, 4, 2)
+        assert repr(vec) == "PQRSVector(p=1, q=2, r=3, s=4, scale_exp=0)"
+        assert vec.to_complex() == (1, 2, 3, 4)
 
 
 class TestLargeArguments:

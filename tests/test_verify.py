@@ -193,6 +193,20 @@ def test_verify_steps_one_exact_walk(monkeypatch, scope, steps):
     assert len(verify.CHECKS) == 11
 
 
+def test_check_tolerance_defaults_to_exact():
+    assert verify.VerifyCheck("row", True, "1", "1").tolerance == "exact"
+
+
+def test_report_passes_until_a_row_fails():
+    report = verify.VerifyReport("fast")
+    assert (report.scope, report.checks, report.passed) == ("fast", [], True)
+    verify._add(report, "good", True, 1, 1)
+    assert report.passed
+    verify._add(report, "bad", False, 1, 2, 0.5)
+    assert not report.passed
+    assert report.checks[-1] == verify.VerifyCheck("bad", False, "1", "2", "0.5")
+
+
 @pytest.mark.parametrize("route", verify.ROUTES, ids=lambda r: r.name)
 def test_wrong_route_makes_return_prob_all_disagree(monkeypatch, capsys, route):
     with_route_off(monkeypatch, route, 8, DyadicRational(1, 40))
