@@ -89,7 +89,7 @@ def _cmd_simulate(args, em: Emitter) -> int:
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
-        psi = walk.evolve(walk.QubitState.symmetric(), coin, args.time)
+        psi = walk.evolve(coin, args.time)
         probs = ((x, None, p) for x, p in psi.probabilities().items())
     entries = [
         {"position": x, "probability_exact": exact, "probability_float": approx}

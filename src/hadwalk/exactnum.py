@@ -1,10 +1,10 @@
 """Exact arithmetic substrate: dyadic rationals and Gaussian integers.
 
 Every probability produced by the Hadamard walk is an exact dyadic rational,
-and every amplitude is a Gaussian integer times a power of 1/sqrt(2).  Each
-exact container keeps that power once, as one exponent shared by all of its
-cores, so these two types are enough to run the whole walk without a single
-rounding error.
+and every amplitude is a Gaussian integer times a power of 1/sqrt(2).  The
+walk engines hold those amplitudes as plain ints and return DyadicRational
+probabilities; GaussianInteger is left only for the products of
+pathsum._symmetric_probability with G_ONE and G_I.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ class GaussianInteger:
     def norm_sq(self) -> int:
         return self.re * self.re + self.im * self.im
 
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
 
-
-G_ZERO = GaussianInteger(0, 0)
 G_ONE = GaussianInteger(1, 0)
 G_I = GaussianInteger(0, 1)

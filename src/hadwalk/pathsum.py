@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exactnum import DyadicRational
-from .walk import HADAMARD_CORES, QubitState
+from .exactnum import G_I, G_ONE, DyadicRational
+from .walk import HADAMARD_CORES
 
 #: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
 #: under it, l = m = 499, path_sum_dp took 0.2 s and path_sum_grid 1.1 s and
@@ -163,13 +163,12 @@ def _symmetric_probability(vec: PQRSVector) -> DyadicRational:
     """Squared norm of (path-sum matrix) * (symmetric qubit), for an exact vector.
 
     The matrix rows are (p + r, p - r) and (q + s, s - q), times
-    (1/sqrt2)^(scale_exp + 1).
+    (1/sqrt2)^(scale_exp + 1), and the qubit is (G_ONE, G_I) / sqrt2, so the
+    squared norm is (|top|^2 + |bottom|^2) / 2^(scale_exp + 2).
     """
-    qubit = QubitState.symmetric()
-    gl, gr = qubit.left, qubit.right
-    top = (vec.p + vec.r) * gl + (vec.p - vec.r) * gr
-    bottom = (vec.q + vec.s) * gl + (vec.s - vec.q) * gr
-    return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 1 + qubit.scale_exp)
+    top = (vec.p + vec.r) * G_ONE + (vec.p - vec.r) * G_I
+    bottom = (vec.q + vec.s) * G_ONE + (vec.s - vec.q) * G_I
+    return DyadicRational(top.norm_sq() + bottom.norm_sq(), vec.scale_exp + 2)
 
 
 def return_probability_paths(n: int) -> DyadicRational:

@@ -146,7 +146,7 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
     """
     bad, mirror_bad, half_bad = [], [], []
     bad_norm = bad_sym = 0
-    psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
+    psi = walk.WaveFunction.point_mass()
     for t in range(1, 2 * n_max + 1):
         psi = psi.step()
         if t <= n_max:

@@ -2,7 +2,8 @@
 
 Two engines share one stepping rule psi'(x) = P psi(x+1) + Q psi(x-1):
 an exact engine for the Hadamard coin (Gaussian-integer cores under a shared
-power of 1/sqrt(2)) and a float engine for arbitrary unitary coins.
+power of 1/sqrt(2)) and a float engine for arbitrary unitary coins.  Every
+engine starts from the symmetric qubit (1, i)/sqrt(2) at the origin.
 
 The Hadamard coin is real, so the real and imaginary parts of the cores
 evolve independently, and from the symmetric qubit the imaginary parts are
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .exactnum import G_I, G_ONE, DyadicRational, GaussianInteger
+from .exactnum import DyadicRational
 
 UNITARITY_TOL = 1e-12
 
@@ -156,33 +157,6 @@ class CoinMatrix:
         return f"CoinMatrix({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-class QubitState:
-    """Chirality qubit (left, right) * (1/sqrt2)^scale_exp with exactly unit
-    norm: left and right are Gaussian-integer cores under one exponent."""
-
-    __slots__ = ("left", "right", "scale_exp")
-
-    def __init__(self, left: GaussianInteger, right: GaussianInteger, scale_exp: int) -> None:
-        if scale_exp < 0:
-            raise ValueError("scale_exp must be nonnegative")
-        norm_sq = left.norm_sq() + right.norm_sq()
-        if norm_sq != 1 << scale_exp:
-            total = DyadicRational(norm_sq, scale_exp)
-            raise ValueError(f"initial qubit not normalized: |L|^2+|R|^2 = {total}")
-        self.left = left
-        self.right = right
-        self.scale_exp = scale_exp
-
-    @classmethod
-    def symmetric(cls) -> QubitState:
-        """(1/sqrt2) [1, i]: the initial qubit giving a symmetric distribution."""
-        return cls(G_ONE, G_I, 1)
-
-    def to_complex(self) -> tuple[complex, complex]:
-        scale = 2.0 ** (-self.scale_exp / 2.0)
-        return complex(self.left) * scale, complex(self.right) * scale
-
-
 class WaveFunction:
     """Exact walk state on [-n, n] under one shared power of 1/sqrt(2).
 
@@ -206,9 +180,9 @@ class WaveFunction:
         self.parts = parts
 
     @classmethod
-    def point_mass(cls, qubit: QubitState) -> WaveFunction:
-        gl, gr = qubit.left, qubit.right
-        return cls(0, qubit.scale_exp, ([gl.re], [gl.im], [gr.re], [gr.im]))
+    def point_mass(cls) -> WaveFunction:
+        """The symmetric qubit (1, i)/sqrt(2) at the origin at time 0."""
+        return cls(0, 1, ([1], [0], [0], [1]))
 
     def support(self) -> range:
         """Positions sharing the time's parity, from -n to n."""
@@ -263,11 +237,13 @@ class FloatWaveFunction:
         self.right = right
 
     @classmethod
-    def point_mass(cls, qubit: QubitState) -> FloatWaveFunction:
+    def point_mass(cls) -> FloatWaveFunction:
+        """The symmetric qubit at the origin at time 0, 1/sqrt(2) rounded
+        once: 2**-0.5 + 0j on the left and 0.0 + 2**-0.5 j on the right."""
         import numpy as np
 
-        l0, r0 = qubit.to_complex()
-        return cls(0, 0, np.array([l0], complex), np.array([r0], complex))
+        amp = 2**-0.5
+        return cls(0, 0, np.array([complex(amp, 0.0)]), np.array([complex(0.0, amp)]))
 
     @property
     def hi(self) -> int:
@@ -338,8 +314,8 @@ def _check_exact_time(n: int) -> None:
         )
 
 
-def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> FloatWaveFunction:
-    """n float steps of `coin` from a point mass at the origin."""
+def evolve(coin: CoinMatrix, n: int) -> FloatWaveFunction:
+    """n float steps of `coin` from the symmetric qubit at the origin."""
     if n < 0:
         raise ValueError("time must be nonnegative")
     if n > MAX_FLOAT_TIME:
@@ -347,7 +323,7 @@ def evolve(initial: QubitState, coin: CoinMatrix, n: int) -> FloatWaveFunction:
             f"time {n} is above the float engine's limit MAX_FLOAT_TIME = "
             f"{MAX_FLOAT_TIME}"
         )
-    psi_f = FloatWaveFunction.point_mass(initial)
+    psi_f = FloatWaveFunction.point_mass()
     for _ in range(n):
         psi_f = psi_f.step(coin)
     return psi_f

@@ -62,7 +62,7 @@ def test_criterion_1_exact_value_table(capsys):
 
 def test_criterion_2_four_oracle_equivalence():
     with Timer("criterion 2: four-oracle equality for n <= 100", 30.0):
-        psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
+        psi = walk.WaveFunction.point_mass()
         for n in range(1, 101):
             psi = psi.step().step()
             # the origin is slot n of each of the four parts at time 2n
@@ -174,7 +174,7 @@ def test_criterion_6_identity_suite():
 
 def test_criterion_7_conservation_and_symmetry():
     with Timer("criterion 7: exact conservation, symmetry, odd-time zeros", 60.0):
-        psi = walk.WaveFunction.point_mass(walk.QubitState.symmetric())
+        psi = walk.WaveFunction.point_mass()
         for t in range(1, 202):
             psi = psi.step()
             if t % 2 == 1:

@@ -7,9 +7,13 @@ the exact carry (test_ziv_test_dropped_fails_only_the_row_near_one).
 
 Known faults that no verify row catches, listed so that nobody chases them:
 
-- the qubit (1, -i)/sqrt2 has every distribution of (1, i)/sqrt2, so no route
-  and no distribution check tells them apart; only the mirror-identity row
-  does, as test_conjugate_qubit_fails_only_the_mirror_identity pins;
+- no route tells a start with the return probabilities p_n(0) of
+  (1, i)/sqrt2 from that qubit, so the four-oracle row passes: the start
+  (1, -i)/sqrt2 also has all of its distributions and fails only the
+  mirror-identity row (test_conjugate_qubit_fails_only_the_mirror_identity),
+  and the left-only start (1, 0) fails only the mirror-identity, symmetry
+  and real-half rows
+  (test_left_only_qubit_fails_the_mirror_symmetry_and_real_half_rows);
 - walk._slot_width with t // 2 + 1 for its t // 2 + 2, and walk._refit
   comparing with < instead of <=, each pass verify in both scopes: the first
   sizes slots one bit short, which the margin bits of _WIDTH_MARGIN hide, and
@@ -28,7 +32,7 @@ import pytest
 
 from hadwalk import genfun, pathsum, specfun, verify, walk
 from hadwalk.cli import main
-from hadwalk.exactnum import G_ONE, DyadicRational, GaussianInteger
+from hadwalk.exactnum import DyadicRational
 
 from test_verify import plus, with_route_off
 
@@ -40,6 +44,13 @@ REAL_HALF_ROW = {"fast": "real-half distribution = walk's, t<=30",
 
 def failed_rows(scope):
     return [c.name for c in verify.run_verify(scope).checks if not c.passed]
+
+
+def with_start(monkeypatch, *parts, scale_exp):
+    """verify's four-part walk from the one-slot parts (Lre, Lim, Rre, Rim)
+    under (1/sqrt2)^scale_exp instead of the symmetric qubit."""
+    start = walk.WaveFunction(0, scale_exp, tuple([v] for v in parts))
+    monkeypatch.setattr(walk.WaveFunction, "point_mass", classmethod(lambda cls: start))
 
 
 def always_equal(monkeypatch):
@@ -186,12 +197,22 @@ def test_constructor_off_by_one_fails_the_anchor(monkeypatch):
 def test_conjugate_qubit_fails_only_the_mirror_identity(monkeypatch, scope, top):
     # (1, -i)/sqrt(2) has every distribution of (1, i)/sqrt(2), so no route
     # and no other check tells them apart; its imaginary cores are negated
-    conjugate = walk.QubitState(G_ONE, GaussianInteger(0, -1), 1)
-    monkeypatch.setattr(walk.QubitState, "symmetric", classmethod(lambda cls: conjugate))
+    with_start(monkeypatch, 1, 0, 0, -1, scale_exp=1)
     report = verify.run_verify(scope)
     failed = [c for c in report.checks if not c.passed]
     assert [c.name for c in failed] == [f"mirror identity at the origin, n<={top}"]
     assert failed[0].actual == f"{top // 2} failures, first at n=2"
+
+
+@pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
+def test_left_only_qubit_fails_the_mirror_symmetry_and_real_half_rows(
+        monkeypatch, scope, n_max):
+    # (1, 0) has the return probabilities of (1, i)/sqrt(2), so every route
+    # agrees with its origin; its distribution leans left and its imaginary
+    # cores are all 0, which only these three rows see
+    with_start(monkeypatch, 1, 0, 0, 0, scale_exp=0)
+    assert failed_rows(scope) == [f"mirror identity at the origin, n<={2 * n_max}",
+                                  f"symmetry n<={n_max}", REAL_HALF_ROW[scope]]
 
 
 @pytest.mark.parametrize("scope,lm_max", [("fast", 12), ("full", 30)])
@@ -236,7 +257,10 @@ def test_ziv_test_dropped_fails_only_the_row_near_one(monkeypatch, scope, rows):
 
 
 def test_equality_that_always_holds_does_not_admit_an_unnormalized_qubit(monkeypatch):
-    # |1|^2 + |1|^2 = 2 is not 2^0; the constructor compares the ints
+    # (1, i) under (1/sqrt2)^0 has norm 2, so every walk probability is twice
+    # the true one; verify compares the (numerator, denom_exp) ints
     always_equal(monkeypatch)
-    with pytest.raises(ValueError, match="not normalized"):
-        walk.QubitState(G_ONE, G_ONE, 0)
+    with_start(monkeypatch, 1, 0, 0, 1, scale_exp=0)
+    for scope, n_max in (("fast", 30), ("full", 100)):
+        assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}",
+                                      f"normalization n<={n_max}", REAL_HALF_ROW[scope]]

@@ -15,7 +15,7 @@ from hadwalk.pathsum import (
     path_sum_grid,
     return_probability_paths,
 )
-from hadwalk.walk import HADAMARD_CORES, CoinMatrix, QubitState, WaveFunction, distribution
+from hadwalk.walk import HADAMARD_CORES, CoinMatrix, WaveFunction, distribution
 
 #: the Hadamard coin in floats
 HADAMARD = CoinMatrix(*(core * 2**-0.5 for core in HADAMARD_CORES))
@@ -234,7 +234,7 @@ class TestReturnProbability:
 
     def test_consistency_with_evolution(self):
         # the DP's probability at every endpoint -l + m against the exact walk
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         for n in range(1, 13):
             psi = psi.step()
             want = [(x, p.numerator, p.denom_exp) for x, p in distribution(psi).probs.items()]

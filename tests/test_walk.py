@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 from hadwalk import genfun, verify, walk
 from hadwalk.cli import main
-from hadwalk.exactnum import DyadicRational, G_ONE, G_ZERO, GaussianInteger
+from hadwalk.exactnum import DyadicRational, GaussianInteger
 from hadwalk.walk import (
     MAX_EXACT_TIME,
     CoinMatrix,
     FloatWaveFunction,
-    QubitState,
     WaveFunction,
     distribution,
     evolve,
@@ -46,12 +45,26 @@ def brute_force_distribution(n):
     return {pos: float(np.vdot(vec, vec).real) for pos, vec in amps.items()}
 
 
-def exact_walk(qubit, n):
-    """The four-part exact walk n steps from a point mass, as verify steps it."""
-    psi = WaveFunction.point_mass(qubit)
+#: The qubit (1, 0) at the origin: a start that is not the symmetric qubit.
+LEFT_ONLY = WaveFunction(0, 0, ([1], [0], [0], [0]))
+
+#: Zero core of the dense Gaussian-integer oracles.
+G_ZERO = GaussianInteger(0, 0)
+
+
+def exact_walk(n, start=None):
+    """The four-part exact walk n steps from `start`, the symmetric qubit by
+    default, as verify steps it."""
+    psi = WaveFunction.point_mass() if start is None else start
     for _ in range(n):
         psi = psi.step()
     return psi
+
+
+def float_start():
+    """The float engine's start amplitudes (left, right) as complex numbers."""
+    psi = FloatWaveFunction.point_mass()
+    return complex(psi.left[0]), complex(psi.right[0])
 
 
 def int_cores(pairs):
@@ -106,33 +119,29 @@ class TestCoinMatrix:
 
 
 class TestQubitState:
+    """The fixed start of both walk states, the symmetric qubit (1, i)/sqrt2."""
+
     def test_symmetric_is_normalized(self):
-        q = QubitState.symmetric()
-        assert q.left.norm_sq() + q.right.norm_sq() == 2**q.scale_exp
+        psi = WaveFunction.point_mass()
+        assert sum(v * v for v in origin_ints(psi)) == 2**psi.scale_exp
 
     def test_symmetric_cores(self):
-        q = QubitState.symmetric()
-        assert int_cores([(q.left, q.right)]) == [(1, 0, 0, 1)]
-        assert q.scale_exp == 1
-        assert q.to_complex() == (2**-0.5 + 0j, 2**-0.5 * 1j)
+        psi = WaveFunction.point_mass()
+        assert (psi.time, psi.scale_exp, psi.parts) == (0, 1, ([1], [0], [0], [1]))
 
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            QubitState(GaussianInteger(1), GaussianInteger(1), 0)
-
-    def test_unnormalized_under_shared_exponent_rejected(self):
-        # |1+i|^2 + |1|^2 = 3, not 2^1
-        with pytest.raises(ValueError, match=r"not normalized: \|L\|\^2\+\|R\|\^2 = 3/2\^1"):
-            QubitState(GaussianInteger(1, 1), G_ONE, 1)
-
-    def test_negative_exponent_rejected(self):
-        # |1|^2 + |0|^2 = 1 = 2^0, but the exponent itself is out of range
-        with pytest.raises(ValueError, match="scale_exp must be nonnegative"):
-            QubitState(G_ONE, G_ZERO, -1)
+    def test_float_start_is_the_rounded_symmetric_qubit(self):
+        # the floats (1/sqrt2) (1, i) rounded once, with +0.0 zero parts
+        psi = FloatWaveFunction.point_mass()
+        assert (psi.time, psi.lo, psi.left.size, psi.right.size) == (0, 0, 1, 1)
+        left, right = float_start()
+        amp = 2**-0.5
+        assert (left.real.hex(), right.imag.hex()) == (amp.hex(), amp.hex())
+        assert math.copysign(1.0, left.imag) == math.copysign(1.0, right.real) == 1.0
+        assert left.imag == right.real == 0.0
 
     def test_left_only_qubit_evolves_like_the_reference(self):
         t = 40
-        pairs = [(G_ONE, G_ZERO)]
+        pairs = dense_pairs(LEFT_ONLY)
         for _ in range(t):
             pairs = reference_step(pairs)
         want = {
@@ -140,12 +149,12 @@ class TestQubitState:
             for x, (gl, gr) in zip(range(-t, t + 1), pairs)
             if (x + t) % 2 == 0
         }
-        assert distribution(exact_walk(QubitState(G_ONE, G_ZERO, 0), t)).probs == want
+        assert distribution(exact_walk(t, LEFT_ONLY)).probs == want
 
 
 class TestExactEngine:
     def test_single_step_amplitudes(self):
-        psi = exact_walk(QubitState.symmetric(), 1)
+        psi = exact_walk(1)
         # (1/2)(1+i) |L> at x=-1 and (1/2)(1-i) |R> at x=+1
         assert psi.scale_exp == 2
         assert list(zip(*psi.parts)) == [(1, 1, 0, 0), (0, 0, 1, -1)]
@@ -159,8 +168,8 @@ class TestExactEngine:
     @pytest.mark.parametrize(
         "start",
         [
-            WaveFunction.point_mass(QubitState.symmetric()),
-            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
+            WaveFunction.point_mass(),
+            LEFT_ONLY,
             # not normalized, with negative components
             WaveFunction(0, 0, ([3], [4], [-7], [0])),
             # one component equal to sqrt(norm), the largest it can be
@@ -185,17 +194,17 @@ class TestExactEngine:
         for name in ("_bias", "_unpack", "_widen", "_read_slot", "_slot_width", "_refit",
                      "_real_half"):
             monkeypatch.setattr(walk, name, refuse)
-        psi = exact_walk(QubitState.symmetric(), 200)
+        psi = exact_walk(200)
         assert distribution(psi).total() == DyadicRational(1)
         p0 = DyadicRational(sum(v * v for v in origin_ints(psi)), psi.scale_exp)
         assert p0 == distribution(psi).probs[0] == genfun.p0_legendre(100)
 
     def test_time_zero_is_point_mass(self):
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         assert distribution(psi).probs == {0: DyadicRational(1)}
 
     def test_two_step_distribution(self):
-        dist = distribution(exact_walk(QubitState.symmetric(), 2))
+        dist = distribution(exact_walk(2))
         assert dist.probs == {
             -2: DyadicRational(1, 2),
             0: DyadicRational(1, 1),
@@ -205,7 +214,7 @@ class TestExactEngine:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 10])
     def test_against_brute_force(self, n):
         oracle = brute_force_distribution(n)
-        dist = distribution(exact_walk(QubitState.symmetric(), n))
+        dist = distribution(exact_walk(n))
         for x, p in dist.probs.items():
             assert float(p) == pytest.approx(oracle.get(x, 0.0), abs=1e-12)
 
@@ -228,7 +237,7 @@ class TestExactEngine:
         assert return_probability_direct(n) == DyadicRational(0)
 
     def test_conservation_symmetry_parity(self):
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         for _ in range(60):
             psi = psi.step()
             dist = distribution(psi)
@@ -239,8 +248,7 @@ class TestExactEngine:
             assert list(dist.probs) == list(range(-psi.time, psi.time + 1, 2))
 
     def test_asymmetric_initial_qubit(self):
-        left_only = QubitState(GaussianInteger(1), G_ZERO, 0)
-        dist = distribution(exact_walk(left_only, 6))
+        dist = distribution(exact_walk(6, LEFT_ONLY))
         assert dist.total() == DyadicRational(1)
         assert dist.probs[-2] != dist.probs[2]
 
@@ -289,8 +297,8 @@ class TestPackedEngine:
     @pytest.mark.parametrize(
         "start",
         [
-            WaveFunction.point_mass(QubitState.symmetric()),
-            WaveFunction.point_mass(QubitState(G_ONE, G_ZERO, 0)),
+            WaveFunction.point_mass(),
+            LEFT_ONLY,
         ],
         ids=["symmetric", "left-only"],
     )
@@ -441,7 +449,7 @@ class TestLightCone:
     @staticmethod
     def unpruned_returns(n_max):
         """p_n(0) at every even n <= n_max from one full-width exact walk."""
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         values = {0: DyadicRational(1)}
         for n in range(2, n_max + 1, 2):
             psi = psi.step().step()
@@ -492,14 +500,14 @@ def int_pairs(dist):
 
 class TestRealHalfDistribution:
     def test_equals_the_four_part_walk_at_every_small_time(self):
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         for t in range(65):
             assert int_pairs(symmetric_distribution(t)) == int_pairs(distribution(psi)), t
             psi = psi.step()
 
     @pytest.mark.parametrize("n", [1001, 2000])
     def test_equals_the_four_part_walk_at_large_times(self, n):
-        psi = exact_walk(QubitState.symmetric(), n)
+        psi = exact_walk(n)
         assert int_pairs(symmetric_distribution(n)) == int_pairs(distribution(psi))
 
     def test_calls_neither_evolve_nor_step(self, monkeypatch):
@@ -520,7 +528,7 @@ class TestRealHalfDistribution:
 class TestMirrorIdentity:
     def test_imaginary_cores_are_the_real_cores_mirrored(self):
         # at time t, slot k: Lim[k] = (-1)^(t+1) Rre[t-k], Rim[k] = (-1)^t Lre[t-k]
-        psi = WaveFunction.point_mass(QubitState.symmetric())
+        psi = WaveFunction.point_mass()
         for t in range(301):
             lre, lim, rre, rim = psi.parts
             sign = -1 if t % 2 else 1
@@ -720,8 +728,8 @@ class TestFloatEngine:
     def test_matches_exact_engine(self):
         r = 2**-0.5
         coin = CoinMatrix(r, r, r, -r)
-        psi_f = FloatWaveFunction.point_mass(QubitState.symmetric())
-        psi_e = WaveFunction.point_mass(QubitState.symmetric())
+        psi_f = FloatWaveFunction.point_mass()
+        psi_e = WaveFunction.point_mass()
         for _ in range(60):
             psi_f = psi_f.step(coin)
             psi_e = psi_e.step()
@@ -733,13 +741,13 @@ class TestFloatEngine:
 
     def test_general_coin_normalization(self):
         coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
-        psi = evolve(QubitState.symmetric(), coin, 40)
+        psi = evolve(coin, 40)
         probs = psi.probabilities()
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("coin", FLOAT_COINS.values(), ids=FLOAT_COINS.keys())
     def test_bit_identical_to_full_width_stepper(self, coin):
-        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        psi = FloatWaveFunction.point_mass()
         left, right = spread(psi)
         for t in range(1, 3981):
             psi = psi.step(coin)
@@ -752,7 +760,7 @@ class TestFloatEngine:
 
     def test_step_leaves_its_source_unchanged(self):
         coin = FLOAT_COINS["phases"]
-        psi = evolve(QubitState.symmetric(), coin, 50)
+        psi = evolve(coin, 50)
         left, right = psi.left.copy(), psi.right.copy()
         first, second = psi.step(coin), psi.step(coin)
         assert np.array_equal(psi.left, left) and np.array_equal(psi.right, right)
@@ -778,7 +786,7 @@ class TestFloatEngine:
         full ones, which the coin with complex b and c checks under fused
         multiply-adds.  The identity coin leaves zeros between its two live
         edges, and the swap coin keeps the walk on x = 0 and x = +-1."""
-        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        psi = FloatWaveFunction.point_mass()
         for t in range(1, 1501):
             want_left, want_right = untrimmed_step(*spread(psi), coin)
             psi = psi.step(coin)
@@ -792,7 +800,7 @@ class TestFloatEngine:
 
     @pytest.mark.parametrize("coin", [FLOAT_COINS["phases"], NEAR_IDENTITY], ids=["phases", "0.999"])
     def test_full_window_coin_keeps_every_slot(self, coin):
-        psi = FloatWaveFunction.point_mass(QubitState.symmetric())
+        psi = FloatWaveFunction.point_mass()
         for t in range(1, 3981):
             psi = psi.step(coin)
             assert (psi.lo, psi.hi) == (0, t), t
@@ -827,8 +835,8 @@ class TestFloatEngine:
     @pytest.mark.parametrize("t,name", FOURIER_CASES, ids=[f"{t}-{name}" for t, name in FOURIER_CASES])
     def test_matches_fourier_oracle_within_roundoff_bound(self, t, name):
         coin = FLOAT_COINS[name]
-        qubit = QubitState.symmetric().to_complex()
-        psi = evolve(QubitState.symmetric(), coin, t)
+        qubit = float_start()
+        psi = evolve(coin, t)
         oracle, oracle_bound = fourier_walk(coin, qubit, t)
         bound = engine_error_bound(coin, qubit, t) + oracle_bound
         slots = (2 * np.arange(t + 1) - t) % (2 * t + 2)  # position x at x mod M
@@ -871,12 +879,12 @@ class TestFloatEngine:
         """
         r = 2**-0.5
         coin = CoinMatrix(r, r, r, -r)
-        qubit = QubitState.symmetric().to_complex()
+        qubit = float_start()
         delta = float(abs(Fraction(r) ** 2 - Fraction(1, 2))) / 1.4 * (1 + 2 * U)
         qubit_norm = math.hypot(*map(abs, qubit)) * (1 + 2 * U)
         bound = (engine_error_bound(coin, qubit, t)
                  + t * coin_growth(t) * 2 * delta * qubit_norm + math.sqrt(2) * delta)
-        floats = evolve(QubitState.symmetric(), coin, t).probabilities()
+        floats = evolve(coin, t).probabilities()
         exact = {x: float(p) for x, p in symmetric_distribution(t).probs.items()}
         assert list(floats) == list(exact)
         l1 = math.fsum(abs(floats[x] - exact[x]) for x in exact)
@@ -886,6 +894,6 @@ class TestFloatEngine:
     def test_time_limit_boundary(self, monkeypatch):
         coin = CoinMatrix(0.6, 0.8j, 0.8j, 0.6)
         monkeypatch.setattr(walk, "MAX_FLOAT_TIME", 5)
-        assert evolve(QubitState.symmetric(), coin, 5).time == 5
+        assert evolve(coin, 5).time == 5
         with pytest.raises(ValueError, match="MAX_FLOAT_TIME = 5"):
-            evolve(QubitState.symmetric(), coin, 6)
+            evolve(coin, 6)
