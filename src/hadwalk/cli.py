@@ -359,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"error: {exc} (best estimate {exc.best_estimate!r})", file=sys.stderr)
         return 1
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,8 @@
 The four rank-one matrices P, Q, R, S (top/bottom rows of the coin and of its
 row-swapped copy) are closed under multiplication up to a single coin entry,
 so the sum over all l-left/m-right step orderings is a 4-vector recursion
-instead of a 2^n enumeration.  Both that recursion and the closed-form
-alternating binomial sums run on the int cores of the Hadamard coin, exactly.
+instead of a 2^n enumeration.  That recursion and the closed-form alternating
+binomial sums each write the Hadamard coin out in their own exact int sums.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .exactnum import G_I, G_ONE, DyadicRational
-from .walk import HADAMARD_CORES
 
 #: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
-#: under it, l = m = 499, path_sum_dp took 0.2 s and path_sum_grid 1.1 s and
-#: 129 MiB on one core of a 2-vCPU x86-64 host.
+#: under it, l = m = 499, path_sum_dp took 0.07-0.11 s and path_sum_grid
+#: 0.72-0.96 s and a peak RSS of 135 MiB (14 MiB at start) on one core of a
+#: 2-vCPU x86-64 host.  The grid's memory sets the cap.
 MAX_DP_CELLS = 250_000
 
 #: Largest time 2n of return_probability_paths.  Its big-int work grows as
@@ -62,30 +62,25 @@ class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
         return tuple(complex(g) * scale for g in (self.p, self.q, self.r, self.s))
 
 
-def _prepend(up: tuple, left: tuple, entries: tuple) -> tuple:
-    """P up + Q left as a 4-tuple of int cores, one exponent of 1/sqrt2 up;
-    entries are the Hadamard cores (a, b, c, d).
+def _prepend(up: tuple, left: tuple) -> tuple:
+    """P up + Q left as a 4-tuple of int cores, one exponent of 1/sqrt2 up.
 
     Each product of two basis matrices is one coin entry times one basis
     matrix: PP = aP, PS = bP, PQ = bR, PR = aR, QQ = dQ, QR = cQ, QP = cS,
     QS = dS.  So a pure P on the left gives (a p + b s, 0, b q + a r, 0), a
     pure Q gives (0, d q + c r, 0, c p + d s); the sum takes p, r from 'up'
-    and q, s from 'left'.  verify checks these eight products.
+    and q, s from 'left'.  The Hadamard entries (a, b, c, d) = (1, 1, 1, -1)
+    are written out, so each core is one sum or difference of two ints.
+    verify checks these eight products.
     """
-    a, b, c, d = entries
-    return (
-        a * up[0] + b * up[3],
-        d * left[1] + c * left[2],
-        b * up[1] + a * up[2],
-        c * left[0] + d * left[3],
-    )
+    return (up[0] + up[3], left[2] - left[1], up[1] + up[2], left[0] - left[3])
 
 
 def _dp_rows(steps: StepPair):
     """Rows i = 0..l of the prepend-a-step recursion
     S(i, j) = P S(i-1, j) + Q S(i, j-1), each a list of S(i, j) for j = 0..m
     (S(0, 0) is None).  A cell is the int cores of the Hadamard PQRSVector
-    with scale exponent i+j-1.
+    with scale exponent i+j-1, made by _prepend from its two neighbours.
     """
     l, m = steps.l, steps.m
     if l + m < 1:
@@ -96,17 +91,16 @@ def _dp_rows(steps: StepPair):
             f"path-sum DP needs (l+1)(m+1) = {cells} cells, above the limit "
             f"MAX_DP_CELLS = {MAX_DP_CELLS}"
         )
-    entries = HADAMARD_CORES  # a local is cheaper per cell than the global
     nothing = (0, 0, 0, 0)
     row = [None]
     for j in range(1, m + 1):
-        row.append((0, 1, 0, 0) if j == 1 else _prepend(nothing, row[-1], entries))
+        row.append((0, 1, 0, 0) if j == 1 else _prepend(nothing, row[-1]))
     yield row
     for i in range(1, l + 1):
-        cell = (1, 0, 0, 0) if i == 1 else _prepend(row[0], nothing, entries)
+        cell = (1, 0, 0, 0) if i == 1 else _prepend(row[0], nothing)
         above, row = row, [cell]
         for up in above[1:]:
-            cell = _prepend(up, cell, entries)
+            cell = _prepend(up, cell)
             row.append(cell)
         yield row
 

@@ -229,8 +229,9 @@ def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
 
 
 #: The Hadamard P, Q, R, S, each 1/sqrt2 times the integer matrix
-#: (a, b, c, d) = [[a, b], [c, d]] here.  Written out rather than read from
-#: HADAMARD_CORES, so that wrong cores fail the DP-step check.
+#: (a, b, c, d) = [[a, b], [c, d]] here.  Written out here, apart from the
+#: step pathsum._prepend writes out, so that a wrong sign there fails the
+#: DP-step check.
 PQRS_INT = ((1, 1, 0, 0), (0, 0, 1, -1), (1, -1, 0, 0), (0, 0, 1, 1))
 
 
@@ -250,8 +251,7 @@ def _check_dp_step(report: VerifyReport) -> None:
     bad = []
     for k, name in enumerate("PQRS"):
         unit = tuple(int(i == k) for i in range(4))
-        for left, cores in enumerate((pathsum._prepend(unit, zero, pathsum.HADAMARD_CORES),
-                                      pathsum._prepend(zero, unit, pathsum.HADAMARD_CORES))):
+        for left, cores in enumerate((pathsum._prepend(unit, zero), pathsum._prepend(zero, unit))):
             got = tuple(sum(c * m[i] for c, m in zip(cores, PQRS_INT)) for i in range(4))
             if got != _matmul(PQRS_INT[left], PQRS_INT[k]):
                 bad.append("PQ"[left] + name)

@@ -72,10 +72,6 @@ _FLOAT_CUT = 2.0**-900
 #: comes only about every 2 * _WIDTH_MARGIN steps.
 _WIDTH_MARGIN = 32
 
-#: The Hadamard coin's entries a, b, c, d over 1/sqrt(2).  Every exact
-#: amplitude is a Gaussian integer times a power of 1/sqrt(2) because of them.
-HADAMARD_CORES = (1, 1, 1, -1)
-
 
 def _slot_width(t: int) -> int:
     """Whole-byte slot width for the real half at time t, plus _WIDTH_MARGIN.
@@ -118,8 +114,8 @@ def _read_slot(packed: int, width: int, k: int) -> int:
 
 
 class CoinMatrix:
-    """Unitary coin [[a, b], [c, d]] of the float engine (the exact engines
-    step HADAMARD_CORES); ValueError names any violated unitarity condition."""
+    """Unitary coin [[a, b], [c, d]] of the float engine (each exact engine
+    writes the Hadamard step out itself); ValueError names any violated unitarity condition."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -189,7 +185,7 @@ class WaveFunction:
         return range(-self.time, self.time + 1, 2)
 
     def step(self) -> WaveFunction:
-        """One step of the Hadamard coin, HADAMARD_CORES on each pair."""
+        """One step of the Hadamard coin, written out: l + r and l - r on each pair."""
         # new x draws its left core from old x+1 and its right core from
         # old x-1: left slots keep their index, right slots move up by one
         lre, lim, rre, rim = self.parts

@@ -157,8 +157,7 @@ def test_criterion_6_identity_suite():
         zero = (0, 0, 0, 0)
         for k in range(4):
             unit = tuple(int(j == k) for j in range(4))
-            for left, cores in ((0, pathsum._prepend(unit, zero, pathsum.HADAMARD_CORES)),
-                                (1, pathsum._prepend(zero, unit, pathsum.HADAMARD_CORES))):
+            for left, cores in ((0, pathsum._prepend(unit, zero)), (1, pathsum._prepend(zero, unit))):
                 got = [[sum(c * b[i][j] for c, b in zip(cores, basis)) for j in range(2)]
                        for i in range(2)]
                 product = [[sum(basis[left][i][t] * basis[k][t][j] for t in range(2))

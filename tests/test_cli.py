@@ -507,6 +507,18 @@ class TestWatson:
         assert doc["f_return"] == pytest.approx(0.3405373295, abs=1e-9)
 
 
+def test_a_type_error_leaves_main(monkeypatch, capsys):
+    # only ValueError is bad input, exit 2; a TypeError is a fault in
+    # hadwalk, so it propagates with its traceback instead of an exit code
+    def broken(args, em):
+        raise TypeError("a fault in the handler")
+
+    monkeypatch.setattr(cli, "_cmd_watson", broken)
+    with pytest.raises(TypeError, match="a fault in the handler"):
+        main(["watson"])
+    assert capsys.readouterr().err == ""
+
+
 def display_cell(value, precision):
     """The csv and plain cell of one JSON field: floats at --precision."""
     if value is None:

@@ -215,16 +215,26 @@ def test_left_only_qubit_fails_the_mirror_symmetry_and_real_half_rows(
                                   f"symmetry n<={n_max}", REAL_HALF_ROW[scope]]
 
 
+PREPEND_RETURN = "(up[0] + up[3], left[2] - left[1], up[1] + up[2], left[0] - left[3])"
+
+
 @pytest.mark.parametrize("scope,lm_max", [("fast", 12), ("full", 30)])
 @pytest.mark.parametrize(
-    "cores", [(-1, 1, 1, -1), (1, -1, 1, -1), (1, 1, -1, -1), (1, 1, 1, 1)],
+    "step",
+    [
+        "(-up[0] + up[3], left[2] - left[1], up[1] - up[2], left[0] - left[3])",
+        "(up[0] - up[3], left[2] - left[1], -up[1] + up[2], left[0] - left[3])",
+        "(up[0] + up[3], -left[2] - left[1], up[1] + up[2], -left[0] - left[3])",
+        "(up[0] + up[3], left[2] + left[1], up[1] + up[2], left[0] + left[3])",
+    ],
     ids=["a", "b", "c", "d"],
 )
-def test_wrong_exact_cores_fail_the_dp_rows(monkeypatch, scope, lm_max, cores):
-    # HADAMARD_CORES with one sign flipped: the integer DP and the check of
-    # its step read pathsum.HADAMARD_CORES, the closed forms and that check's
-    # literal matrices do not
-    monkeypatch.setattr(pathsum, "HADAMARD_CORES", cores)
+def test_wrong_exact_cores_fail_the_dp_rows(monkeypatch, scope, lm_max, step):
+    # the DP's written-out step with the sign of one coin entry flipped in
+    # both cores that carry it: the integer DP and the check of its step run
+    # pathsum._prepend, the closed forms and that check's literal matrices
+    # do not
+    with_function_edited(monkeypatch, pathsum, "_prepend", PREPEND_RETURN, step)
     assert failed_rows(scope) == [
         f"closed-form coefficients = DP, l,m<={lm_max}",
         "DP step P.v and Q.v vs literal 2x2 products (8 pairs)",

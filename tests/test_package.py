@@ -31,7 +31,10 @@ ALL_LAYERS = ["hadwalk.classical", "hadwalk.exactnum", "hadwalk.genfun", "hadwal
 
 #: What a fresh interpreter holds of hadwalk after importing one module alone:
 #: the package itself and the layers that module imports, never numpy, which
-#: only the float engine's methods import.
+#: only the float engine's methods import.  No route module imports another:
+#: walk (direct), pathsum (xi) and genfun (prop1 and closed) load only
+#: exactnum and, for genfun, specfun, so no route can share another's code
+#: by import.
 LAYER_IMPORTS = {
     "hadwalk": ["hadwalk"],
     "hadwalk.exactnum": ["hadwalk", "hadwalk.exactnum"],
@@ -39,7 +42,7 @@ LAYER_IMPORTS = {
     "hadwalk.genfun": ["hadwalk", "hadwalk.exactnum", "hadwalk.genfun", "hadwalk.specfun"],
     "hadwalk.classical": ["hadwalk", "hadwalk.classical", "hadwalk.specfun"],
     "hadwalk.walk": ["hadwalk", "hadwalk.exactnum", "hadwalk.walk"],
-    "hadwalk.pathsum": ["hadwalk", "hadwalk.exactnum", "hadwalk.pathsum", "hadwalk.walk"],
+    "hadwalk.pathsum": ["hadwalk", "hadwalk.exactnum", "hadwalk.pathsum"],
     "hadwalk.verify": ["hadwalk", *ALL_LAYERS],
     "hadwalk.cli": sorted(["hadwalk", "hadwalk.cli", *ALL_LAYERS]),
 }

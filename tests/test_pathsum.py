@@ -15,10 +15,10 @@ from hadwalk.pathsum import (
     path_sum_grid,
     return_probability_paths,
 )
-from hadwalk.walk import HADAMARD_CORES, CoinMatrix, WaveFunction, distribution
+from hadwalk.walk import CoinMatrix, WaveFunction, distribution
 
 #: the Hadamard coin in floats
-HADAMARD = CoinMatrix(*(core * 2**-0.5 for core in HADAMARD_CORES))
+HADAMARD = CoinMatrix(*(core * 2**-0.5 for core in (1, 1, 1, -1)))
 
 
 # -- exact 2x2 matrices, used as the literal-product oracle.  A value is an
@@ -333,7 +333,7 @@ class TestRollingRowDp:
         for _ in range(50):
             u, v = (tuple(rng.randrange(-10**6, 10**6) for _ in range(4)) for _ in range(2))
             for up, left in ((u, (0,) * 4), ((0,) * 4, v), (u, v)):
-                got, _ = exact_vec_matrix(PQRSVector(*pathsum._prepend(up, left, HADAMARD_CORES)))
+                got, _ = exact_vec_matrix(PQRSVector(*pathsum._prepend(up, left)))
                 want = matadd(matmul(HP, exact_vec_matrix(PQRSVector(*up))[0]),
                               matmul(HQ, exact_vec_matrix(PQRSVector(*left))[0]))
                 assert got == want

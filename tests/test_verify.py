@@ -119,7 +119,9 @@ def test_routes_share_only_the_stated_functions():
     # a fault in shared code could make routes agree on a wrong value, so
     # each pair of routes may share only the DyadicRational constructor,
     # which the closed-row anchor checks, and the two genfun routes also
-    # their time check and math.comb
+    # their time check and math.comb.  No route module imports another
+    # (test_package.LAYER_IMPORTS), so the direct and xi routes share no
+    # coin constant either: each writes the Hadamard coin into its own sums
     calls = {r.name: traced_calls(r, (40, 42)) for r in verify.ROUTES}
     assert all(len(names) > 1 for names in calls.values())
     for a, b in itertools.combinations(calls, 2):
