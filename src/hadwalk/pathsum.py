@@ -13,11 +13,13 @@ from collections import namedtuple
 
 from .exactnum import G_I, G_ONE, DyadicRational
 
-#: Largest grid (l+1)(m+1) the path-sum DP fills.  At the largest square
-#: under it, l = m = 499, path_sum_dp took 0.07-0.11 s and path_sum_grid
-#: 0.72-0.96 s and a peak RSS of 135 MiB (14 MiB at start) on one core of a
-#: 2-vCPU x86-64 host.  The grid's memory sets the cap.
-MAX_DP_CELLS = 250_000
+#: Largest grid (l+1)(m+1) the path-sum DP runs through.  The DP keeps one
+#: row of m + 1 cells, so its memory grows with m and its time with the
+#: cells; the two set the cap.  Under it path_sum_dp took 0.35-0.42 s and a
+#: peak RSS of 15 MiB at the largest square, l = m = 999, and 0.33-0.38 s
+#: and 98 MiB at the thin shape l = 0, m = 999 999 (122 MiB at l = 3, the
+#: worst thin shape; 14 MiB at start), on one core of a 2-vCPU x86-64 host.
+MAX_DP_CELLS = 1_000_000
 
 #: Largest time 2n of return_probability_paths.  Its big-int work grows as
 #: about T^2.6: return-prob --method xi took 1.8 / 9.4 / 16 / 121 s at
@@ -50,9 +52,8 @@ class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
     is an int core times (1/sqrt2)^scale_exp.
 
     A vector for l + m steps carries scale_exp = l + m - 1: so do
-    path_sum_closed, path_sum_dp and every path_sum_grid cell.  Two vectors
-    for the same time are therefore equal in value exactly when they
-    compare ==.
+    path_sum_closed and path_sum_dp.  Two vectors for the same time are
+    therefore equal in value exactly when they compare ==.
     """
 
     __slots__ = ()
@@ -103,18 +104,6 @@ def _dp_rows(steps: StepPair):
             cell = _prepend(up, cell)
             row.append(cell)
         yield row
-
-
-def path_sum_grid(steps: StepPair) -> dict[tuple[int, int], PQRSVector]:
-    """Coefficient vectors for every (i, j) with i <= l, j <= m, i+j >= 1,
-    filled by the prepend-a-step recursion S(l, m) = P S(l-1, m) + Q S(l, m-1).
-    """
-    return {
-        (i, j): PQRSVector(*cell, i + j - 1)
-        for i, row in enumerate(_dp_rows(steps))
-        for j, cell in enumerate(row)
-        if i + j >= 1
-    }
 
 
 def path_sum_dp(steps: StepPair) -> PQRSVector:

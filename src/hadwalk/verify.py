@@ -218,11 +218,13 @@ def _check_pairing(report: VerifyReport, m_max: int) -> None:
 
 
 def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
-    grid = pathsum.path_sum_grid(pathsum.StepPair(lm_max, lm_max))
+    rows = pathsum._dp_rows(pathsum.StepPair(lm_max, lm_max))
+    next(rows)  # l = 0: the closed forms need a step each way
     bad = []
-    for l in range(1, lm_max + 1):
+    for l, row in enumerate(rows, 1):
         for m in range(1, lm_max + 1):
-            if pathsum.path_sum_closed(pathsum.StepPair(l, m)) != grid[(l, m)]:
+            dp = pathsum.PQRSVector(*row[m], l + m - 1)
+            if pathsum.path_sum_closed(pathsum.StepPair(l, m)) != dp:
                 bad.append((l, m))
     _add(report, f"closed-form coefficients = DP, l,m<={lm_max}", not bad,
          "identical vectors", "holds" if not bad else f"{bad[:5]}")

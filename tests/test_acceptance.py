@@ -11,6 +11,8 @@ from hadwalk import classical, genfun, pathsum, specfun, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
+from test_pathsum import dp_grid
+
 
 class Timer:
     def __init__(self, name, limit_s):
@@ -165,7 +167,7 @@ def test_criterion_6_identity_suite():
                 assert got == product, (left, k)
 
         # closed-form coefficients equal the DP for 1 <= l, m <= 30
-        grid = pathsum.path_sum_grid(pathsum.StepPair(30, 30))
+        grid = dp_grid(pathsum.StepPair(30, 30))
         for l in range(1, 31):
             for m in range(1, 31):
                 assert pathsum.path_sum_closed(pathsum.StepPair(l, m)) == grid[(l, m)], (l, m)

@@ -747,9 +747,10 @@ class TestEntryPoint:
         assert "at most" in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("l,m", [(20000, 20000), (100000, 3)])
+    @pytest.mark.parametrize("l,m", [(20000, 20000), (0, pathsum.MAX_DP_CELLS)])
     def test_xi_size_cap_exit_2(self, l, m):
-        # refused before any work; the timeout turns a runaway loop into a failure
+        # refused before any work; the timeout turns a runaway loop into a failure.
+        # (0, MAX_DP_CELLS) is one cell above the cap.
         result = subprocess.run(
             [sys.executable, "-m", "hadwalk.cli", "xi", "--l", str(l), "--m", str(m)],
             capture_output=True, text=True, timeout=60, env=child_env(),
@@ -757,6 +758,21 @@ class TestEntryPoint:
         assert result.returncode == 2, result.stderr
         assert f"MAX_DP_CELLS = {pathsum.MAX_DP_CELLS}" in result.stderr
         assert result.stdout == ""
+
+    def test_xi_square_under_the_cap_prints_the_closed_form_cores(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "hadwalk.cli", "xi", "--l", "500", "--m", "500",
+             "--format", "json"],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        want = pathsum.path_sum_closed(pathsum.StepPair(500, 500))
+        assert doc["sqrt2_exponent"] == want.scale_exp
+        assert doc["coefficients"] == {
+            name: {"re": str(core), "im": "0"}
+            for name, core in zip("pqrs", (want.p, want.q, want.r, want.s))
+        }
 
     @pytest.mark.parametrize("argv,limit", [
         (["classical", "--dim", "2", "--time", "100000000"],

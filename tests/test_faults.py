@@ -241,6 +241,20 @@ def test_wrong_exact_cores_fail_the_dp_rows(monkeypatch, scope, lm_max, step):
     ]
 
 
+@pytest.mark.parametrize("scope,lm_max", [("fast", 12), ("full", 30)])
+@pytest.mark.parametrize(
+    "seed,flipped",
+    [("(0, 1, 0, 0)", "(0, -1, 0, 0)"), ("(1, 0, 0, 0)", "(-1, 0, 0, 0)")],
+    ids=["row-0", "column-0"],
+)
+def test_flipped_dp_seed_fails_the_closed_form_row(monkeypatch, scope, lm_max, seed, flipped):
+    # the one-step cell Q (row 0) or P (column 0) that the DP starts from,
+    # with its sign flipped: every cell with a step each way carries the
+    # wrong sign, while the check of the DP's step never reads the seeds
+    with_function_edited(monkeypatch, pathsum, "_dp_rows", seed, flipped)
+    assert failed_rows(scope) == [f"closed-form coefficients = DP, l,m<={lm_max}"]
+
+
 @pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
 def test_direct_row_off_by_2_to_the_minus_40_fails_the_four_oracle_row(monkeypatch, scope, n_max):
     with_route_off(monkeypatch, verify.ROUTES[0], 20, DyadicRational(1, 40))

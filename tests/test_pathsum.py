@@ -12,7 +12,6 @@ from hadwalk.pathsum import (
     StepPair,
     path_sum_closed,
     path_sum_dp,
-    path_sum_grid,
     return_probability_paths,
 )
 from hadwalk.walk import CoinMatrix, WaveFunction, distribution
@@ -57,6 +56,17 @@ def equal_values(x, y):
     if gap % 2:
         return not any(mx) and not any(my)
     return all((u << (gap // 2)) == v for u, v in zip(mx, my))
+
+
+def dp_grid(steps):
+    """Every cell (i, j), i + j >= 1, of the DP that path_sum_dp runs, as
+    the PQRSVector at scale exponent i + j - 1."""
+    return {
+        (i, j): PQRSVector(*cell, i + j - 1)
+        for i, row in enumerate(pathsum._dp_rows(steps))
+        for j, cell in enumerate(row)
+        if i + j >= 1
+    }
 
 
 def exact_vec_matrix(vec: PQRSVector):
@@ -292,7 +302,7 @@ class TestLargeArguments:
             assert genfun.p0_closed(n // 2) == direct
 
     def test_closed_form_far_from_diagonal(self):
-        grid = path_sum_grid(StepPair(60, 45))
+        grid = dp_grid(StepPair(60, 45))
         for lm in ((60, 45), (37, 41), (60, 1), (1, 45)):
             assert path_sum_closed(StepPair(*lm)) == grid[lm], lm
 
@@ -319,7 +329,7 @@ def dict_grid_reference(steps):
 class TestRollingRowDp:
     def test_hadamard_cores_identical_to_dict_grid(self):
         reference = dict_grid_reference(StepPair(25, 25))
-        grid = path_sum_grid(StepPair(25, 25))
+        grid = dp_grid(StepPair(25, 25))
         assert grid.keys() == reference.keys()
         for (l, m), matrix in reference.items():
             # identical cores and exponent, not merely the same value
@@ -345,7 +355,7 @@ class TestRollingRowDp:
         want = path_sum_closed(StepPair(11, 13))
         monkeypatch.setattr(pathsum, "path_sum_closed", forbidden)
         assert path_sum_dp(StepPair(11, 13)) == want
-        assert path_sum_grid(StepPair(11, 13))[(11, 13)] == want
+        assert dp_grid(StepPair(11, 13))[(11, 13)] == want
 
 
 class TestDpSizeCap:
@@ -353,18 +363,16 @@ class TestDpSizeCap:
         cap = pathsum.MAX_DP_CELLS
         side = math.isqrt(cap)
         for steps in (StepPair(side, side), StepPair(cap, 0), StepPair(0, cap)):
-            for fn in (path_sum_dp, path_sum_grid):
-                with pytest.raises(ValueError, match=f"MAX_DP_CELLS = {cap}"):
-                    fn(steps)
+            with pytest.raises(ValueError, match=f"MAX_DP_CELLS = {cap}"):
+                path_sum_dp(steps)
 
     def test_boundary(self, monkeypatch):
         monkeypatch.setattr(pathsum, "MAX_DP_CELLS", 12)
         want = dict_grid_reference(StepPair(2, 3))[(2, 3)], 5
         assert exact_vec_matrix(path_sum_dp(StepPair(2, 3))) == want
-        assert len(path_sum_grid(StepPair(3, 2))) == 11
-        for fn in (path_sum_dp, path_sum_grid):
-            with pytest.raises(ValueError, match="13 cells"):
-                fn(StepPair(12, 0))
+        assert len(dp_grid(StepPair(3, 2))) == 11
+        with pytest.raises(ValueError, match="13 cells"):
+            path_sum_dp(StepPair(12, 0))
 
     def test_largest_square_runs(self):
         side = math.isqrt(pathsum.MAX_DP_CELLS) - 1

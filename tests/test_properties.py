@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from hadwalk import verify
 from hadwalk.exactnum import DyadicRational, GaussianInteger
-from hadwalk.pathsum import StepPair, path_sum_closed, path_sum_dp, path_sum_grid
+from hadwalk.pathsum import StepPair, path_sum_closed, path_sum_dp
+
+from test_pathsum import dp_grid
 
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
@@ -34,7 +36,7 @@ def test_exact_vectors_carry_time_minus_one(pair):
     # the invariant that lets == compare the values of two exact vectors
     dp = path_sum_dp(pair)
     assert dp.scale_exp == pair.time - 1
-    grid = path_sum_grid(pair)
+    grid = dp_grid(pair)
     assert all(vec.scale_exp == i + j - 1 for (i, j), vec in grid.items())
     if pair.l >= 1 and pair.m >= 1:
         assert path_sum_closed(pair).scale_exp == pair.time - 1
