@@ -59,8 +59,20 @@ class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
     __slots__ = ()
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
-        scale = 2.0 ** (-self.scale_exp / 2.0)
-        return tuple(complex(g) * scale for g in (self.p, self.q, self.r, self.s))
+        # A core past float range (|g| >= 2^1024, met above time 2000 or so)
+        # is divided by 2^(scale_exp // 2) as an int first.  Every other core
+        # keeps the plain product: below a subnormal scale, past scale_exp
+        # 2044, a rescaling would move its low bits.
+        e = self.scale_exp
+        scale = 2.0 ** (-e / 2.0)
+
+        def value(g: int) -> complex:
+            try:
+                return complex(g) * scale
+            except OverflowError:
+                return complex(g / (1 << e // 2)) * 2.0 ** -(e % 2 / 2)
+
+        return tuple(value(g) for g in (self.p, self.q, self.r, self.s))
 
 
 def _prepend(up: tuple, left: tuple) -> tuple:

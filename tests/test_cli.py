@@ -747,10 +747,12 @@ class TestEntryPoint:
         assert "at most" in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("l,m", [(20000, 20000), (0, pathsum.MAX_DP_CELLS)])
+    @pytest.mark.parametrize("l,m", [
+        (20000, 20000), (0, pathsum.MAX_DP_CELLS), (pathsum.MAX_DP_CELLS, 0),
+    ])
     def test_xi_size_cap_exit_2(self, l, m):
         # refused before any work; the timeout turns a runaway loop into a failure.
-        # (0, MAX_DP_CELLS) is one cell above the cap.
+        # (0, MAX_DP_CELLS) and (MAX_DP_CELLS, 0) are one cell above the cap.
         result = subprocess.run(
             [sys.executable, "-m", "hadwalk.cli", "xi", "--l", str(l), "--m", str(m)],
             capture_output=True, text=True, timeout=60, env=child_env(),
@@ -759,20 +761,23 @@ class TestEntryPoint:
         assert f"MAX_DP_CELLS = {pathsum.MAX_DP_CELLS}" in result.stderr
         assert result.stdout == ""
 
-    def test_xi_square_under_the_cap_prints_the_closed_form_cores(self):
+    @pytest.mark.parametrize("l,m", [(500, 500), (700, 1400)])
+    def test_xi_under_the_cap_prints_the_closed_form_cores(self, l, m):
+        # at (700, 1400) the cores pass 2^1024, so the floats need rescaling
         result = subprocess.run(
-            [sys.executable, "-m", "hadwalk.cli", "xi", "--l", "500", "--m", "500",
+            [sys.executable, "-m", "hadwalk.cli", "xi", "--l", str(l), "--m", str(m),
              "--format", "json"],
             capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert result.returncode == 0, result.stderr
         doc = json.loads(result.stdout)
-        want = pathsum.path_sum_closed(pathsum.StepPair(500, 500))
+        want = pathsum.path_sum_closed(pathsum.StepPair(l, m))
         assert doc["sqrt2_exponent"] == want.scale_exp
         assert doc["coefficients"] == {
             name: {"re": str(core), "im": "0"}
             for name, core in zip("pqrs", (want.p, want.q, want.r, want.s))
         }
+        assert all(math.isfinite(x) for pair in doc["floats"].values() for x in pair)
 
     @pytest.mark.parametrize("argv,limit", [
         (["classical", "--dim", "2", "--time", "100000000"],

@@ -289,6 +289,14 @@ class TestPQRSVector:
         assert repr(vec) == "PQRSVector(p=1, q=2, r=3, s=4, scale_exp=0)"
         assert vec.to_complex() == (1, 2, 3, 4)
 
+    def test_cores_past_float_range_still_convert(self):
+        # 3 * 2^2000 and -2^2001 at (1/sqrt2)^4001: 3/sqrt2 and -sqrt2
+        vec = PQRSVector(3 << 2000, -(1 << 2001), 0, 5, 4001)
+        got = vec.to_complex()
+        assert got[0] == pytest.approx(3 / math.sqrt(2), rel=1e-15)
+        assert got[1] == pytest.approx(-math.sqrt(2), rel=1e-15)
+        assert got[2:] == (0, 0)
+
 
 class TestLargeArguments:
     def test_deep_return_probability_agreement(self):

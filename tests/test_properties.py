@@ -12,8 +12,6 @@ from hadwalk import verify
 from hadwalk.exactnum import DyadicRational, GaussianInteger
 from hadwalk.pathsum import StepPair, path_sum_closed, path_sum_dp
 
-from test_pathsum import dp_grid
-
 PROPERTY = settings(deadline=None, database=None, derandomize=True)
 
 
@@ -36,10 +34,12 @@ def test_exact_vectors_carry_time_minus_one(pair):
     # the invariant that lets == compare the values of two exact vectors
     dp = path_sum_dp(pair)
     assert dp.scale_exp == pair.time - 1
-    grid = dp_grid(pair)
-    assert all(vec.scale_exp == i + j - 1 for (i, j), vec in grid.items())
     if pair.l >= 1 and pair.m >= 1:
         assert path_sum_closed(pair).scale_exp == pair.time - 1
+        # verify's closed-vs-DP row gives each _dp_rows cell i + j - 1 itself
+        report = verify.VerifyReport("fast")
+        verify._check_closed_vs_dp(report, min(pair))
+        assert report.passed
 
 
 #: up to 3^20000, 9543 digits: past Python's default 4300-digit str limit
