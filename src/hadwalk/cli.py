@@ -51,8 +51,7 @@ class Emitter:
         elif self.fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow(["" if v is None else v for v in row])
+            writer.writerows(rows)  # it writes None as an empty field
         else:
             cells = [["" if v is None else str(v) for v in row] for row in rows]
             widths = [
@@ -80,8 +79,8 @@ def _cmd_simulate(args, em: Emitter) -> int:
     if args.coin == "hadamard":
         if args.entries is not None:
             raise ValueError("--entries requires --coin custom")
-        dist = walk.symmetric_distribution(args.time)
-        probs = ((x, str(p), float(p)) for x, p in dist.probs.items())
+        values = walk.symmetric_distribution(args.time).probs.values()
+        exact, floats = list(map(str, values)), list(map(float, values))
     else:
         if args.entries is None:
             raise ValueError("--coin custom requires --entries a,b,c,d")
@@ -89,14 +88,18 @@ def _cmd_simulate(args, em: Emitter) -> int:
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)
-        psi = walk.evolve(coin, args.time)
-        probs = ((x, None, p) for x, p in psi.probabilities().items())
-    entries = [
-        {"position": x, "probability_exact": exact, "probability_float": approx}
-        for x, exact, approx in probs
-    ]
-    doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
-    em.table(list(entries[0]), map(em.cells, entries), json_doc=doc)
+        floats = list(walk.evolve(coin, args.time).probabilities().values())
+        exact = [None] * len(floats)
+    positions = range(-args.time, args.time + 1, 2)
+    doc = None
+    if em.fmt == "json":
+        entries = [
+            {"position": x, "probability_exact": e, "probability_float": f}
+            for x, e, f in zip(positions, exact, floats)
+        ]
+        doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
+    columns = ["position", "probability_exact", "probability_float"]
+    em.table(columns, zip(positions, exact, map(em.fl, floats)), json_doc=doc)
     return 0
 
 

@@ -59,18 +59,21 @@ class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
     __slots__ = ()
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
-        # A core past float range (|g| >= 2^1024, met above time 2000 or so)
-        # is divided by 2^(scale_exp // 2) as an int first.  Every other core
-        # keeps the plain product: below a subnormal scale, past scale_exp
-        # 2044, a rescaling would move its low bits.
+        # Each core g times 2^(-e/2), e = scale_exp.  Up to e = 2044 that
+        # scale is a normal float and the plain product is kept.  Past it the
+        # scale is subnormal and holds fewer than 53 bits, so there, and for
+        # a core past float range (|g| >= 2^1024, met above time 2000 or so),
+        # g is divided by 2^(e // 2) as an int first, which rounds once.
         e = self.scale_exp
         scale = 2.0 ** (-e / 2.0)
 
         def value(g: int) -> complex:
-            try:
-                return complex(g) * scale
-            except OverflowError:
-                return complex(g / (1 << e // 2)) * 2.0 ** -(e % 2 / 2)
+            if e <= 2044:
+                try:
+                    return complex(g) * scale
+                except OverflowError:
+                    pass
+            return complex(g / (1 << e // 2)) * 2.0 ** -(e % 2 / 2)
 
         return tuple(value(g) for g in (self.p, self.q, self.r, self.s))
 

@@ -22,7 +22,9 @@ one position per step, so at time t only the t + 1 positions x = 2k - t
 slots is L'[k] = a L[k] + b R[k] for k <= t with L'[t+1] = 0, and R'[0] = 0
 with R'[k+1] = c L[k] + d R[k].  It stores and steps only a live window of
 slots, one complex array per chirality, and drops each end slot whose
-amplitudes fall below 2^-900, far under any printed probability.  A
+amplitudes fall below 2^-900, far under any printed probability.  One loop,
+_float_steps, makes every float step: FloatWaveFunction.step runs it once and
+evolve n times, in place on buffers it allocates once per call.  A
 kept slot goes through the same floating-point operations as on a dense
 array over [-t, t].  A dropped slot is 0 where a dense stepper keeps a tiny
 value, so the last bits of nearby values can differ after many steps; with
@@ -51,9 +53,10 @@ MAX_EXACT_TIME = 9000
 #: Largest time the float engine evolves to.  Its time grows as T^2, and is
 #: longest for a coin whose live window keeps every slot: simulate with the
 #: coin (0.999, s, s, -0.999), s = sqrt(1 - 0.999^2), the slowest coin
-#: measured, took 2.6-3.4 / 9.0-9.9 s at T = 20000 / 35000, interpreter
-#: start included, on one core of a 2-vCPU x86-64 host.  The coin
-#: (0.6, 0.8i, 0.8i, 0.6) took 1.4-1.7 s at T = 20000, and 9.0-9.6 s on the
+#: measured, took 1.2-1.3 / 3.5-3.8 s at T = 20000 / 35000, interpreter
+#: start included, on one core of a 2-vCPU x86-64 host, and 2.6-2.9 /
+#: 8.7-10.5 s when each step allocated new arrays.  The coin
+#: (0.6, 0.8i, 0.8i, 0.6) took 0.9-1.1 s at T = 20000, and 9.0-9.6 s on the
 #: same host before the window, when subnormal tails were stepped too.
 MAX_FLOAT_TIME = 35_000
 
@@ -212,7 +215,8 @@ class FloatWaveFunction:
     through the same floating-point operations as on a dense array over
     [-t, t]; a dropped one becomes 0 instead of a value below the cut, so
     near the window's ends later values can differ in their last bits from
-    a dense stepper's.
+    a dense stepper's.  Steps run in _float_steps, which writes only into
+    buffers of its own, so a state a caller holds never changes.
 
     Only this engine uses numpy, and its methods import it, so the exact
     commands never load it.  The module imports annotations from
@@ -247,34 +251,8 @@ class FloatWaveFunction:
         return self.lo + self.left.size - 1
 
     def step(self, coin: CoinMatrix) -> FloatWaveFunction:
-        # new position 2k - (t+1) draws its left amplitude from old slot k
-        # (position 2k - t, one step right) and its right amplitude from old
-        # slot k - 1: left slots keep their index, right slots move up by one,
-        # so the window lo..hi becomes lo..hi + 1, and its ends are trimmed.
-        # The arrays are new, so a state a caller holds never changes.  The
-        # coin entry stays the first factor: numpy's complex multiply may use
-        # fused multiply-adds, whose rounding depends on the operand order.
-        import numpy as np
-
-        n = self.left.size
-        left = np.empty(n + 1, complex)
-        right = np.empty(n + 1, complex)
-        new_left, new_right = left[:-1], right[1:]
-        np.multiply(coin.a, self.left, out=new_left)
-        np.add(new_left, coin.b * self.right, out=new_left)
-        np.multiply(coin.c, self.left, out=new_right)
-        np.add(new_right, coin.d * self.right, out=new_right)
-        left[-1] = right[0] = 0
-        # a step adds one slot to the window and a slot leaves it only once,
-        # so these checks cost O(1) a step, amortized
-        lo, hi = 0, n
-        while lo <= hi and abs(left[lo]) < _FLOAT_CUT and abs(right[lo]) < _FLOAT_CUT:
-            lo += 1
-        while lo <= hi and abs(right[hi]) < _FLOAT_CUT and abs(left[hi]) < _FLOAT_CUT:
-            hi -= 1
-        return FloatWaveFunction(
-            self.time + 1, self.lo + lo, left[lo : hi + 1], right[lo : hi + 1]
-        )
+        """The state one step of `coin` later, in arrays of its own."""
+        return _float_steps(self, coin, 1)
 
     def probabilities(self) -> dict[int, float]:
         import numpy as np
@@ -319,10 +297,51 @@ def evolve(coin: CoinMatrix, n: int) -> FloatWaveFunction:
             f"time {n} is above the float engine's limit MAX_FLOAT_TIME = "
             f"{MAX_FLOAT_TIME}"
         )
-    psi_f = FloatWaveFunction.point_mass()
-    for _ in range(n):
-        psi_f = psi_f.step(coin)
-    return psi_f
+    return _float_steps(FloatWaveFunction.point_mass(), coin, n)
+
+
+def _float_steps(psi: FloatWaveFunction, coin: CoinMatrix, count: int) -> FloatWaveFunction:
+    """`count` steps of `coin` from `psi`, the float engine's one stepping loop.
+
+    Buffer index i holds slot psi.lo + i.  A step makes the window lo..hi
+    into lo..hi + 1, and trimming only raises lo or lowers hi, so buffers of
+    psi's size plus `count` slots hold every window, and the loop keeps lo
+    and hi as offsets into them.  Two buffer pairs take turns as a step's
+    source and target, and a scratch array holds b R and then d R.
+    """
+    # new position 2k - (t+1) draws its left amplitude from old slot k
+    # (position 2k - t, one step right) and its right amplitude from old
+    # slot k - 1: left slots keep their index, right slots move up by one.
+    # The coin entry stays the first factor: numpy's complex multiply may use
+    # fused multiply-adds, whose rounding depends on the operand order.
+    import numpy as np
+
+    a, b, c, d = map(np.complex128, (coin.a, coin.b, coin.c, coin.d))
+    n = psi.left.size
+    left, right, new_left, new_right, scratch = (np.empty(n + count, complex) for _ in range(5))
+    left[:n], right[:n] = psi.left, psi.right
+    lo, hi = 0, n - 1
+    for _ in range(count):
+        src_left, src_right, part = left[lo : hi + 1], right[lo : hi + 1], scratch[lo : hi + 1]
+        to_left, to_right = new_left[lo : hi + 1], new_right[lo + 1 : hi + 2]
+        np.multiply(a, src_left, out=to_left)
+        np.multiply(b, src_right, out=part)
+        np.add(to_left, part, out=to_left)
+        np.multiply(c, src_left, out=to_right)
+        np.multiply(d, src_right, out=part)
+        np.add(to_right, part, out=to_right)
+        # the new top slot has no left amplitude and the bottom slot no right
+        # one; a reused target holds an older step's values there
+        hi += 1
+        new_left[hi] = new_right[lo] = 0
+        left, right, new_left, new_right = new_left, new_right, left, right
+        # a step adds one slot to the window and a slot leaves it only once,
+        # so these checks cost O(1) a step, amortized
+        while lo <= hi and abs(left[lo]) < _FLOAT_CUT and abs(right[lo]) < _FLOAT_CUT:
+            lo += 1
+        while lo <= hi and abs(right[hi]) < _FLOAT_CUT and abs(left[hi]) < _FLOAT_CUT:
+            hi -= 1
+    return FloatWaveFunction(psi.time + count, psi.lo + lo, left[lo : hi + 1], right[lo : hi + 1])
 
 
 def distribution(psi: WaveFunction) -> Distribution:

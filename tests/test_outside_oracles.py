@@ -1,5 +1,5 @@
 """K(k), Watson's G and the generating function's closed form against
-mpmath at 30 digits.
+mpmath at 30 digits, and the path-sum floats against mpmath at 200 bits.
 
 mpmath is a test-only dependency.  Each tolerance is a first-order rounding
 bound for the float evaluation, derived in the comments below; U = 2^-53 is
@@ -14,7 +14,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from hadwalk import classical, genfun, specfun
+from hadwalk import classical, genfun, pathsum, specfun
 
 U = 2.0**-53
 
@@ -166,3 +166,26 @@ def test_gf_closed_form_against_mpmath(monkeypatch, z):
     zz = mpf(z)
     exact = (1 + zz**2) / mpmath.pi * mpmath.ellipk(zz**4) + mpf(1) / 2
     assert abs(mpf(value) - exact) <= bound * exact
+
+
+@pytest.mark.parametrize("l,m", [(200, 1900), (120, 1950), (99, 1946), (100, 1946), (100, 1947)])
+def test_path_sum_floats_against_mpmath(l, m):
+    """Each float of to_complex within 2 ulp of core * 2^(-e/2), e = l + m - 1,
+    wherever that value is a normal float.  The shapes put e past 2044, where
+    2^(-e/2) is subnormal, and at 2044 to 2046 around that edge.  Past 2044
+    the core is divided by 2^(e // 2) as an int, and for an odd e the
+    quotient is multiplied by fl(2^-0.5); up to 2044 float(core) is
+    multiplied by fl(2^(-e/2)).  Either way the quotient or float(core) is
+    off by at most 1/sqrt2 ulp of the value once scaled, the factor
+    (within 2^-54 of 2^-0.5, times a power of two) by at most 1/sqrt2 ulp,
+    and the product rounds by 1/2 ulp: under 1.92 ulp in all."""
+    vec = pathsum.path_sum_dp(pathsum.StepPair(l, m))
+    normal = 0
+    with mpmath.workprec(200):
+        for core, got in zip(vec[:4], vec.to_complex()):
+            exact = mpf(core) * mpmath.power(2, mpf(-vec.scale_exp) / 2)
+            assert got.imag == 0
+            if abs(exact) >= 2.0**-1022:
+                normal += 1
+                assert abs(mpf(got.real) - exact) <= 2 * math.ulp(float(exact)), core
+    assert normal > 0

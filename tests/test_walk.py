@@ -798,6 +798,25 @@ class TestFloatEngine:
         if coin.a == 0.6:
             assert 0 < lo and hi < t
 
+    @pytest.mark.parametrize(
+        "coin",
+        [*FLOAT_COINS.values(), NEAR_IDENTITY, CoinMatrix(0.6, 0.48 + 0.64j, -0.48 + 0.64j, 0.6),
+         CoinMatrix(1, 0, 0, 1), CoinMatrix(0, 1, 1, 0)],
+        ids=[*FLOAT_COINS, "0.999", "0.6,0.48+0.64j", "identity", "swap"],
+    )
+    def test_evolve_equals_chained_steps_bit_for_bit(self, coin):
+        """evolve reuses its buffers from step to step and step allocates
+        them afresh.  The coins with a = 0.6 trim both ends from near
+        t = 1220, where a reused buffer holds an older step's values."""
+        psi = FloatWaveFunction.point_mass()
+        for t in (0, 1, 2, 1500, 3980):
+            while psi.time < t:
+                psi = psi.step(coin)
+            got = evolve(coin, t)
+            assert (got.time, got.lo, got.hi) == (psi.time, psi.lo, psi.hi), t
+            assert np.array_equal(got.left.view(np.uint64), psi.left.view(np.uint64)), t
+            assert np.array_equal(got.right.view(np.uint64), psi.right.view(np.uint64)), t
+
     @pytest.mark.parametrize("coin", [FLOAT_COINS["phases"], NEAR_IDENTITY], ids=["phases", "0.999"])
     def test_full_window_coin_keeps_every_slot(self, coin):
         psi = FloatWaveFunction.point_mass()
