@@ -9,7 +9,6 @@ pathsum._symmetric_probability with G_ONE and G_I.
 
 from __future__ import annotations
 
-import re as _re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -54,14 +53,6 @@ class DyadicRational:
         if d != 1 << exp:
             raise ValueError(f"{q} is not dyadic (denominator {d})")
         return cls(q.numerator, exp)
-
-    @classmethod
-    def parse(cls, text: str) -> DyadicRational:
-        """Inverse of str(); accepts the "n/2^k" wire format."""
-        m = _re.fullmatch(r"\s*(-?\d+)/2\^(\d+)\s*", text)
-        if m is None:
-            raise ValueError(f"not a dyadic rational string: {text!r}")
-        return cls(int(Decimal(m.group(1))), int(m.group(2)))
 
     def to_decimal_string(self) -> str:
         """Exact terminating decimal expansion (n/2^k = n*5^k / 10^k)."""

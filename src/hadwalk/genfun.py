@@ -20,7 +20,8 @@ from .exactnum import DyadicRational
 from .specfun import central_binomial, elliptic_k_from_complement, legendre_p0
 
 # Largest truncation of the generating-function series.  The sum streams, so
-# its time grows linearly with the truncation and its memory stays flat:
+# its time grows linearly with the truncation and one point's memory stays
+# flat (a sweep buffers more; see gf_points):
 # gf_partial_sum took 0.006 / 0.04 / 0.25 / 0.9 s at N = 24 655 / 10^5 / 10^6
 # / 3*10^6 on one core of a 2-vCPU x86-64 host, and genfun --z 0.99999
 # (N = 2 466 699) took 1.5 s, interpreter start included.
@@ -69,7 +70,8 @@ def gf_partial_sum(z: float, truncation: int) -> float:
     The probabilities come from the pairing p_{4m} = p_{4m+2} =
     C(2m,m)^2 / 2^(4m+1) = x_m^2 / 2^(2P+1), with x_m = 2^P C(2m,m) / 4^m
     and P = _CARRY_BITS.  The sum streams: one pass, linear in N, with no
-    list of terms.  Each even term is float(p0_legendre(n // 2)), the float
+    list of terms (gf_points shares one stream among many z, and buffers
+    it).  Each even term is float(p0_legendre(n // 2)), the float
     nearest the exact value; verify checks the Legendre route itself.
 
     x_m is carried in fixed point: c_0 = x_0 = 2^P and c_m = floor(c_{m-1}
@@ -92,14 +94,25 @@ def gf_partial_sum(z: float, truncation: int) -> float:
     The powers z^n are the sequential products 1, z, z*z, ..., one rounding
     each, and math.fsum keeps the accumulation compensated.
     """
+    _check_series(z, truncation)
+    return _series(z, truncation, _even_return_probabilities())
+
+
+def _check_series(z: float, truncation: int) -> None:
     _check_z(z)
     if truncation < 0:
         raise ValueError("truncation must be nonnegative")
     if truncation > MAX_TRUNCATION:
         raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {truncation}")
+
+
+def _series(z: float, truncation: int, probabilities: Iterator[float]) -> float:
+    """math.fsum of z^n p_n(0) over even n <= truncation, each p_n(0) the
+    next float of `probabilities` (_even_return_probabilities or a tee
+    branch of it); it reads none past the last even n."""
     powers = itertools.accumulate(itertools.repeat(z, truncation), operator.mul, initial=1.0)
     even_powers = itertools.islice(powers, 0, None, 2)
-    return math.fsum(map(operator.mul, even_powers, _even_return_probabilities()))
+    return math.fsum(map(operator.mul, even_powers, probabilities))
 
 
 def _even_return_probabilities() -> Iterator[float]:
@@ -178,9 +191,44 @@ def gf_point(z: float, truncation: int | None = None) -> GfPoint:
     """Evaluate both sides at z; default truncation pushes the tail below 1e-12."""
     if truncation is None:
         truncation = truncation_for(z)
-    elif truncation < 4:
+    else:
+        _check_point_truncation(truncation)
+    return _gf_point(z, truncation, gf_partial_sum(z, truncation))
+
+
+def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
+    """[gf_point(z, N) for z, N in zip(zs, truncations)], bit for bit, from
+    one stream of return probabilities run once to the largest N.
+
+    The stream does not depend on z, so every point sums the same floats in
+    the same order as gf_point.  The points run in ascending order of N,
+    each on an itertools.tee branch that is dropped once read, so the tee
+    buffer holds at most the second-largest point's N // 2 + 1 floats, and
+    the largest point reads the stream past them without buffering.  Every
+    point is checked before any sum is taken.
+    """
+    for z, truncation in zip(zs, truncations):
+        _check_point_truncation(truncation)
+        _check_series(z, truncation)
+    sums = [0.0] * len(zs)
+    stream = _even_return_probabilities()
+    order = sorted(range(len(zs)), key=truncations.__getitem__)
+    for i in order[:-1]:
+        stream, branch = itertools.tee(stream)
+        sums[i] = _series(zs[i], truncations[i], branch)
+        del branch  # held on, it would keep every later term in the buffer
+    for i in order[-1:]:
+        sums[i] = _series(zs[i], truncations[i], stream)
+    return list(map(_gf_point, zs, truncations, sums))
+
+
+def _check_point_truncation(truncation: int) -> None:
+    if truncation < 4:
         raise ValueError("truncation must be at least 4 for a valid tail bound")
-    lhs, rhs = gf_partial_sum(z, truncation), gf_closed_form(z)
+
+
+def _gf_point(z: float, truncation: int, lhs: float) -> GfPoint:
+    rhs = gf_closed_form(z)
     return GfPoint(z, lhs, rhs, truncation, tail_bound(z, truncation), abs(lhs - rhs))
 
 

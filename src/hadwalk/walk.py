@@ -50,15 +50,17 @@ UNITARITY_TOL = 1e-12
 #: a 2-vCPU x86-64 host.
 MAX_EXACT_TIME = 9000
 
-#: Largest time the float engine evolves to.  Its time grows as T^2, and is
-#: longest for a coin whose live window keeps every slot: simulate with the
-#: coin (0.999, s, s, -0.999), s = sqrt(1 - 0.999^2), the slowest coin
-#: measured, took 1.2-1.3 / 3.5-3.8 s at T = 20000 / 35000, interpreter
-#: start included, on one core of a 2-vCPU x86-64 host, and 2.6-2.9 /
-#: 8.7-10.5 s when each step allocated new arrays.  The coin
+#: Largest time the float engine evolves to, sized to keep the slowest coin
+#: near 8 s.  Its time grows as T^2, and is longest for a coin whose live
+#: window keeps every slot: simulate with the coin (0.999, s, s, -0.999),
+#: s = sqrt(1 - 0.999^2), the slowest coin measured, took 3.2-3.4 / 8.1-8.2
+#: / 10.7-11.6 s at T = 35000 / 50000 / 55000, interpreter start included,
+#: with a peak RSS of 40 / 45 / 46 MiB (56 MiB at 55000 with --format json),
+#: on one core of a 2-vCPU x86-64 host.  When each step allocated new arrays
+#: it took 8.7-10.5 s at T = 35000, the old cap.  The coin
 #: (0.6, 0.8i, 0.8i, 0.6) took 0.9-1.1 s at T = 20000, and 9.0-9.6 s on the
 #: same host before the window, when subnormal tails were stepped too.
-MAX_FLOAT_TIME = 35_000
+MAX_FLOAT_TIME = 50_000
 
 #: A float step drops an end slot of the window whose left and right
 #: amplitudes both lie below this.  Any cut in [2^-1022, 2^-538] is safe.

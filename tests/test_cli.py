@@ -24,6 +24,8 @@ from hadwalk import classical, cli, genfun, pathsum, specfun, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
+from test_exactnum import parse_dyadic
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -65,7 +67,7 @@ class TestSimulate:
         doc = run_json(capsys, "simulate", "-n", "12")
         total = Fraction(0)
         for entry in doc["probabilities"]:
-            value = DyadicRational.parse(entry["probability_exact"])
+            value = parse_dyadic(entry["probability_exact"])
             assert str(value) == entry["probability_exact"]
             total += Fraction(value.numerator, 1 << value.denom_exp)
         assert total == 1
@@ -114,7 +116,7 @@ class TestSimulate:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         total = Fraction(0)
         for _, exact, _ in rows:
-            value = DyadicRational.parse(exact)
+            value = parse_dyadic(exact)
             total += Fraction(value.numerator, 1 << value.denom_exp)
         assert total == 1
         assert len(rows) == 201
@@ -216,7 +218,7 @@ class TestReturnProb:
         code, out, err = run_cli(capsys, "return-prob", "-n", "4400", "--method", "closed")
         assert code == 0, err
         _, _, exact, decimal_text = out.splitlines()[1].split()
-        value = DyadicRational.parse(exact)
+        value = parse_dyadic(exact)
         assert value == genfun.p0_closed(1100)
         whole, _, frac = decimal_text.partition(".")
         assert whole == "0" and len(frac) == value.denom_exp > 4300

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -284,3 +285,78 @@ class TestTruncationSolve:
             scanned_truncation(0.999999, 1e-12)
         with pytest.raises(ValueError, match="does not reach"):
             truncation_for(0.999999, 1e-12)
+
+
+def default_truncations(zs):
+    return [truncation_for(z) for z in zs]
+
+
+#: (zs, truncations) for gf_points, each named by what it exercises.
+SHARED_STREAM_CASES = {
+    "one point": ([0.995], default_truncations([0.995])),
+    "two equal N": ([0.3, 0.7], [400, 400]),
+    "every N mod 4": ([0.6, 0.7, 0.8, 0.9, 0.2, 0.4, 0.5, 0.1],
+                      [1001, 1002, 1003, 1004, 5, 6, 7, 8]),
+    "increasing N": ([0.5, 0.9, 0.99, 0.995], default_truncations([0.5, 0.9, 0.99, 0.995])),
+    "decreasing N": ([0.995, 0.99, 0.9, 0.5], default_truncations([0.995, 0.99, 0.9, 0.5])),
+    "unsorted N": ([0.99, 0.5, 0.995, 0.0, 0.9], default_truncations([0.99, 0.5, 0.995, 0.0, 0.9])),
+    "repeated z": ([0.98, 0.7, 0.98, 0.98], [*default_truncations([0.98, 0.7]), 1221, 4921]),
+    "N = 4": ([0.5, 0.7, 0.9], [4, 4, 1221]),
+    "explicit N": ([0.3, 0.995, 0.77, 0.999], [61, 24_655, 4921, 60]),
+}
+
+
+class TestSharedStream:
+    @pytest.mark.parametrize("zs,truncations", SHARED_STREAM_CASES.values(),
+                             ids=SHARED_STREAM_CASES.keys())
+    def test_each_point_equals_gf_point(self, zs, truncations):
+        points = genfun.gf_points(zs, truncations)
+        assert len(points) == len(zs)
+        for point, z, n in zip(points, zs, truncations):
+            want = gf_point(z, n)
+            assert type(point) is type(want)
+            for field, got, expected in zip(want._fields, point, want):
+                if field == "lhs_partial":
+                    assert got.hex() == expected.hex(), (z, n)
+                else:
+                    assert (type(got), got) == (type(expected), expected), (field, z, n)
+
+    def test_no_points(self):
+        assert genfun.gf_points([], []) == []
+
+    @pytest.mark.parametrize("zs,truncations", [
+        ([0.5, 0.7, 0.9], [1221, 4921, 24_655]),
+        ([0.9, 0.7, 0.5], [24_655, 4921, 1221]),
+        ([0.7, 0.9, 0.5, 0.7], [4921, 24_654, 1221, 4921]),
+    ], ids=["increasing", "decreasing", "unsorted"])
+    def test_stream_runs_once_to_the_largest_truncation(self, monkeypatch, zs, truncations):
+        seen = []
+        rounded = genfun._rounded_pair_probability
+        monkeypatch.setattr(genfun, "_rounded_pair_probability",
+                            lambda c, m, b: seen.append(m) or rounded(c, m, b))
+        genfun.gf_points(zs, truncations)
+        shared = list(seen)
+        seen.clear()
+        gf_partial_sum(zs[0], max(truncations))
+        assert shared == seen == list(range(1, max(truncations) // 4 + 1))
+
+    def test_buffer_holds_the_second_largest_point_only(self):
+        # the largest point reads past the others without buffering: held as
+        # tee data, its 200 001 terms would take megabytes
+        tracemalloc.start()
+        try:
+            genfun.gf_points([0.5, 0.6, 0.7], [400_000, 40, 400])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, peak
+
+    @pytest.mark.parametrize("zs,truncations,message", [
+        ([0.5, 0.6], [40, 3], "at least 4"),
+        ([0.5, 1.0], [40, 40], "z must lie"),
+        ([0.5, 0.6], [40, MAX_TRUNCATION + 1], "at most"),
+    ])
+    def test_bad_point_raises_before_any_sum(self, monkeypatch, zs, truncations, message):
+        monkeypatch.setattr(genfun, "_series", None)  # any sum would raise TypeError
+        with pytest.raises(ValueError, match=message):
+            genfun.gf_points(zs, truncations)
