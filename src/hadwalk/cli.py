@@ -26,15 +26,15 @@ from .exactnum import _digits
 MAX_SWEEP_POINTS = 10_000
 
 #: Largest sum of N + 1 over the points of genfun --sweep, N each point's
-#: truncation.  The sweep computes the return probabilities once, to its
-#: largest N (genfun.gf_points), but each point's sum still grows as N + 1:
-#: sweeps just under the cap took 8.0 s (50 points at N = 2*10^6 - 1) and
-#: 7.5 s (10 000 points at N = 9999) on the same host, interpreter start
-#: included, against 24-27 s each when every point computed its own.  The
-#: shared stream buffers the second-largest point's N/2 + 1 floats, at most
-#: 1 500 001 under genfun.MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate
-#: 3000000 peaked at 51 MiB RSS against 15 MiB for one point, and the
-#: 50-point sweep above at 39 MiB against 15 MiB.
+#: truncation.  genfun.gf_points, which sums every point of genfun --z and
+#: --sweep, computes the return probabilities once, to the largest N, but
+#: each point's sum still grows as N + 1: sweeps just under the cap took
+#: 8.0 s (50 points at N = 2*10^6 - 1) and 7.5 s (10 000 points at N = 9999)
+#: on the same host, interpreter start included.  The shared stream buffers
+#: the second-largest point's N/2 + 1 floats, at most 1 500 001 under
+#: genfun.MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate 3000000 peaked at
+#: 51 MiB RSS against 15 MiB for one point, and the 50-point sweep above at
+#: 39 MiB against 15 MiB.
 MAX_SWEEP_WORK = 10**8
 
 #: Largest --precision: the most significant digits in the exact decimal

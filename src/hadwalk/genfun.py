@@ -22,14 +22,14 @@ from .specfun import central_binomial, elliptic_k_from_complement, legendre_p0
 # Largest truncation of the generating-function series.  The sum streams, so
 # its time grows linearly with the truncation and one point's memory stays
 # flat (a sweep buffers more; see gf_points):
-# gf_partial_sum took 0.006 / 0.04 / 0.25 / 0.9 s at N = 24 655 / 10^5 / 10^6
-# / 3*10^6 on one core of a 2-vCPU x86-64 host, and genfun --z 0.99999
+# one point's sum took 0.006 / 0.04 / 0.25 / 0.9 s at N = 24 655 / 10^5 /
+# 10^6 / 3*10^6 on one core of a 2-vCPU x86-64 host, and genfun --z 0.99999
 # (N = 2 466 699) took 1.5 s, interpreter start included.
 MAX_TRUNCATION = 3_000_000
 
 #: Fraction bits P of the fixed-point carry c_m = floor(2^P C(2m,m) / 4^m) in
-#: gf_partial_sum.  At 160 bits no term up to MAX_TRUNCATION takes the exact
-#: fallback; at 40 bits every term does.
+#: _even_return_probabilities.  At 160 bits no term up to MAX_TRUNCATION takes
+#: the exact fallback; at 40 bits every term does.
 _CARRY_BITS = 160
 
 #: Largest time of p0_legendre and p0_closed, the same as classical.MAX_RW_TIME.
@@ -64,15 +64,27 @@ def p0_closed(m: int) -> DyadicRational:
     return DyadicRational(central_binomial(m) ** 2, 4 * m + 1)
 
 
-def gf_partial_sum(z: float, truncation: int) -> float:
-    """sum_{n<=N} p_n(0) z^n, each exact probability rounded once to a float.
+def _series(z: float, truncation: int, probabilities: Iterator[float]) -> float:
+    """math.fsum of z^n p_n(0) over even n <= truncation, each p_n(0) the
+    next float of `probabilities` (_even_return_probabilities or a tee
+    branch of it); it reads none past the last even n.
+
+    The powers z^n are the sequential products 1, z, z*z, ..., one rounding
+    each, and math.fsum keeps the accumulation compensated.
+    """
+    powers = itertools.accumulate(itertools.repeat(z, truncation), operator.mul, initial=1.0)
+    even_powers = itertools.islice(powers, 0, None, 2)
+    return math.fsum(map(operator.mul, even_powers, probabilities))
+
+
+def _even_return_probabilities() -> Iterator[float]:
+    """p_0(0), p_2(0), p_4(0), ... without end, each exact probability
+    rounded once to a float: float(p0_legendre(n // 2)), the float nearest
+    the exact value; verify checks the Legendre route itself.
 
     The probabilities come from the pairing p_{4m} = p_{4m+2} =
     C(2m,m)^2 / 2^(4m+1) = x_m^2 / 2^(2P+1), with x_m = 2^P C(2m,m) / 4^m
-    and P = _CARRY_BITS.  The sum streams: one pass, linear in N, with no
-    list of terms (gf_points shares one stream among many z, and buffers
-    it).  Each even term is float(p0_legendre(n // 2)), the float
-    nearest the exact value; verify checks the Legendre route itself.
+    and P = _CARRY_BITS.
 
     x_m is carried in fixed point: c_0 = x_0 = 2^P and c_m = floor(c_{m-1}
     (2m-1) / (2m)).  Then c_m <= x_m < c_m + m for m >= 1, by induction from
@@ -90,34 +102,7 @@ def gf_partial_sum(z: float, truncation: int) -> float:
     int true division rounds once.  Either way the term, and so the sum, is
     bit-identical to the exact carry of C(2m,m)^2 (Ziv, ACM TOMS 17 (1991)
     410; Muller et al., Handbook of Floating-Point Arithmetic, 2nd ed. 2018).
-
-    The powers z^n are the sequential products 1, z, z*z, ..., one rounding
-    each, and math.fsum keeps the accumulation compensated.
     """
-    _check_series(z, truncation)
-    return _series(z, truncation, _even_return_probabilities())
-
-
-def _check_series(z: float, truncation: int) -> None:
-    _check_z(z)
-    if truncation < 0:
-        raise ValueError("truncation must be nonnegative")
-    if truncation > MAX_TRUNCATION:
-        raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {truncation}")
-
-
-def _series(z: float, truncation: int, probabilities: Iterator[float]) -> float:
-    """math.fsum of z^n p_n(0) over even n <= truncation, each p_n(0) the
-    next float of `probabilities` (_even_return_probabilities or a tee
-    branch of it); it reads none past the last even n."""
-    powers = itertools.accumulate(itertools.repeat(z, truncation), operator.mul, initial=1.0)
-    even_powers = itertools.islice(powers, 0, None, 2)
-    return math.fsum(map(operator.mul, even_powers, probabilities))
-
-
-def _even_return_probabilities() -> Iterator[float]:
-    """p_0(0), p_2(0), p_4(0), ... without end, each rounded once to a float
-    (gf_partial_sum gives the carry and the proof)."""
     yield 1.0
     yield 0.5
     bits = _CARRY_BITS
@@ -191,25 +176,28 @@ def gf_point(z: float, truncation: int | None = None) -> GfPoint:
     """Evaluate both sides at z; default truncation pushes the tail below 1e-12."""
     if truncation is None:
         truncation = truncation_for(z)
-    else:
-        _check_point_truncation(truncation)
-    return _gf_point(z, truncation, gf_partial_sum(z, truncation))
+    return gf_points([z], [truncation])[0]
 
 
 def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
-    """[gf_point(z, N) for z, N in zip(zs, truncations)], bit for bit, from
-    one stream of return probabilities run once to the largest N.
+    """Both sides at each z and its truncation N, the series summed from one
+    stream of return probabilities run once to the largest N.
 
-    The stream does not depend on z, so every point sums the same floats in
-    the same order as gf_point.  The points run in ascending order of N,
-    each on an itertools.tee branch that is dropped once read, so the tee
-    buffer holds at most the second-largest point's N // 2 + 1 floats, and
-    the largest point reads the stream past them without buffering.  Every
-    point is checked before any sum is taken.
+    Every point is checked before any sum is taken.  The sums stream: one
+    pass, linear in the largest N, with no list of terms.  The stream does
+    not depend on z, so every point sums the same floats in the same order.
+    The points run in ascending order of N, each on an itertools.tee branch
+    that is dropped once read, so the tee buffer holds at most the
+    second-largest point's N // 2 + 1 floats, and the largest point reads
+    the stream past them without buffering.  One point takes no branch, so
+    its memory stays flat.
     """
     for z, truncation in zip(zs, truncations):
-        _check_point_truncation(truncation)
-        _check_series(z, truncation)
+        if truncation < 4:
+            raise ValueError("truncation must be at least 4 for a valid tail bound")
+        _check_z(z)
+        if truncation > MAX_TRUNCATION:
+            raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {truncation}")
     sums = [0.0] * len(zs)
     stream = _even_return_probabilities()
     order = sorted(range(len(zs)), key=truncations.__getitem__)
@@ -220,11 +208,6 @@ def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
     for i in order[-1:]:
         sums[i] = _series(zs[i], truncations[i], stream)
     return list(map(_gf_point, zs, truncations, sums))
-
-
-def _check_point_truncation(truncation: int) -> None:
-    if truncation < 4:
-        raise ValueError("truncation must be at least 4 for a valid tail bound")
 
 
 def _gf_point(z: float, truncation: int, lhs: float) -> GfPoint:

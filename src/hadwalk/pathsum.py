@@ -59,23 +59,14 @@ class PQRSVector(namedtuple("PQRSVector", "p q r s scale_exp", defaults=(0,))):
     __slots__ = ()
 
     def to_complex(self) -> tuple[complex, complex, complex, complex]:
-        # Each core g times 2^(-e/2), e = scale_exp.  Up to e = 2044 that
-        # scale is a normal float and the plain product is kept.  Past it the
-        # scale is subnormal and holds fewer than 53 bits, so there, and for
-        # a core past float range (|g| >= 2^1024, met above time 2000 or so),
-        # g is divided by 2^(e // 2) as an int first, which rounds once.
+        # Each core g times 2^(-e/2), e = scale_exp: g is divided by 2^(e // 2)
+        # as an int, which rounds once and works for a core past float range
+        # (|g| >= 2^1024, met above time 2000 or so), then scaled by 2^-0.5
+        # when e is odd.  Up to e = 2044 this equals the plain product
+        # complex(g) * 2.0 ** (-e / 2) bit for bit; past it that float scale
+        # is subnormal and holds fewer than 53 bits.
         e = self.scale_exp
-        scale = 2.0 ** (-e / 2.0)
-
-        def value(g: int) -> complex:
-            if e <= 2044:
-                try:
-                    return complex(g) * scale
-                except OverflowError:
-                    pass
-            return complex(g / (1 << e // 2)) * 2.0 ** -(e % 2 / 2)
-
-        return tuple(value(g) for g in (self.p, self.q, self.r, self.s))
+        return tuple(complex(g / (1 << e // 2)) * 2.0 ** -(e % 2 / 2) for g in self[:4])
 
 
 def _prepend(up: tuple, left: tuple) -> tuple:

@@ -271,11 +271,11 @@ def test_ziv_test_dropped_fails_only_the_row_near_one(monkeypatch, scope, rows):
     # terms, where the 40-bit carry is still exact, so their sums do not
     # move; at z = 0.999, N = 24655, the sum moves by about 1e-9, far past
     # the row's tolerance of the tail bound plus 1e-10
-    right = genfun.gf_partial_sum(0.999, 24655)
+    right = genfun.gf_point(0.999, 24655).lhs_partial
     monkeypatch.setattr(genfun, "_CARRY_BITS", 40)
     monkeypatch.setattr(genfun, "_rounded_pair_probability",
                         lambda c, m, bits: math.ldexp(float(c * c), -2 * bits - 1))
-    wrong = genfun.gf_partial_sum(0.999, 24655)
+    wrong = genfun.gf_point(0.999, 24655).lhs_partial
     assert abs(wrong - right) > 5e-10
     assert failed_rows(scope) == rows
 

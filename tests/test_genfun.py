@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -12,7 +13,6 @@ from hadwalk import genfun
 from hadwalk.exactnum import DyadicRational
 from hadwalk.genfun import (
     MAX_TRUNCATION,
-    gf_partial_sum,
     gf_point,
     gf_closed_form,
     p0_closed,
@@ -73,18 +73,27 @@ class TestCrossRoutes:
             assert return_probability_paths(n) == prop1
 
 
+def partial_sum(z, truncation):
+    """The series genfun sums, at any truncation: gf_point's lhs_partial from
+    N = 4, where gf_point's tail bound starts, and the same stream summed
+    directly below it."""
+    if truncation >= 4:
+        return gf_point(z, truncation).lhs_partial
+    return genfun._series(z, truncation, genfun._even_return_probabilities())
+
+
 class TestPartialSum:
     def test_z_zero(self):
-        assert gf_partial_sum(0.0, 0) == 1.0
-        assert gf_partial_sum(0.0, 300) == 1.0
+        assert partial_sum(0.0, 0) == 1.0
+        assert partial_sum(0.0, 300) == 1.0
 
     def test_truncation_zero(self):
-        assert gf_partial_sum(0.5, 0) == 1.0
+        assert partial_sum(0.5, 0) == 1.0
 
     def test_domain(self):
         for bad in (-0.1, 1.0, 1.7):
-            with pytest.raises(ValueError):
-                gf_partial_sum(bad, 10)
+            with pytest.raises(ValueError, match="z must lie"):
+                gf_point(bad, 10)
 
 
 class TestGfIdentity:
@@ -93,7 +102,7 @@ class TestGfIdentity:
 
     @pytest.mark.parametrize("z,n", [(0.5, 400), (0.7, 2000)])
     def test_matches_partial_sum(self, z, n):
-        assert abs(gf_partial_sum(z, n) - gf_closed_form(z)) <= tail_bound(z, n) + 1e-10
+        assert abs(gf_point(z, n).lhs_partial - gf_closed_form(z)) <= tail_bound(z, n) + 1e-10
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -116,8 +125,8 @@ class TestTailBound:
         # compare against a much longer partial sum
         for z in (0.2, 0.5, 0.7):
             for n in (8, 20, 60):
-                far = gf_partial_sum(z, n + 600)
-                assert far - gf_partial_sum(z, n) <= tail_bound(z, n) + 1e-15
+                far = gf_point(z, n + 600).lhs_partial
+                assert far - gf_point(z, n).lhs_partial <= tail_bound(z, n) + 1e-15
 
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
@@ -142,7 +151,7 @@ class TestGfPoint:
 
 
 def legendre_partial_sum(z, truncation, probabilities):
-    """The Legendre-route sum gf_partial_sum replaced: float(p_n(0)) z^n, fsum."""
+    """The Legendre-route sum the carried stream replaced: float(p_n(0)) z^n, fsum."""
     terms = []
     zn = 1.0
     for n in range(truncation + 1):
@@ -170,7 +179,7 @@ class TestPairingRecurrence:
         probabilities = {n: float(p0_legendre(n // 2)) for n in range(0, top + 1, 2)}
         for z in (0.0, 0.3, 0.77, 0.98, 0.995):
             for n in [*range(61), 1221, top]:
-                assert gf_partial_sum(z, n) == legendre_partial_sum(z, n, probabilities), (z, n)
+                assert partial_sum(z, n) == legendre_partial_sum(z, n, probabilities), (z, n)
 
     def test_exact_recurrence_matches_legendre(self):
         square = 1
@@ -181,11 +190,11 @@ class TestPairingRecurrence:
 
     def test_truncation_above_cap_rejected(self):
         with pytest.raises(ValueError, match="at most"):
-            gf_partial_sum(0.5, MAX_TRUNCATION + 1)
+            gf_point(0.5, MAX_TRUNCATION + 1)
 
 
 def exact_carry_partial_sum(z, truncation):
-    """The sum gf_partial_sum replaced: C(2m,m)^2 carried as an exact int,
+    """The sum the fixed-point carry replaced: C(2m,m)^2 carried as an exact int,
     each probability rounded once by int true division."""
     terms = []
     zn = 1.0
@@ -209,7 +218,7 @@ GRID_TRUNCATIONS = [*range(61), *(n + k for n in (1221, 4921, 24_655) for k in r
 
 
 def count_fallbacks(monkeypatch):
-    """Count the exact fallbacks of gf_partial_sum's rounding test."""
+    """Count the exact fallbacks of the series' rounding test."""
     calls = []
     exact = genfun.central_binomial
     monkeypatch.setattr(genfun, "central_binomial", lambda m: calls.append(m) or exact(m))
@@ -221,7 +230,7 @@ class TestZivCarry:
     def test_bitwise_equal_to_exact_carry(self, monkeypatch, z):
         fallbacks = count_fallbacks(monkeypatch)
         for n in GRID_TRUNCATIONS:
-            assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
+            assert partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
         assert fallbacks == []  # 160 carry bits: every term passes the rounding test
 
     @pytest.mark.parametrize("z", [0.3, 0.995])
@@ -233,7 +242,7 @@ class TestZivCarry:
         fallbacks = count_fallbacks(monkeypatch)
         for n in [*range(61), 1221, 4921]:
             fallbacks.clear()
-            assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
+            assert partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex(), (z, n)
             assert fallbacks == list(range(1, n // 4 + 1)), (z, n)
 
     @pytest.mark.parametrize("bits", [40, 160])
@@ -244,7 +253,7 @@ class TestZivCarry:
         rounded = genfun._rounded_pair_probability
         monkeypatch.setattr(genfun, "_rounded_pair_probability",
                             lambda c, m, b: seen.append((c, m)) or rounded(c, m, b))
-        gf_partial_sum(0.5, 4003)
+        gf_point(0.5, 4003)
         assert [m for _, m in seen] == list(range(1, 1001))
         for c, m in seen:
             assert c << 2 * m <= math.comb(2 * m, m) << bits < (c + m) << 2 * m, m
@@ -252,7 +261,7 @@ class TestZivCarry:
     @settings(deadline=None, database=None, derandomize=True)
     @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 5000))
     def test_random_points_bitwise_equal(self, z, n):
-        assert gf_partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex()
+        assert partial_sum(z, n).hex() == exact_carry_partial_sum(z, n).hex()
 
     def test_cap_runs_in_a_subprocess(self):
         # the cap's stated time is about 1 s; the timeout catches a slow host
@@ -337,8 +346,20 @@ class TestSharedStream:
         genfun.gf_points(zs, truncations)
         shared = list(seen)
         seen.clear()
-        gf_partial_sum(zs[0], max(truncations))
+        gf_point(zs[0], max(truncations))
         assert shared == seen == list(range(1, max(truncations) // 4 + 1))
+
+    def test_one_point_takes_no_tee_branch(self, monkeypatch):
+        # a single point, so genfun --z and gf_point, sums the stream itself
+        # in flat memory; a second point is what needs a branch
+        def refuse(*args):
+            raise AssertionError("itertools.tee called")
+
+        monkeypatch.setattr(itertools, "tee", refuse)
+        assert gf_point(0.999).truncation == 24_655
+        assert genfun.gf_points([0.5], [4921])[0].truncation == 4921
+        with pytest.raises(AssertionError, match="tee called"):
+            genfun.gf_points([0.5, 0.6], [40, 40])
 
     def test_buffer_holds_the_second_largest_point_only(self):
         # the largest point reads past the others without buffering: held as

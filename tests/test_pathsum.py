@@ -289,6 +289,16 @@ class TestPQRSVector:
         assert repr(vec) == "PQRSVector(p=1, q=2, r=3, s=4, scale_exp=0)"
         assert vec.to_complex() == (1, 2, 3, 4)
 
+    def test_int_division_equals_the_float_product_while_the_scale_is_normal(self):
+        # every core is divided as an int; up to scale_exp 2044, where
+        # 2^(-e/2) is a normal float, that is bit for bit the plain product
+        cores = (1, -1, 3, (1 << 52) + 1, (1 << 1023) + (1 << 970))
+        for e in range(2045):
+            for g in cores:
+                got = PQRSVector(g, 0, 0, 0, e).to_complex()[0]
+                want = complex(g) * 2.0 ** (-e / 2)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (g, e)
+
     def test_cores_past_float_range_still_convert(self):
         # 3 * 2^2000 and -2^2001 at (1/sqrt2)^4001: 3/sqrt2 and -sqrt2
         vec = PQRSVector(3 << 2000, -(1 << 2001), 0, 5, 4001)
