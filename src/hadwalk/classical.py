@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .specfun import elliptic_k_agm, elliptic_k_from_complement
+from .specfun import elliptic_k_agm, elliptic_k_from_complement, one_minus_square
 
 #: Largest time of the exact classical return probability.  Its cost, with
 #: the reduced fraction printed in full, grows as T^2: classical --time took
@@ -38,10 +38,9 @@ WATSON_MODULUS = 2.0 * SQRT3 + SQRT6 - 2.0 * SQRT2 - 3.0
 class QuadratureConvergenceError(RuntimeError):
     """Raised when the subdivision budget is exhausted; carries the best value."""
 
-    def __init__(self, message: str, best_estimate: float, error_estimate: float):
+    def __init__(self, message: str, best_estimate: float):
         super().__init__(message)
         self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
 
 
 #: G by quadrature and the quadrature's error estimate, both floats.
@@ -78,10 +77,11 @@ def _check_gf_args(dim: int, z: float) -> None:
 
 def rw_gf(dim: int, z: float) -> float:
     """Return-probability generating function: 1/sqrt(1-z^2) in 1D,
-    (2/pi) K(z) in 2D."""
+    (2/pi) K(z) in 2D.  1 - z^2 is one_minus_square(z), with no
+    cancellation near z = 1."""
     _check_gf_args(dim, z)
     if dim == 1:
-        return 1.0 / math.sqrt(1.0 - z * z)
+        return 1.0 / math.sqrt(one_minus_square(z))
     return 2.0 / math.pi * elliptic_k_agm(z)
 
 
@@ -179,9 +179,7 @@ def watson_g_quadrature(rel_tol: float = 1e-8) -> QuadratureValue:
     err = 2.0 / (math.pi * math.pi) * (state["err"] + tail)
     if not state["budget_ok"]:
         raise QuadratureConvergenceError(
-            f"subdivision budget exhausted before reaching rel_tol={rel_tol}",
-            best_estimate=g,
-            error_estimate=err,
+            f"subdivision budget exhausted before reaching rel_tol={rel_tol}", best_estimate=g
         )
     return QuadratureValue(g, max(err, 1e-15))
 

@@ -259,11 +259,21 @@ def _cmd_verify(args, em: Emitter) -> int:
     return 0 if report.passed else 1
 
 
+def _sweep_field(name: str, text: str, convert, kind: str):
+    # argparse would name _parse_sweep in the message of a bare ValueError
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sweep {name} must be {kind}, got {text!r}") from None
+
+
 def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("sweep must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start = _sweep_field("start", parts[0], float, "a number")
+    stop = _sweep_field("stop", parts[1], float, "a number")
+    count = _sweep_field("count", parts[2], int, "an integer")
     # the points interpolate over stop - start, so it must be finite too
     for name, value in (("start", start), ("stop", stop), ("stop - start", stop - start)):
         if not math.isfinite(value):

@@ -97,9 +97,19 @@ def elliptic_k_agm(k: float) -> float:
     """K(k) = pi / (2 AGM(1, sqrt(1-k^2))) for 0 <= k < 1.
 
     Convention: K(k) = integral over [0, pi/2] of (1 - k^2 sin^2 t)^(-1/2) dt.
+
+    The complement 1 - k^2 is taken by subtraction for k^2 <= 1/2, off by at
+    most U / (1 - k^2) <= 2 U (U = 2^-53).  Above, it is taken as
+    (1 - k)(1 + k): 1 - k is exact there and the product is off by at most
+    2 U, where subtraction would lose |log2(1 - k^2)| bits near k = 1.
     """
     _check_modulus(k)
-    return elliptic_k_from_complement(1.0 - k * k)
+    return elliptic_k_from_complement(one_minus_square(k))
+
+
+def one_minus_square(x: float) -> float:
+    """1 - x^2 for 0 <= x < 1, within 2 U as elliptic_k_agm derives."""
+    return 1.0 - x * x if x * x <= 0.5 else (1.0 - x) * (1.0 + x)
 
 
 def elliptic_k_from_complement(one_minus_k_sq: float) -> float:

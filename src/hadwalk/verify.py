@@ -60,25 +60,19 @@ VerifyCheck = namedtuple("VerifyCheck", "name passed expected actual tolerance",
                          defaults=("exact",))
 
 
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "scope checks")):
     """The VerifyCheck rows of one verify run under its scope, in report
     order; it passed when every row did."""
 
-    __slots__ = ("scope", "checks")
-
-    def __init__(self, scope: str) -> None:
-        self.scope = scope
-        self.checks: list[VerifyCheck] = []
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-def _add(report: VerifyReport, name: str, passed: bool, expected, actual, tolerance="exact"):
-    report.checks.append(
-        VerifyCheck(name, bool(passed), str(expected), str(actual), str(tolerance))
-    )
+def _row(name: str, passed: bool, expected, actual, tolerance="exact") -> VerifyCheck:
+    return VerifyCheck(name, bool(passed), str(expected), str(actual), str(tolerance))
 
 
 def _pair(value: DyadicRational) -> tuple[int, int]:
@@ -87,20 +81,15 @@ def _pair(value: DyadicRational) -> tuple[int, int]:
     return value.numerator, value.denom_exp
 
 
-def _check_value_table(report: VerifyReport) -> None:
+def _check_value_table():
     """The direct row against the table of exact values."""
     bad = []
     for n, expected in sorted(VALUE_TABLE.items()):
         got = ROUTES[0].value(n)
         if _pair(got) != expected:
             bad.append((n, got))
-    _add(
-        report,
-        "value table p_0..p_18",
-        not bad,
-        "table of 10 exact dyadics",
-        "all match" if not bad else f"mismatches at {bad}",
-    )
+    yield _row("value table p_0..p_18", not bad, "table of 10 exact dyadics",
+               "all match" if not bad else f"mismatches at {bad}")
 
 
 #: Times past the value table's p_18 at which the four-oracle check also
@@ -114,7 +103,7 @@ DIRECT_TIMES = (20, 30, 46, 100, 150)
 REAL_HALF_TIMES = 30
 
 
-def _check_walk(report: VerifyReport, n_max: int) -> None:
+def _check_walk(n_max: int):
     """One incremental exact walk from the symmetric qubit to time 2 n_max:
     every route but the first against it at each even time, the mirror
     identity at the origin, the closed-row anchor, normalization and
@@ -168,23 +157,23 @@ def _check_walk(report: VerifyReport, n_max: int) -> None:
                                           psi.scale_exp))
             rows = ROUTES if t in DIRECT_TIMES or t == 2 * n_max else ROUTES[1:]
             bad += [(t, r.name) for r in rows if r.covers(t) and _pair(r.value(t)) != direct]
-    _add(report, f"four-oracle equality p_2n, n<={n_max}", not bad, "all routes identical",
-         "all match" if not bad else f"mismatches: {bad[:5]}")
-    _add(report, f"mirror identity at the origin, n<={2 * n_max}", not mirror_bad,
-         "Lim = -Rre and Rim = Lre",
-         "holds" if not mirror_bad else f"{len(mirror_bad)} failures, first at n={mirror_bad[0]}")
-    _check_closed_anchor(report, 2 * n_max)
-    _add(report, f"normalization n<={n_max}", bad_norm == 0, "sum = 1 exactly",
-         "holds" if not bad_norm else f"{bad_norm} failures")
-    _add(report, f"symmetry n<={n_max}", bad_sym == 0, "p(x) = p(-x) exactly",
-         "holds" if not bad_sym else f"{bad_sym} failures")
+    yield _row(f"four-oracle equality p_2n, n<={n_max}", not bad, "all routes identical",
+               "all match" if not bad else f"mismatches: {bad[:5]}")
+    yield _row(f"mirror identity at the origin, n<={2 * n_max}", not mirror_bad,
+               "Lim = -Rre and Rim = Lre", "holds" if not mirror_bad
+               else f"{len(mirror_bad)} failures, first at n={mirror_bad[0]}")
+    yield from _check_closed_anchor(2 * n_max)
+    yield _row(f"normalization n<={n_max}", bad_norm == 0, "sum = 1 exactly",
+               "holds" if not bad_norm else f"{bad_norm} failures")
+    yield _row(f"symmetry n<={n_max}", bad_sym == 0, "p(x) = p(-x) exactly",
+               "holds" if not bad_sym else f"{bad_sym} failures")
     top_times = f" and t={n_max - 1},{n_max}" if n_max - 1 > REAL_HALF_TIMES else ""
-    _add(report, f"real-half distribution = walk's, t<={REAL_HALF_TIMES}{top_times}",
-         not half_bad, "equal pairs at every position",
-         "holds" if not half_bad else f"{len(half_bad)} failures, first at t={half_bad[0]}")
+    yield _row(f"real-half distribution = walk's, t<={REAL_HALF_TIMES}{top_times}",
+               not half_bad, "equal pairs at every position",
+               "holds" if not half_bad else f"{len(half_bad)} failures, first at t={half_bad[0]}")
 
 
-def _check_closed_anchor(report: VerifyReport, top: int) -> None:
+def _check_closed_anchor(top: int):
     """The closed row at a few times 4m, m <= top, against C(2m, m)^2
     computed here, as ints: p_4m(0) = C(2m, m)^2 / 2^(4m+1).
 
@@ -198,26 +187,26 @@ def _check_closed_anchor(report: VerifyReport, top: int) -> None:
         num, exp = _pair(ROUTES[3].value(4 * m))
         if num << (4 * m + 1) != math.comb(2 * m, m) ** 2 << exp:
             bad.append(m)
-    _add(report, f"closed row anchor C(2m,m)^2/2^(4m+1), m<={top}", not bad,
-         "equal as ints", "holds" if not bad else f"mismatches at m={bad}")
+    yield _row(f"closed row anchor C(2m,m)^2/2^(4m+1), m<={top}", not bad,
+               "equal as ints", "holds" if not bad else f"mismatches at m={bad}")
 
 
-def _check_odd_times(report: VerifyReport, n_max: int) -> None:
+def _check_odd_times(n_max: int):
     bad = [n for n in range(1, n_max + 1, 2) if _pair(ROUTES[0].value(n)) != (0, 0)]
-    _add(report, f"odd-time return zero n<={n_max}", not bad, "0", "holds" if not bad else f"{bad}")
+    yield _row(f"odd-time return zero n<={n_max}", not bad, "0", "holds" if not bad else f"{bad}")
 
 
-def _check_pairing(report: VerifyReport, m_max: int) -> None:
+def _check_pairing(m_max: int):
     bad = [
         m
         for m in range(1, m_max + 1)
         if _pair(genfun.p0_legendre(2 * m)) != _pair(genfun.p0_legendre(2 * m + 1))
     ]
-    _add(report, f"pairing p_4m = p_4m+2, m<={m_max}", not bad, "equal pairs",
-         "holds" if not bad else f"{bad}")
+    yield _row(f"pairing p_4m = p_4m+2, m<={m_max}", not bad, "equal pairs",
+               "holds" if not bad else f"{bad}")
 
 
-def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
+def _check_closed_vs_dp(lm_max: int):
     rows = pathsum._dp_rows(pathsum.StepPair(lm_max, lm_max))
     next(rows)  # l = 0: the closed forms need a step each way
     bad = []
@@ -226,8 +215,8 @@ def _check_closed_vs_dp(report: VerifyReport, lm_max: int) -> None:
             dp = pathsum.PQRSVector(*row[m], l + m - 1)
             if pathsum.path_sum_closed(pathsum.StepPair(l, m)) != dp:
                 bad.append((l, m))
-    _add(report, f"closed-form coefficients = DP, l,m<={lm_max}", not bad,
-         "identical vectors", "holds" if not bad else f"{bad[:5]}")
+    yield _row(f"closed-form coefficients = DP, l,m<={lm_max}", not bad,
+               "identical vectors", "holds" if not bad else f"{bad[:5]}")
 
 
 #: The Hadamard P, Q, R, S, each 1/sqrt2 times the integer matrix
@@ -242,7 +231,7 @@ def _matmul(x: tuple, y: tuple) -> tuple:
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def _check_dp_step(report: VerifyReport) -> None:
+def _check_dp_step():
     """The DP's step, pathsum._prepend, against literal integer products.
 
     For each basis matrix B it gives the cores of P.B and Q.B one exponent
@@ -257,22 +246,22 @@ def _check_dp_step(report: VerifyReport) -> None:
             got = tuple(sum(c * m[i] for c, m in zip(cores, PQRS_INT)) for i in range(4))
             if got != _matmul(PQRS_INT[left], PQRS_INT[k]):
                 bad.append("PQ"[left] + name)
-    _add(report, "DP step P.v and Q.v vs literal 2x2 products (8 pairs)", not bad,
-         "equal integer matrices", "all 8 match" if not bad else f"mismatches: {bad}")
+    yield _row("DP step P.v and Q.v vs literal 2x2 products (8 pairs)", not bad,
+               "equal integer matrices", "all 8 match" if not bad else f"mismatches: {bad}")
 
 
-def _check_jacobi_recurrence(report: VerifyReport, n_max: int) -> None:
+def _check_jacobi_recurrence(n_max: int):
     plain = [specfun.jacobi_p0(0, n) for n in range(n_max + 2)]
     bad = [
         n
         for n in range(n_max + 1)
         if plain[n] - plain[n + 1] != specfun.jacobi_p0(1, n)
     ]
-    _add(report, f"jacobi downward recurrence n<={n_max}", not bad,
-         "exact rational identity", "holds" if not bad else f"{bad[:5]}")
+    yield _row(f"jacobi downward recurrence n<={n_max}", not bad,
+               "exact rational identity", "holds" if not bad else f"{bad[:5]}")
 
 
-def _check_hyp_chain(report: VerifyReport, n_max: int) -> None:
+def _check_hyp_chain(n_max: int):
     """Four rationals that must be equal for each n <= n_max: the literal
     sum S = sum_{g=1}^{n} (-1)^(g-1) C(n-1, g-1)^2 / g, the two 2F1 forms
     2F1(1-n, 1-n; 2; -1) and 2^(n-1) 2F1(1-n, n+1; 2; 1/2), and the Jacobi
@@ -296,28 +285,26 @@ def _check_hyp_chain(report: VerifyReport, n_max: int) -> None:
         f3 = Fraction(2 ** (n - 1), n) * specfun.jacobi_p0(1, n - 1)
         if not direct == f1 == f2 == f3:
             bad.append(n)
-    _add(report, f"hypergeometric chain n<={n_max}", not bad,
-         "four equal rationals", "holds" if not bad else f"{bad[:5]}")
+    yield _row(f"hypergeometric chain n<={n_max}", not bad,
+               "four equal rationals", "holds" if not bad else f"{bad[:5]}")
 
 
-def _series_row(report: VerifyReport, name: str, lhs: float, rhs: float, tail: float,
-                n: int) -> None:
+def _series_row(name: str, lhs: float, rhs: float, tail: float, n: int) -> VerifyCheck:
     """A series truncated after term n against its closed form: they may
     differ by the tail bound plus 1e-10 of rounding slack."""
     diff = abs(lhs - rhs)
     tol = tail + 1e-10
-    _add(report, name, diff <= tol, f"|lhs-rhs| <= {tol:.3e}", f"{diff:.3e} (N={n})",
-         f"{tol:.3e}")
+    return _row(name, diff <= tol, f"|lhs-rhs| <= {tol:.3e}", f"{diff:.3e} (N={n})", f"{tol:.3e}")
 
 
-def _check_gf_identity(report: VerifyReport, zs: tuple[float, ...]) -> None:
+def _check_gf_identity(zs: tuple[float, ...]):
     for z in zs:
         point = genfun.gf_point(z)
-        _series_row(report, f"generating function identity z={z}", point.lhs_partial,
-                    point.rhs_closed, point.tail_bound, point.truncation)
+        yield _series_row(f"generating function identity z={z}", point.lhs_partial,
+                          point.rhs_closed, point.tail_bound, point.truncation)
 
 
-def _check_polya(report: VerifyReport, zs: tuple[float, ...]) -> None:
+def _check_polya(zs: tuple[float, ...]):
     evens = range(4, classical.MAX_RW_TIME + 1, 2)
     for z in zs:
         # the tail bound does not increase with N, so bisection finds the first even N
@@ -330,22 +317,22 @@ def _check_polya(report: VerifyReport, zs: tuple[float, ...]) -> None:
         partial = math.fsum(
             float(classical.rw_return_prob(2, n)) * z**n for n in range(n_trunc + 1)
         )
-        _series_row(report, f"2d random-walk generating function z={z}", partial,
-                    classical.rw_gf(2, z), classical.rw_gf_tail_bound(2, z, n_trunc), n_trunc)
+        yield _series_row(f"2d random-walk generating function z={z}", partial,
+                          classical.rw_gf(2, z), classical.rw_gf_tail_bound(2, z, n_trunc), n_trunc)
 
 
-def _check_watson(report: VerifyReport, with_quadrature: bool) -> None:
+def _check_watson(with_quadrature: bool):
     closed = classical.watson_g_closed()
-    _add(report, "watson G closed form, 5-decimal prefix",
-         _prefix5(closed) == "1.51638", "1.51638", _prefix5(closed), "prefix")
+    yield _row("watson G closed form, 5-decimal prefix",
+               _prefix5(closed) == "1.51638", "1.51638", _prefix5(closed), "prefix")
     f_return = 1.0 - 1.0 / closed
-    _add(report, "3d return probability F, 5-decimal prefix",
-         _prefix5(f_return) == "0.34053", "0.34053", _prefix5(f_return), "prefix")
+    yield _row("3d return probability F, 5-decimal prefix",
+               _prefix5(f_return) == "0.34053", "0.34053", _prefix5(f_return), "prefix")
     if with_quadrature:
         quad = classical.watson_g_quadrature(1e-8)
         diff = abs(quad.value - closed)
-        _add(report, "watson G quadrature vs closed", diff <= 1e-6,
-             "<= 1e-6", f"{diff:.3e}", "1e-6")
+        yield _row("watson G quadrature vs closed", diff <= 1e-6,
+                   "<= 1e-6", f"{diff:.3e}", "1e-6")
 
 
 def _prefix5(x: float) -> str:
@@ -355,7 +342,7 @@ def _prefix5(x: float) -> str:
 
 
 #: (check, fast size, full size) in report order; a size of None means the
-#: check takes none.
+#: check takes none.  Each check is a generator of its VerifyCheck rows.
 CHECKS = (
     (_check_value_table, None, None),
     (_check_walk, 30, 100),
@@ -373,18 +360,17 @@ CHECKS = (
 
 def run_verify(scope: str = "fast") -> VerifyReport:
     """Run the cross-oracle suite; scope "fast" (n<=30) or "full" (n<=100
-    plus the Watson quadrature).  A check that raises adds one failed row
-    named after it, and the checks after it still run."""
+    plus the Watson quadrature).  A check that raises keeps the rows it
+    yielded before the raise and adds one failed row named after it, and the
+    checks after it still run."""
     if scope not in ("fast", "full"):
         raise ValueError("scope must be 'fast' or 'full'")
-    report = VerifyReport(scope)
+    checks = []
     for check, fast, full in CHECKS:
         size = full if scope == "full" else fast
         try:
-            if size is None:
-                check(report)
-            else:
-                check(report, size)
+            checks.extend(check() if size is None else check(size))
         except Exception as exc:
-            _add(report, check.__name__, False, "no exception", f"{type(exc).__name__}: {exc}")
-    return report
+            checks.append(_row(check.__name__, False, "no exception",
+                               f"{type(exc).__name__}: {exc}"))
+    return VerifyReport(scope, tuple(checks))

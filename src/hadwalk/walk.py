@@ -56,10 +56,8 @@ MAX_EXACT_TIME = 9000
 #: s = sqrt(1 - 0.999^2), the slowest coin measured, took 3.2-3.4 / 8.1-8.2
 #: / 10.7-11.6 s at T = 35000 / 50000 / 55000, interpreter start included,
 #: with a peak RSS of 40 / 45 / 46 MiB (56 MiB at 55000 with --format json),
-#: on one core of a 2-vCPU x86-64 host.  When each step allocated new arrays
-#: it took 8.7-10.5 s at T = 35000, the old cap.  The coin
-#: (0.6, 0.8i, 0.8i, 0.6) took 0.9-1.1 s at T = 20000, and 9.0-9.6 s on the
-#: same host before the window, when subnormal tails were stepped too.
+#: on one core of a 2-vCPU x86-64 host.  The coin (0.6, 0.8i, 0.8i, 0.6)
+#: took 0.9-1.1 s at T = 20000.
 MAX_FLOAT_TIME = 50_000
 
 #: A float step drops an end slot of the window whose left and right

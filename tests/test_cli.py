@@ -434,6 +434,19 @@ class TestGenfun:
         assert captured.out == ""
         assert captured.err.endswith(f"error: argument --sweep: sweep {name} is not finite\n")
 
+    @pytest.mark.parametrize("sweep,message", [
+        ("0:0.5:3.5", "sweep count must be an integer, got '3.5'"),
+        ("0:x:3", "sweep stop must be a number, got 'x'"),
+        ("y:0.5:3", "sweep start must be a number, got 'y'"),
+    ])
+    def test_malformed_sweep_field_is_named(self, capsys, sweep, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["genfun", f"--sweep={sweep}"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --sweep: {message}\n")
+
     def test_sweep_work_limit_boundary(self, capsys, monkeypatch):
         zs = (0.0, 0.25, 0.5)
         work = sum(genfun.truncation_for(z) + 1 for z in zs)
@@ -514,6 +527,16 @@ class TestWatson:
         assert list(doc) == ["g_quadrature", "g_closed", "f_return", "quadrature_error_estimate"]
         assert abs(doc["g_quadrature"] - doc["g_closed"]) < 1e-6
         assert doc["f_return"] == pytest.approx(0.3405373295, abs=1e-9)
+
+    def test_exhausted_budget_exits_1_with_the_best_estimate(self, capsys, monkeypatch):
+        # four levels of subdivision cannot reach 1e-10
+        monkeypatch.setattr(classical, "_MAX_DEPTH", 4)
+        code, out, err = run_cli(capsys, "watson", "--tol", "1e-10")
+        assert (code, out) == (1, "")
+        match = re.fullmatch(r"error: subdivision budget exhausted before reaching "
+                             r"rel_tol=1e-10 \(best estimate (\S+)\)\n", err)
+        assert match, err
+        assert float(match[1]) == pytest.approx(1.5163860592, abs=0.01)
 
 
 def test_a_type_error_leaves_main(monkeypatch, capsys):

@@ -1,5 +1,5 @@
-"""K(k), Watson's G and the generating function's closed form against
-mpmath at 30 digits, and the path-sum floats against mpmath at 200 bits.
+"""K(k), Watson's G, the generating function's closed form and the classical
+walks' generating functions against mpmath at 30 digits, and the path-sum floats against mpmath at 200 bits.
 
 mpmath is a test-only dependency.  Each tolerance is a first-order rounding
 bound for the float evaluation, derived in the comments below; U = 2^-53 is
@@ -66,12 +66,13 @@ def with_agm_bound(monkeypatch, call):
 
 
 def agm_value_and_bound(monkeypatch, k):
-    """elliptic_k_agm(k) and a bound on its relative error.  s = fl(1 - fl(k k))
-    is the AGM's input; its relative error eps_s against 1 - k^2 is measured
-    exactly in mpmath."""
+    """elliptic_k_agm(k) and a bound on its relative error.  The AGM's input
+    is s = fl(1 - fl(k k)) for k^2 <= 1/2 and fl(fl(1 - k) fl(1 + k)) above;
+    its relative error eps_s against 1 - k^2 is measured exactly in mpmath."""
     value, agm_rel = with_agm_bound(monkeypatch, lambda: specfun.elliptic_k_agm(k))
     m_comp = 1 - mpf(k) ** 2
-    eps_s = float(abs(mpf(1.0 - k * k) - m_comp) / m_comp)
+    s = 1.0 - k * k if k * k <= 0.5 else (1.0 - k) * (1.0 + k)
+    eps_s = float(abs(mpf(s) - m_comp) / m_comp)
     return value, eps_s / 2 + agm_rel
 
 
@@ -88,6 +89,34 @@ def test_elliptic_k_agm_against_mpmath(monkeypatch, k):
     value, bound = agm_value_and_bound(monkeypatch, k)
     exact = mpmath.ellipk(mpf(k) ** 2)  # mpmath takes the parameter m = k^2
     assert abs(mpf(value) - exact) <= bound * exact
+
+
+def rw_gf_z_values():
+    """z = 1 - 10^-e for e = 3..12, where 1 - z z by subtraction lost up to
+    |log2(1 - z^2)| bits, and seeded z in [0, 1) and in [0.99, 1)."""
+    rng = random.Random(1729)
+    zs = [1 - 10.0**-e for e in range(3, 13)]
+    return zs + [rng.random() for _ in range(10)] + [rng.uniform(0.99, 1.0) for _ in range(10)]
+
+
+@pytest.mark.parametrize("z", rw_gf_z_values())
+def test_rw_gf_1d_against_mpmath(z):
+    """s = fl(fl(1 - z) fl(1 + z)) for z^2 > 1/2: 1 - z is exact there, and
+    1 + z and the product round once each.  s = fl(1 - fl(z z)) below is off
+    by U z^2 / (1 - z^2) + U = U / (1 - z^2).  So s is off by at most 2 U
+    either way.  The square root halves that and rounds once,
+    and so does the division: 3 U in all, to first order; 4 U is taken."""
+    exact = 1 / mpmath.sqrt(1 - mpf(z) ** 2)
+    assert abs(mpf(classical.rw_gf(1, z)) - exact) <= 4 * U * exact
+
+
+@pytest.mark.parametrize("z", rw_gf_z_values())
+def test_rw_gf_2d_against_mpmath(monkeypatch, z):
+    """(2 / fl(pi)) K(z): K within agm_value_and_bound's bound; pi, the
+    division and the product round once each, 3 U more."""
+    _, k_rel = agm_value_and_bound(monkeypatch, z)
+    exact = 2 / mpmath.pi * mpmath.ellipk(mpf(z) ** 2)
+    assert abs(mpf(classical.rw_gf(2, z)) - exact) <= (k_rel + 3 * U) * exact
 
 
 def test_watson_g_closed_against_mpmath_surd_form(monkeypatch):

@@ -1,10 +1,11 @@
+import inspect
 import itertools
 import json
 import sys
 
 import pytest
 
-from hadwalk import verify, walk
+from hadwalk import classical, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -173,7 +174,7 @@ def test_direct_row_is_compared_at_spread_times(monkeypatch, scope, n_max):
     # the other rows stay: the walk check also runs the closed-row anchor
     rows = (verify.ROUTES[0]._replace(value=value),) + verify.ROUTES[1:]
     monkeypatch.setattr(verify, "ROUTES", rows)
-    verify._check_walk(verify.VerifyReport(scope), n_max)
+    list(verify._check_walk(n_max))
     assert seen[0] == 20 and seen[-1] == 2 * n_max
     assert {n % 4 for n in seen[:-1]} == {0, 2}
 
@@ -195,18 +196,38 @@ def test_verify_steps_one_exact_walk(monkeypatch, scope, steps):
     assert len(verify.CHECKS) == 11
 
 
+def test_rows_before_a_raise_stay(monkeypatch):
+    # the quadrature cannot converge in four levels, so _check_watson raises
+    # after its two prefix rows; those stay, and one failed row follows
+    monkeypatch.setattr(classical, "_MAX_DEPTH", 4)
+    report = verify.run_verify("full")
+    assert [c.name for c in report.checks[:-1]] == FULL_CHECKS[:-1]
+    assert all(c.passed for c in report.checks[:-1])
+    last = report.checks[-1]
+    assert (last.name, last.passed, last.expected) == ("_check_watson", False, "no exception")
+    assert last.actual.startswith("QuadratureConvergenceError: ")
+    assert not report.passed
+
+
 def test_check_tolerance_defaults_to_exact():
     assert verify.VerifyCheck("row", True, "1", "1").tolerance == "exact"
 
 
 def test_report_passes_until_a_row_fails():
-    report = verify.VerifyReport("fast")
-    assert (report.scope, report.checks, report.passed) == ("fast", [], True)
-    verify._add(report, "good", True, 1, 1)
-    assert report.passed
-    verify._add(report, "bad", False, 1, 2, 0.5)
+    report = verify.VerifyReport("fast", ())
+    assert (report.scope, report.checks, report.passed) == ("fast", (), True)
+    good = verify._row("good", True, 1, 1)
+    assert verify.VerifyReport("fast", (good,)).passed
+    report = verify.VerifyReport("fast", (good, verify._row("bad", False, 1, 2, 0.5)))
     assert not report.passed
     assert report.checks[-1] == verify.VerifyCheck("bad", False, "1", "2", "0.5")
+
+
+def test_every_check_is_a_generator_of_its_rows():
+    # a check yields its rows as run_verify consumes them, so the rows it
+    # yielded before a raise stay in the report
+    assert all(inspect.isgeneratorfunction(check) for check, _, _ in verify.CHECKS)
+    assert inspect.isgeneratorfunction(verify._check_closed_anchor)
 
 
 @pytest.mark.parametrize("route", verify.ROUTES, ids=lambda r: r.name)
