@@ -31,8 +31,9 @@ SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 SQRT6 = math.sqrt(6.0)
 
-#: modulus appearing in the closed form for G
-WATSON_MODULUS = 2.0 * SQRT3 + SQRT6 - 2.0 * SQRT2 - 3.0
+#: modulus k0 = 2√3 + √6 - 2√2 - 3 of the closed form for G, taken as
+#: 1/(3 + 2√2 + 2√3 + √6): a sum of positive terms, with no cancellation
+WATSON_MODULUS = 1.0 / (3.0 + 2.0 * SQRT2 + 2.0 * SQRT3 + SQRT6)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -186,7 +187,9 @@ def watson_g_quadrature(rel_tol: float = 1e-8) -> QuadratureValue:
 
 def watson_g_closed() -> float:
     """Surd closed form 3(18+12√2-10√3-7√6) {K(k0)}^2 (2/pi)^2."""
-    prefactor = 3.0 * (18.0 + 12.0 * SQRT2 - 10.0 * SQRT3 - 7.0 * SQRT6)
+    # 18+12√2-10√3-7√6 = 1/(1 + √3/3 + √6/6), taken as the latter: summing
+    # four terms near 17 to about 0.504 would lose some 7 bits
+    prefactor = 3.0 / (1.0 + SQRT3 / 3.0 + SQRT6 / 6.0)
     k = elliptic_k_agm(WATSON_MODULUS)
     return prefactor * k * k * (2.0 / math.pi) ** 2
 

@@ -1,9 +1,11 @@
 """Command-line frontend.
 
 Subcommands: simulate, return-prob, xi, ellipk, genfun, classical, watson,
-verify.  Every command honors --format json|csv|plain; exact values are
-always emitted as "numerator/2^exponent" strings so nothing is rounded on
-the way out.  Exit codes: 0 success, 1 failed check, 2 usage/domain error.
+verify.  Every command honors --format json|csv|plain.  Exact values print
+as "numerator/2^exponent" (classical --time's as "numerator/denominator"),
+so nothing is rounded; csv and plain print each float at --precision
+digits, but ellipk's value at 17.  Exit codes: 0 success, 1 failed check,
+2 usage/domain error.
 """
 
 from __future__ import annotations
@@ -50,16 +52,20 @@ class Emitter:
         self.fmt = fmt
         self.precision = precision
 
-    def table(self, columns: list[str], rows: Iterable[list], json_doc: dict) -> None:
-        """`json_doc` as JSON, else `rows` under `columns`, read once."""
+    def table(self, columns: list[str], rows: Iterable[Iterable], json_doc: dict) -> None:
+        """`json_doc` as JSON, else `rows` under `columns`, read once: a float
+        cell at --precision significant digits and None as an empty cell."""
+        spec = f".{self.precision}g"
+        cells = ([format(v, spec) if isinstance(v, float) else "" if v is None else str(v)
+                  for v in row] for row in rows)
         if self.fmt == "json":
             print(json.dumps(json_doc))
         elif self.fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(columns)
-            writer.writerows(rows)  # it writes None as an empty field
+            writer.writerows(cells)
         else:
-            cells = [["" if v is None else str(v) for v in row] for row in rows]
+            cells = list(cells)
             widths = [
                 max(len(c), *(len(r[i]) for r in cells)) if cells else len(c)
                 for i, c in enumerate(columns)
@@ -68,17 +74,9 @@ class Emitter:
             for row in cells:
                 print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
 
-    def fl(self, value: float) -> str:
-        return f"{value:.{self.precision}g}"
-
-    def cells(self, record: dict) -> list:
-        """A JSON record's values as one display row: floats at --precision."""
-        fl = self.fl
-        return [fl(v) if isinstance(v, float) else v for v in record.values()]
-
     def record(self, doc: dict) -> None:
         """`doc` as one row whose columns are its keys."""
-        self.table(list(doc), [self.cells(doc)], json_doc=doc)
+        self.table(list(doc), [doc.values()], json_doc=doc)
 
 
 def _cmd_simulate(args, em: Emitter) -> int:
@@ -105,7 +103,7 @@ def _cmd_simulate(args, em: Emitter) -> int:
         ]
         doc = {"time": args.time, "coin": args.coin, "probabilities": entries}
     columns = ["position", "probability_exact", "probability_float"]
-    em.table(columns, zip(positions, exact, map(em.fl, floats)), json_doc=doc)
+    em.table(columns, zip(positions, exact, floats), json_doc=doc)
     return 0
 
 
@@ -158,7 +156,7 @@ def _cmd_xi(args, em: Emitter) -> int:
     cores = (vec.p, vec.q, vec.r, vec.s)
     columns = ["coefficient", "core_re", "core_im", "sqrt2_exponent", "float_re", "float_im"]
     rows = [
-        [name, str(g), "0", vec.scale_exp, em.fl(f.real), em.fl(f.imag)]
+        [name, str(g), "0", vec.scale_exp, f.real, f.imag]
         for name, g, f in zip(names, cores, floats)
     ]
     doc = {
@@ -182,11 +180,10 @@ def _cmd_ellipk(args, em: Emitter) -> int:
     else:
         args.terms = 64 if args.terms is None else args.terms
         value = specfun.elliptic_k_series(args.k, args.terms)
-    text = f"{value:.17g}"
     doc = {"k": args.k, "method": args.method, "value": value}
     if args.method == "series":
         doc["terms"] = args.terms
-    em.table(["k", "method", "value"], [[args.k, args.method, text]], json_doc=doc)
+    em.table(["k", "method", "value"], [[args.k, args.method, f"{value:.17g}"]], json_doc=doc)
     return 0
 
 
@@ -205,7 +202,7 @@ def _cmd_genfun(args, em: Emitter) -> int:
                              f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
         points = [{"z": p.z, "lhs_partial": p.lhs_partial, "rhs_closed": p.rhs_closed}
                   for p in genfun.gf_points(zs, truncations)]
-        em.table(list(points[0]), map(em.cells, points), json_doc={"sweep": points})
+        em.table(list(points[0]), map(dict.values, points), json_doc={"sweep": points})
         return 0
     em.record(genfun.gf_point(args.z, args.truncate)._asdict())
     return 0
@@ -223,9 +220,7 @@ def _cmd_classical(args, em: Emitter) -> int:
             "probability_float": float(p),
         })
     else:
-        value = classical.rw_gf(args.dim, args.gf)
-        doc = {"dim": args.dim, "z": args.gf, "value": value}
-        em.table(["dim", "z", "value"], [[args.dim, args.gf, em.fl(value)]], json_doc=doc)
+        em.record({"dim": args.dim, "z": args.gf, "value": classical.rw_gf(args.dim, args.gf)})
     return 0
 
 

@@ -8,7 +8,9 @@ All polynomial values are exact rationals; only K(k) is floating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import count, islice
 
 _AGM_MAX_ITER = 64
 
@@ -126,16 +128,14 @@ def elliptic_k_from_complement(one_minus_k_sq: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def _series_terms(k: float, terms: int) -> tuple[list[float], float]:
-    """The first `terms` terms C(2n,n)^2 (k/4)^(2n) of the series for K(k),
-    and the next one, each from the last by the ratio k^2 ((2n+1)/(2n+2))^2."""
-    parts = []
+def _series_terms(k: float) -> Iterator[float]:
+    """The terms C(2n,n)^2 (k/4)^(2n), n = 0, 1, ..., of the series for K(k),
+    each from the last by the ratio k^2 ((2n+1)/(2n+2))^2."""
     term = 1.0
     ksq = k * k
-    for n in range(terms):
-        parts.append(term)
+    for n in count():
+        yield term
         term *= ksq * (2 * n + 1) ** 2 / (2 * n + 2) ** 2
-    return parts, term
 
 
 def elliptic_k_series(k: float, terms: int) -> float:
@@ -146,7 +146,7 @@ def elliptic_k_series(k: float, terms: int) -> float:
     """
     _check_modulus(k)
     _check_terms(terms)
-    return 0.5 * math.pi * math.fsum(_series_terms(k, terms)[0])
+    return 0.5 * math.pi * math.fsum(islice(_series_terms(k), terms))
 
 
 def elliptic_k_series_tail(k: float, terms: int) -> float:
@@ -157,4 +157,4 @@ def elliptic_k_series_tail(k: float, terms: int) -> float:
     """
     _check_modulus(k)
     _check_terms(terms)
-    return 0.5 * math.pi * _series_terms(k, terms)[1] / (1.0 - k * k)
+    return 0.5 * math.pi * next(islice(_series_terms(k), terms, None)) / (1.0 - k * k)

@@ -584,8 +584,9 @@ class TestDisplayMatchesJson:
         ["genfun", "--z", "0.5"],
         ["genfun", "--sweep", "0.1:0.9:5"],
         ["classical", "--dim", "2", "--time", "40"],
+        ["classical", "--dim", "2", "--gf", "0.123456789"],
         ["watson"],
-    ], ids=["genfun-z", "genfun-sweep", "classical-time", "watson"])
+    ], ids=["genfun-z", "genfun-sweep", "classical-time", "classical-gf", "watson"])
     def test_single_record_commands(self, capsys, argv, precision):
         doc = run_json(capsys, "--precision", str(precision), *argv)
         records = doc["sweep"] if "sweep" in doc else [doc]
@@ -599,15 +600,22 @@ class TestDisplayMatchesJson:
         doc = run_json(capsys, "--precision", str(precision), *argv)
         self.assert_tables_match(capsys, argv, doc["probabilities"], precision)
 
-    def test_classical_gf_echoes_z_unformatted(self, capsys):
-        z = "0.123456789012345678"
-        doc = run_json(capsys, "classical", "--dim", "2", "--gf", z)
-        row = ["2", repr(float(z)), f"{doc['value']:.15g}"]
-        assert doc["z"] == float(z) and row[1] != f"{float(z):.15g}"
+    @pytest.mark.parametrize("precision", [15, 6])
+    @pytest.mark.parametrize("argv,key", [
+        (["classical", "--dim", "2", "--gf", "0.123456789012345678"], "z"),
+        (["ellipk", "--k", "0.123456789012345678"], "k"),
+    ], ids=["classical-gf", "ellipk"])
+    def test_echoed_input_prints_at_precision(self, capsys, argv, key, precision):
+        doc = run_json(capsys, *argv)
+        assert doc[key] == float(argv[-1])
         for fmt in ("csv", "plain"):
-            _, out, _ = run_cli(capsys, "--format", fmt, "classical", "--dim", "2", "--gf", z)
-            got = list(csv.reader(io.StringIO(out))) if fmt == "csv" else plain_cells(out)
-            assert got == [["dim", "z", "value"], row], fmt
+            code, out, err = run_cli(capsys, "--format", fmt, "--precision",
+                                     str(precision), *argv)
+            assert code == 0, err
+            header, row = list(csv.reader(io.StringIO(out))) if fmt == "csv" else plain_cells(out)
+            assert row[header.index(key)] == f"{doc[key]:.{precision}g}", fmt
+            if key == "k":  # ellipk's value alone keeps 17 digits
+                assert row[header.index("value")] == f"{doc['value']:.17g}", fmt
 
 
 class TestVerify:

@@ -127,19 +127,19 @@ def test_watson_g_closed_against_mpmath_surd_form(monkeypatch):
 
     s2, s3, s6 = classical.SQRT2, classical.SQRT3, classical.SQRT6
     # Each math.sqrt is correctly rounded (U relative), doubling is exact and
-    # every other multiplication or addition rounds once (U relative).
-    # Prefactor 3 (18 + 12 s2 - 10 s3 - 7 s6), summed left to right: each
-    # c * s is off by 2 U c s, each partial sum by U |partial|.  The sum is
-    # about 0.5 from terms near 17, so this cancellation dominates the bound.
-    inner = 18.0 + 12.0 * s2 - 10.0 * s3 - 7.0 * s6
-    partials = (18.0 + 12.0 * s2, 18.0 + 12.0 * s2 - 10.0 * s3, inner)
-    inner_err = 2 * U * (12 * s2 + 10 * s3 + 7 * s6) + U * sum(map(abs, partials))
-    prefactor_rel = inner_err / inner + U
-    # Modulus 2 s3 + s6 - 2 s2 - 3: U per square root term and per partial
-    # sum.  It moves K by |dK/dk| times that.
+    # every other operation rounds once (U relative).  Both surds are taken
+    # as reciprocals of sums of positive terms, so no sum cancels.
+    # Prefactor 3 / (1 + s3/3 + s6/6), summed left to right: each s / c is
+    # off by 2 U, each partial sum adds U of itself, the division U more.
+    denom = 1.0 + s3 / 3.0 + s6 / 6.0
+    denom_err = 2 * U * (s3 / 3 + s6 / 6) + U * (1.0 + s3 / 3.0 + denom)
+    prefactor_rel = denom_err / denom + U
+    # Modulus 1 / (3 + 2 s2 + 2 s3 + s6): U per square root term and per
+    # partial sum, then U for the division.  It moves K by |dK/dk| times that.
     k_float = classical.WATSON_MODULUS
-    k_partials = (2 * s3 + s6, 2 * s3 + s6 - 2 * s2, k_float)
-    k_err = U * (2 * s3 + s6 + 2 * s2) + U * sum(map(abs, k_partials))
+    k_partials = (3.0 + 2 * s2, 3.0 + 2 * s2 + 2 * s3, 3.0 + 2 * s2 + 2 * s3 + s6)
+    k_denom_err = U * (2 * s2 + 2 * s3 + s6) + U * sum(k_partials)
+    k_err = k_float * (k_denom_err / k_partials[-1] + U)
     k_exact = mpf(k_float)
     dk = mpmath.diff(lambda k: mpmath.ellipk(k**2), k_exact)
     modulus_rel = float(abs(dk) * k_err / mpmath.ellipk(k_exact**2))

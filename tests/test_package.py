@@ -1,3 +1,4 @@
+import ast
 import re
 import subprocess
 import sys
@@ -16,13 +17,33 @@ import hadwalk
 TEST_ONLY_MODULES = ("scipy", "mpmath", "sympy", "hypothesis", "pytest")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def project_table() -> dict:
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
 def test_test_extra_lists_the_test_only_modules():
     # pip install -e .[test] brings exactly what the tests import beyond numpy
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    extra = project_table()["optional-dependencies"]["test"]
     names = [re.match(r"[A-Za-z0-9_.-]+", req).group() for req in extra]
     assert sorted(names) == sorted(TEST_ONLY_MODULES)
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every .py file under src/ and tests/ parses with the grammar of the
+    oldest Python that requires-python admits, so syntax newer than that
+    floor (except*, PEP 695 type parameters) fails here on any newer
+    interpreter.  It checks syntax only: a library call added after the
+    floor, such as a new stdlib function, still parses."""
+    floor = tuple(map(int, re.fullmatch(r">=\s*(\d+)\.(\d+)",
+                                        project_table()["requires-python"]).groups()))
+    paths = sorted(p for top in ("src", "tests") for p in (ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=floor)
 
 
 #: Every hadwalk module but the package itself.
