@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
+from .exactnum import DyadicRational
 from .specfun import elliptic_k_agm, elliptic_k_from_complement, one_minus_square
 
 #: Largest time of the exact classical return probability.  Its cost, with
-#: the reduced fraction printed in full, grows as T^2: classical --time took
-#: 2.3 / 18 s in 1D and 3.4 / 31 s in 2D at T = 300 000 / 1 000 000 on one
-#: core of a 2-vCPU x86-64 host.
+#: the numerator printed in full, grows as T^2: classical --time took
+#: 1.6 / 14 s in 1D and 2.3 / 18 s in 2D at T = 300 000 / 1 000 000 on one
+#: core of a 2-vCPU x86-64 host, interpreter start included.
 MAX_RW_TIME = 1_000_000
 
 _SPLIT_THETA = 1e-2
@@ -54,8 +54,8 @@ WatsonResult = namedtuple("WatsonResult",
                           "g_quadrature g_closed f_return quadrature_error_estimate")
 
 
-def rw_return_prob(dim: int, n: int) -> Fraction:
-    """Exact return probability of the simple walk in dimension 1 or 2 at time n."""
+def rw_return_prob(dim: int, n: int) -> DyadicRational:
+    """Exact return probability at time n: C(n, n/2)/2^n in 1D, its square in 2D."""
     if dim not in (1, 2):
         raise ValueError("only dimensions 1 and 2 have exact values here")
     if n < 0:
@@ -63,10 +63,9 @@ def rw_return_prob(dim: int, n: int) -> Fraction:
     if n > MAX_RW_TIME:
         raise ValueError(f"time {n} is above the limit MAX_RW_TIME = {MAX_RW_TIME}")
     if n % 2 == 1:
-        return Fraction(0)
-    k = n // 2
-    one_d = Fraction(math.comb(2 * k, k), 4**k)
-    return one_d if dim == 1 else one_d * one_d
+        return DyadicRational(0)
+    c = math.comb(n, n // 2)
+    return DyadicRational(c, n) if dim == 1 else DyadicRational(c * c, 2 * n)
 
 
 def _check_gf_args(dim: int, z: float) -> None:

@@ -1,11 +1,10 @@
 """Command-line frontend.
 
 Subcommands: simulate, return-prob, xi, ellipk, genfun, classical, watson,
-verify.  Every command honors --format json|csv|plain.  Exact values print
-as "numerator/2^exponent" (classical --time's as "numerator/denominator"),
-so nothing is rounded; csv and plain print each float at --precision
-digits, but ellipk's value at 17.  Exit codes: 0 success, 1 failed check,
-2 usage/domain error.
+verify.  Every command honors --format json|csv|plain.  Every exact value
+prints as "numerator/2^exponent", so nothing is rounded; csv and plain print
+each float at --precision digits, but ellipk's value at 17.  Exit codes:
+0 success, 1 failed check, 2 usage/domain error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from collections.abc import Iterable
 
 from . import classical, genfun, pathsum, specfun, verify, walk
 from .classical import QuadratureConvergenceError
-from .exactnum import _digits
 
 
 #: Largest point count of genfun --sweep.  It bounds the pass that solves each
@@ -216,7 +214,7 @@ def _cmd_classical(args, em: Emitter) -> int:
         em.record({
             "dim": args.dim,
             "time": args.time,
-            "probability_exact": f"{_digits(p.numerator)}/{_digits(p.denominator)}",
+            "probability_exact": str(p),
             "probability_float": float(p),
         })
     else:

@@ -197,7 +197,8 @@ def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
             raise ValueError("truncation must be at least 4 for a valid tail bound")
         _check_z(z)
         if truncation > MAX_TRUNCATION:
-            raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {truncation}")
+            raise ValueError(f"truncation {truncation} is above the limit "
+                             f"MAX_TRUNCATION = {MAX_TRUNCATION}")
     sums = [0.0] * len(zs)
     stream = _even_return_probabilities()
     order = sorted(range(len(zs)), key=truncations.__getitem__)

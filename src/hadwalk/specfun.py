@@ -92,7 +92,7 @@ def _check_terms(terms: int) -> None:
     if terms < 1:
         raise ValueError("terms must be at least 1")
     if terms > MAX_SERIES_TERMS:
-        raise ValueError(f"terms must be at most {MAX_SERIES_TERMS}, got {terms}")
+        raise ValueError(f"terms {terms} is above the limit MAX_SERIES_TERMS = {MAX_SERIES_TERMS}")
 
 
 def elliptic_k_agm(k: float) -> float:

@@ -16,25 +16,36 @@ from hadwalk.classical import (
     watson_g_quadrature,
     watson_return_prob,
 )
+from hadwalk.exactnum import DyadicRational
 
 
 def truncated5(x):
     return math.floor(x * 1e5) / 1e5
 
 
+def pair(value):
+    """A DyadicRational as the ints (numerator, denom_exp)."""
+    return value.numerator, value.denom_exp
+
+
 class TestReturnProb:
     def test_values(self):
-        assert rw_return_prob(1, 2) == Fraction(1, 2)
-        assert rw_return_prob(2, 2) == Fraction(1, 4)
-        assert rw_return_prob(2, 4) == Fraction(36, 256)
+        for dim, n, want in [(1, 2, Fraction(1, 2)), (2, 2, Fraction(1, 4)),
+                             (2, 4, Fraction(36, 256))]:
+            value = rw_return_prob(dim, n)
+            assert isinstance(value, DyadicRational)
+            assert Fraction(value.numerator, 1 << value.denom_exp) == want
+        assert pair(rw_return_prob(2, 4)) == (9, 6)
 
     def test_odd_times(self):
         assert rw_return_prob(1, 7) == 0
         assert rw_return_prob(2, 11) == 0
 
     def test_square_relation(self):
+        # the 2D numerator is the 1D one squared, over twice the exponent
         for n in range(101):
-            assert rw_return_prob(2, 2 * n) == rw_return_prob(1, 2 * n) ** 2
+            num, exp = pair(rw_return_prob(1, 2 * n))
+            assert pair(rw_return_prob(2, 2 * n)) == (num * num, 2 * exp)
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError):

@@ -64,13 +64,27 @@ class TestSimulate:
         assert len(rows) == 4
 
     def test_exact_strings_round_trip(self, capsys):
+        # every exact cell any command prints reads back through parse_dyadic
+        # to the same string, and to the float printed beside it
         doc = run_json(capsys, "simulate", "-n", "12")
         total = Fraction(0)
         for entry in doc["probabilities"]:
             value = parse_dyadic(entry["probability_exact"])
             assert str(value) == entry["probability_exact"]
+            assert float(value) == entry["probability_float"]
             total += Fraction(value.numerator, 1 << value.denom_exp)
         assert total == 1
+        for dim in (1, 2):
+            for time in (0, 7, 40):
+                doc = run_json(capsys, "classical", "--dim", str(dim), "--time", str(time))
+                value = parse_dyadic(doc["probability_exact"])
+                assert str(value) == doc["probability_exact"]
+                assert float(value) == doc["probability_float"]
+                assert value == classical.rw_return_prob(dim, time)
+        for entry in run_json(capsys, "return-prob", "-n", "40", "--method", "all")["values"]:
+            value = parse_dyadic(entry["exact"])
+            assert str(value) == entry["exact"]
+            assert float(value) == entry["float"]
 
     def test_custom_coin(self, capsys):
         doc = run_json(
@@ -486,7 +500,7 @@ def test_option_the_mode_would_ignore_is_refused(capsys, argv, message):
 class TestClassical:
     def test_exact_probability(self, capsys):
         doc = run_json(capsys, "classical", "--dim", "2", "--time", "4")
-        assert doc["probability_exact"] == "9/64"
+        assert doc["probability_exact"] == "9/2^6"
 
     def test_generating_function(self, capsys):
         doc = run_json(capsys, "classical", "--dim", "1", "--gf", "0.6")
@@ -494,16 +508,16 @@ class TestClassical:
 
     @pytest.mark.parametrize("dim,time", [(1, 15000), (2, 8000)])
     def test_exact_output_past_int_str_digit_limit(self, capsys, dim, time):
-        # both parts of the reduced fraction run past Python's default
-        # 4300-digit limit of int-to-str conversion
+        # the reduced numerator runs past Python's default 4300-digit limit
+        # of int-to-str conversion
         doc = run_json(capsys, "classical", "--dim", str(dim), "--time", str(time))
         k = time // 2
         want = Fraction(math.comb(2 * k, k), 4**k) ** dim
-        num, _, den = doc["probability_exact"].partition("/")
-        assert min(len(num), len(den)) > 4300
+        num, _, den = doc["probability_exact"].partition("/2^")
+        assert len(num) > 4300
         assert num[0] != "0" and den[0] != "0"
         assert int(Decimal(num)) == want.numerator
-        assert int(Decimal(den)) == want.denominator
+        assert 1 << int(den) == want.denominator
 
     def test_time_limit_boundary(self, capsys, monkeypatch):
         monkeypatch.setattr(classical, "MAX_RW_TIME", 10)
@@ -723,6 +737,31 @@ class TestGlobalFlagPlacement:
         assert out.splitlines()[1].split()[:3] == ["0.5", "1", "1"]
 
 
+#: Each size cap: the module that defines it, and a command at the smallest
+#: value it refuses.  The sweep's 17 points at N = MAX_SWEEP_WORK // 17 sum
+#: 17 (N + 1) terms, the fewest above the cap.
+SIZE_CAPS = {
+    "MAX_EXACT_TIME": (walk, ["simulate", "-n", str(walk.MAX_EXACT_TIME + 1)]),
+    "MAX_FLOAT_TIME": (walk, ["simulate", "-n", str(walk.MAX_FLOAT_TIME + 1),
+                              "--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6"]),
+    "MAX_DP_CELLS": (pathsum, ["xi", "--l", "0", "--m", str(pathsum.MAX_DP_CELLS)]),
+    "MAX_PATHS_TIME": (pathsum, ["return-prob", "-n", str(pathsum.MAX_PATHS_TIME + 2),
+                                 "--method", "xi"]),
+    # the odd time one past the cap is covered by the direct route
+    "MAX_P0_TIME": (genfun, ["return-prob", "-n", str(genfun.MAX_P0_TIME + 2),
+                             "--method", "prop1"]),
+    "MAX_RW_TIME": (classical, ["classical", "--dim", "1",
+                                "--time", str(classical.MAX_RW_TIME + 1)]),
+    "MAX_TRUNCATION": (genfun, ["genfun", "--z", "0.5",
+                                "--truncate", str(genfun.MAX_TRUNCATION + 1)]),
+    "MAX_SERIES_TERMS": (specfun, ["ellipk", "--k", "0.5", "--method", "series",
+                                   "--terms", str(specfun.MAX_SERIES_TERMS + 1)]),
+    "MAX_SWEEP_POINTS": (cli, ["genfun", "--sweep", f"0:0.5:{cli.MAX_SWEEP_POINTS + 1}"]),
+    "MAX_SWEEP_WORK": (cli, ["genfun", "--sweep", "0:0.5:17",
+                             "--truncate", str(cli.MAX_SWEEP_WORK // 17)]),
+}
+
+
 def child_env():
     """Environment for a child interpreter that imports this very ``hadwalk``."""
     env = dict(os.environ)
@@ -773,20 +812,6 @@ class TestEntryPoint:
         assert message in result.stderr
         assert result.stdout == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["ellipk", "--k", "0.5", "--method", "series", "--terms", "100000000"],
-        ["genfun", "--z", "0.5", "--truncate", "100000000"],
-    ])
-    def test_series_size_cap_exit_2(self, argv):
-        # refused before any work; the timeout turns a runaway loop into a failure
-        result = subprocess.run(
-            [sys.executable, "-m", "hadwalk.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=child_env(),
-        )
-        assert result.returncode == 2, result.stderr
-        assert "at most" in result.stderr
-        assert result.stdout == ""
-
     @pytest.mark.parametrize("l,m", [
         (20000, 20000), (0, pathsum.MAX_DP_CELLS), (pathsum.MAX_DP_CELLS, 0),
     ])
@@ -819,25 +844,26 @@ class TestEntryPoint:
         }
         assert all(math.isfinite(x) for pair in doc["floats"].values() for x in pair)
 
-    @pytest.mark.parametrize("argv,limit", [
-        (["classical", "--dim", "2", "--time", "100000000"],
-         f"MAX_RW_TIME = {classical.MAX_RW_TIME}"),
-        (["simulate", "--coin", "custom", "--entries", "0.6,0.8j,0.8j,0.6", "-n", "1000000"],
-         f"MAX_FLOAT_TIME = {walk.MAX_FLOAT_TIME}"),
-        (["genfun", "--sweep", "0:0.5:100000000"],
-         f"MAX_SWEEP_POINTS = {cli.MAX_SWEEP_POINTS}"),
-        (["genfun", "--sweep", "0:0.5:10000", "--truncate", "100000"],
-         f"MAX_SWEEP_WORK = {cli.MAX_SWEEP_WORK}"),
-    ], ids=["MAX_RW_TIME", "MAX_FLOAT_TIME", "MAX_SWEEP_POINTS", "MAX_SWEEP_WORK"])
-    def test_size_cap_exit_2(self, argv, limit):
+    @pytest.mark.parametrize("name", sorted(SIZE_CAPS))
+    def test_size_cap_exit_2(self, name):
         # refused before any work; the timeout turns a runaway loop into a failure
+        module, argv = SIZE_CAPS[name]
         result = subprocess.run(
             [sys.executable, "-m", "hadwalk.cli", *argv],
             capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert result.returncode == 2, result.stderr
-        assert limit in result.stderr
+        assert f"{name} = {getattr(module, name)}" in result.stderr
         assert result.stdout == ""
+
+    def test_size_cap_table_names_every_cap(self):
+        # every public MAX_* module constant in src is a size cap with a row
+        # in SIZE_CAPS, but MAX_PRECISION: it bounds a display option, and
+        # argparse refuses it in its own wording (test_precision_above_cap_refused)
+        source = Path(hadwalk.__file__).resolve().parent
+        found = {name for path in source.glob("*.py")
+                 for name in re.findall(r"^(MAX_[A-Z0-9_]+)\s*=", path.read_text(), re.M)}
+        assert found == {*SIZE_CAPS, "MAX_PRECISION"}
 
     @pytest.mark.parametrize("entries", ["1e308,0,0,1", "1e200,0,0,1", "1e155,1e155,0,1"])
     def test_coin_entry_too_large_to_square_exit_2(self, entries):

@@ -61,7 +61,7 @@ LAYER_IMPORTS = {
     "hadwalk.exactnum": ["hadwalk", "hadwalk.exactnum"],
     "hadwalk.specfun": ["hadwalk", "hadwalk.specfun"],
     "hadwalk.genfun": ["hadwalk", "hadwalk.exactnum", "hadwalk.genfun", "hadwalk.specfun"],
-    "hadwalk.classical": ["hadwalk", "hadwalk.classical", "hadwalk.specfun"],
+    "hadwalk.classical": ["hadwalk", "hadwalk.classical", "hadwalk.exactnum", "hadwalk.specfun"],
     "hadwalk.walk": ["hadwalk", "hadwalk.exactnum", "hadwalk.walk"],
     "hadwalk.pathsum": ["hadwalk", "hadwalk.exactnum", "hadwalk.pathsum"],
     "hadwalk.verify": ["hadwalk", *ALL_LAYERS],
