@@ -1,16 +1,15 @@
 """Exact arithmetic substrate: dyadic rationals and Gaussian integers.
 
-Every probability produced by the Hadamard walk is an exact dyadic rational,
-and every amplitude is a Gaussian integer times a power of 1/sqrt(2).  The
-walk engines hold those amplitudes as plain ints and return DyadicRational
-probabilities; GaussianInteger is left only for the products of
+Every probability produced by the Hadamard walk is an exact DyadicRational,
+built from one (numerator, exponent) pair of ints, and every amplitude is a
+Gaussian integer times a power of 1/sqrt(2).  The walk engines hold those
+amplitudes as plain ints; GaussianInteger is left only for the products of
 pathsum._symmetric_probability with G_ONE and G_I.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
-from fractions import Fraction
 
 
 def _digits(n: int) -> str:
@@ -45,14 +44,6 @@ class DyadicRational:
     @property
     def denom_exp(self) -> int:
         return self._exp
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> DyadicRational:
-        d = q.denominator
-        exp = d.bit_length() - 1
-        if d != 1 << exp:
-            raise ValueError(f"{q} is not dyadic (denominator {d})")
-        return cls(q.numerator, exp)
 
     def to_decimal_string(self) -> str:
         """Exact terminating decimal expansion (n/2^k = n*5^k / 10^k)."""

@@ -46,14 +46,15 @@ def _check_p0_time(time: int) -> None:
 
 
 def p0_legendre(n: int) -> DyadicRational:
-    """Exact p_{2n}(0) = (1/2) [P_{n-1}(0)^2 + P_n(0)^2], with p_0(0) = 1."""
+    """Exact p_{2n}(0) = (1/2) [P_{n-1}(0)^2 + P_n(0)^2] = (4a^2 + b^2) / 2^(2n+1),
+    with p_0(0) = 1, from the ints a = 2^(n-1) P_{n-1}(0) and b = 2^n P_n(0)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_p0_time(2 * n)
     if n == 0:
         return DyadicRational(1)
-    value = (legendre_p0(n - 1) ** 2 + legendre_p0(n) ** 2) / 2
-    return DyadicRational.from_fraction(value)
+    a, b = legendre_p0(n - 1), legendre_p0(n)
+    return DyadicRational(4 * a * a + b * b, 2 * n + 1)
 
 
 def p0_closed(m: int) -> DyadicRational:

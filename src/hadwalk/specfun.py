@@ -2,7 +2,7 @@
 origin, the terminating Gauss hypergeometric sum, and the complete elliptic
 integral K(k) by AGM iteration and by power series.
 
-All polynomial values are exact rationals; only K(k) is floating point.
+Polynomial values are exact (Legendre as ints 2^n P_n(0)); K(k) is a float.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ def central_binomial(n: int) -> int:
     return math.comb(2 * n, n)
 
 
-def legendre_p0(n: int) -> Fraction:
-    """P_n(0) in the standard convention: 0 for odd n, (-1)^m C(2m,m)/4^m for n=2m."""
+def legendre_p0(n: int) -> int:
+    """The int 2^n P_n(0) (standard P_n): 0 for odd n, (-1)^m C(2m,m) for n = 2m."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n % 2 == 1:
-        return Fraction(0)
+        return 0
     m = n // 2
-    sign = -1 if m % 2 else 1
-    return Fraction(sign * math.comb(2 * m, m), 4**m)
+    return -math.comb(n, m) if m % 2 else math.comb(n, m)
 
 
 def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fraction:

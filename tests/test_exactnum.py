@@ -78,11 +78,6 @@ class TestDyadicRational:
         with pytest.raises(ValueError):
             DyadicRational(1, -1)
 
-    def test_from_fraction(self):
-        assert DyadicRational.from_fraction(Fraction(9, 128)) == dr(9, 7)
-        with pytest.raises(ValueError):
-            DyadicRational.from_fraction(Fraction(1, 3))
-
 
 class TestGaussianInteger:
     def test_i_squared(self):

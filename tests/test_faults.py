@@ -110,6 +110,16 @@ def test_equality_that_always_holds_does_not_hide_a_broken_pairing(
                                   f"pairing p_4m = p_4m+2, m<={m_max}"]
 
 
+@pytest.mark.parametrize("scope,n_max,m_max", [("fast", 30, 15), ("full", 100, 50)])
+def test_unscaled_legendre_square_fails_the_four_oracle_and_pairing_rows(
+        monkeypatch, scope, n_max, m_max):
+    # a = 2^(n-1) P_{n-1}(0) squared without the 4 that brings it to 2^n: an
+    # edit of prop1 alone, which moves p_2n(0) at odd n, so p_4m+2 leaves p_4m
+    with_function_edited(monkeypatch, genfun, "p0_legendre", "4 * a * a", "a * a")
+    assert failed_rows(scope) == [f"four-oracle equality p_2n, n<={n_max}",
+                                  f"pairing p_4m = p_4m+2, m<={m_max}"]
+
+
 @pytest.mark.parametrize("scope,n_max", [("fast", 30), ("full", 100)])
 @pytest.mark.parametrize(
     "old,new",

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,17 @@ class TestLegendrePair:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             p0_legendre(-1)
+
+    @pytest.mark.parametrize("n", [9999, 10000])
+    def test_half_sum_of_squared_legendre_values(self, n):
+        # P_k(0) = (-1)^(k/2) C(k, k/2) / 2^k for even k and 0 for odd k, as a
+        # reduced Fraction; odd n makes P_n(0) the zero, even n P_{n-1}(0)
+        def legendre(k):
+            return Fraction((-1) ** (k // 2) * math.comb(k, k // 2), 2**k) if k % 2 == 0 else 0
+
+        value = p0_legendre(n)
+        assert Fraction(value.numerator, 2**value.denom_exp) == (
+            legendre(n - 1) ** 2 + legendre(n) ** 2) / 2
 
 
 class TestClosedForm:

@@ -60,21 +60,23 @@ class TestCentralBinomial:
 
 
 class TestLegendreAtZero:
+    # legendre_p0(n) is the int 2^n P_n(0)
     def test_small_values(self):
-        assert legendre_p0(0) == 1
-        assert legendre_p0(1) == 0
-        assert legendre_p0(2) == Fraction(-1, 2)
+        assert Fraction(legendre_p0(0), 2**0) == 1
+        assert Fraction(legendre_p0(1), 2**1) == 0
+        assert Fraction(legendre_p0(2), 2**2) == Fraction(-1, 2)
 
     def test_against_recurrence(self):
         oracle = legendre_p0_recurrence(200)
         for n in range(201):
-            assert legendre_p0(n) == oracle[n]
+            assert Fraction(legendre_p0(n), 2**n) == oracle[n]
 
     def test_unsigned_square_identity(self):
         # squared values are central binomials over powers of two
         for m in range(60):
-            assert abs(legendre_p0(2 * m)) == Fraction(central_binomial(m), 4**m)
-            assert legendre_p0(2 * m + 1) == 0
+            assert abs(Fraction(legendre_p0(2 * m), 2 ** (2 * m))) == Fraction(
+                central_binomial(m), 4**m)
+            assert Fraction(legendre_p0(2 * m + 1), 2 ** (2 * m + 1)) == 0
 
 
 class TestHyp2F1:
@@ -178,7 +180,7 @@ class TestJacobiAtZero:
 
     def test_alpha_zero_is_legendre(self):
         for n in range(401):
-            assert jacobi_p0(0, n) == legendre_p0(n)
+            assert jacobi_p0(0, n) == Fraction(legendre_p0(n), 2**n)
 
     def test_downward_recurrence(self):
         # P^(0,0)_n(0) - P^(0,0)_{n+1}(0) = P^(1,0)_n(0)

@@ -1,11 +1,12 @@
 import inspect
 import itertools
 import json
+import math
 import sys
 
 import pytest
 
-from hadwalk import classical, verify, walk
+from hadwalk import classical, genfun, verify, walk
 from hadwalk.cli import main
 from hadwalk.exactnum import DyadicRational
 
@@ -94,8 +95,9 @@ def test_route_rows_in_report_order():
 
 def traced_calls(route, times):
     """The hadwalk Python functions and math functions route.value runs at
-    `times`, as "module.qualname", recorded by sys.setprofile; builtins and
-    verify's own lambdas are left out."""
+    `times`, recorded by sys.setprofile: the code object of each Python
+    function and each math builtin itself; other builtins and verify's own
+    lambdas are left out."""
     seen = set()
 
     def profile(frame, event, arg):
@@ -103,9 +105,9 @@ def traced_calls(route, times):
             module, code = frame.f_globals.get("__name__", ""), frame.f_code
             if module.startswith("hadwalk.") and not (
                     module == "hadwalk.verify" and code.co_name == "<lambda>"):
-                seen.add(f"{module.removeprefix('hadwalk.')}.{code.co_qualname}")
+                seen.add(code)
         elif event == "c_call" and getattr(arg, "__module__", None) == "math":
-            seen.add(f"math.{arg.__name__}")
+            seen.add(arg)
 
     sys.setprofile(profile)
     try:
@@ -126,9 +128,9 @@ def test_routes_share_only_the_stated_functions():
     calls = {r.name: traced_calls(r, (40, 42)) for r in verify.ROUTES}
     assert all(len(names) > 1 for names in calls.values())
     for a, b in itertools.combinations(calls, 2):
-        allowed = {"exactnum.DyadicRational.__init__"}
+        allowed = {DyadicRational.__init__.__code__}
         if {a, b} == {"prop1", "closed"}:
-            allowed |= {"genfun._check_p0_time", "math.comb"}
+            allowed |= {genfun._check_p0_time.__code__, math.comb}
         assert calls[a] & calls[b] == allowed, (a, b)
 
 
