@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -292,7 +293,11 @@ def _output_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         help="decimal display digits for floats (default 15)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call, so callers must not modify it.  `--method`'s choices are the names
+    in `verify.ROUTES` at the first build."""
     parser = argparse.ArgumentParser(
         prog="hadwalk",
         description="Exact Hadamard-walk return probabilities, their "
@@ -308,56 +313,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--time", type=int, required=True)
     p.add_argument("--coin", choices=("hadamard", "custom"), default="hadamard")
     p.add_argument("--entries", help="custom coin entries a,b,c,d (complex, j-notation)")
-    p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("return-prob", parents=[common],
                        help="exact return probability by each method")
     p.add_argument("-n", "--time", type=int, required=True)
     p.add_argument("--method", choices=(*(r.name for r in verify.ROUTES), "all"),
                    default="all")
-    p.set_defaults(handler=_cmd_return_prob)
 
     p = sub.add_parser("xi", parents=[common],
                        help="path-sum coefficients for l left / m right steps")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_xi)
 
     p = sub.add_parser("ellipk", parents=[common],
                        help="complete elliptic integral K(k)")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--method", choices=("agm", "series"), default="agm")
     p.add_argument("--terms", type=int, help="series terms (default 64)")
-    p.set_defaults(handler=_cmd_ellipk)
 
     p = sub.add_parser("genfun", parents=[common],
                        help="generating-function identity at z")
     p.add_argument("--z", type=float)
     p.add_argument("--truncate", type=int)
     p.add_argument("--sweep", type=_parse_sweep, metavar="START:STOP:COUNT")
-    p.set_defaults(handler=_cmd_genfun)
 
     p = sub.add_parser("classical", parents=[common],
                        help="classical random-walk values")
     p.add_argument("--dim", type=int, choices=(1, 2), required=True)
     p.add_argument("--time", type=int)
     p.add_argument("--gf", type=float, metavar="Z")
-    p.set_defaults(handler=_cmd_classical)
 
     p = sub.add_parser("watson", parents=[common],
                        help="3d return constant by quadrature and closed form")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(handler=_cmd_watson)
 
     p = sub.add_parser("verify", parents=[common],
                        help="cross-oracle verification suite")
     p.add_argument("--scope", choices=("fast", "full"), default="fast")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command through the process's one parser and return its exit
+    code.  The `_cmd_` handler is looked up when the command runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.precision < 0:
@@ -367,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
                      f"got {args.precision}")
     em = Emitter(args.format, args.precision)
     try:
-        return args.handler(args, em)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args, em)
     except QuadratureConvergenceError as exc:
         print(f"error: {exc} (best estimate {exc.best_estimate!r})", file=sys.stderr)
         return 1

@@ -34,9 +34,10 @@ _CARRY_BITS = 160
 
 #: Largest time of p0_legendre and p0_closed, the same as classical.MAX_RW_TIME.
 #: Building and printing the exact value takes time growing as about T^2:
-#: return-prob --method closed took 0.49 / 1.6 / 5.3 / 33 s and --method prop1
-#: 0.64 / 1.4 / 5.1 / 33 s at T = 10^5 / 2*10^5 / 4*10^5 / 10^6 (2.6 MB of
-#: output at 10^6), on one core of a 2-vCPU x86-64 host.
+#: return-prob --method prop1 or closed --format json took 1.1 s at
+#: T = 5*10^5 and 3.8-4.1 s at 10^6 (301 144 bytes), and --format plain, which
+#: adds the exact decimal expansion, 21 s at 10^6 (2.6 MB), on one core of a
+#: 2-vCPU x86-64 host, interpreter start included.
 MAX_P0_TIME = 1_000_000
 
 

@@ -565,6 +565,65 @@ def test_a_type_error_leaves_main(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+#: Every subcommand, both positions of --format and --precision, a call
+#: without --precision right after one with it, and usage errors.
+PARSER_REUSE_COMMANDS = [
+    ["simulate", "-n", "6", "--format", "csv"],
+    ["--format", "json", "return-prob", "-n", "20"],
+    ["xi", "--l", "3", "--m", "4"],
+    ["--precision", "5", "ellipk", "--k", "0.9"],
+    ["ellipk", "--k", "0.9"],
+    ["genfun", "--z", "0.5", "--precision", "5"],
+    ["genfun", "--z", "0.5"],
+    ["genfun", "--sweep", "0.1:0.6:3", "--format", "plain"],
+    ["--format", "csv", "classical", "--dim", "2", "--gf", "0.3"],
+    ["classical", "--dim", "1", "--time", "10"],
+    ["watson", "--format", "json", "--precision", "6"],
+    ["watson"],
+    ["verify", "--format", "csv"],
+    ["bogus"],
+    ["return-prob"],
+    ["return-prob", "-n", "20", "--method", "nope"],
+    ["genfun", "--sweep", "0:1:x"],
+    ["--precision", "-1", "watson"],
+    ["watson", "--precision", "800"],
+]
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of one command, a usage error's too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneParserPerProcess:
+    def test_a_warm_parser_behaves_like_a_fresh_one(self, capsys):
+        fresh = []
+        for argv in PARSER_REUSE_COMMANDS:
+            cli.build_parser.cache_clear()
+            fresh.append(run_or_exit(capsys, argv))
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        warm = [run_or_exit(capsys, argv) for argv in PARSER_REUSE_COMMANDS]
+        assert cli.build_parser() is parser
+        assert warm == fresh
+        codes = [code for code, _, _ in warm]
+        assert codes == [0] * 13 + [2] * 6
+
+    def test_a_handler_patched_after_the_build_runs(self, monkeypatch):
+        def broken(args, em):
+            raise TypeError("patched after the build")
+
+        cli.build_parser()
+        monkeypatch.setattr(cli, "_cmd_watson", broken)
+        with pytest.raises(TypeError, match="patched after the build"):
+            main(["watson"])
+
+
 def display_cell(value, precision):
     """The csv and plain cell of one JSON field: floats at --precision."""
     if value is None:
