@@ -4,7 +4,8 @@ Subcommands: simulate, return-prob, xi, ellipk, genfun, classical, watson,
 verify.  Every command honors --format json|csv|plain.  Every exact value
 prints as "numerator/2^exponent", so nothing is rounded; csv and plain print
 each float at --precision digits, but ellipk's value at 17.  Exit codes:
-0 success, 1 failed check, 2 usage/domain error.
+0 success, 1 failed check, 2 usage/domain error; the console script dies by
+SIGPIPE (shell status 141) when its output pipe closes early.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ MAX_SWEEP_POINTS = 10_000
 #: on the same host, interpreter start included.  The shared stream buffers
 #: the second-largest point's N/2 + 1 floats, at most 1 500 001 under
 #: genfun.MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate 3000000 peaked at
-#: 51 MiB RSS against 15 MiB for one point, and the 50-point sweep above at
-#: 39 MiB against 15 MiB.
+#: 50 MiB RSS against 15 MiB for one point, and the 50-point sweep above at
+#: 38-39 MiB against 15 MiB.
 MAX_SWEEP_WORK = 10**8
 
 #: Largest --precision: the most significant digits in the exact decimal
@@ -376,6 +377,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    """The console script: like main, but a closed output pipe ends the
+    process by SIGPIPE, as it ends cat or grep, not with a traceback."""
+    import signal
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

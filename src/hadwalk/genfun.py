@@ -68,8 +68,7 @@ def p0_closed(m: int) -> DyadicRational:
 
 def _series(z: float, truncation: int, probabilities: Iterator[float]) -> float:
     """math.fsum of z^n p_n(0) over even n <= truncation, each p_n(0) the
-    next float of `probabilities` (_even_return_probabilities or a tee
-    branch of it); it reads none past the last even n.
+    next float of `probabilities`; it reads none past the last even n.
 
     The powers z^n are the sequential products 1, z, z*z, ..., one rounding
     each, and math.fsum keeps the accumulation compensated.
@@ -185,15 +184,14 @@ def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
     """Both sides at each z and its truncation N, the series summed from one
     stream of return probabilities run once to the largest N.
 
-    Every point is checked before any sum is taken.  The sums stream: one
-    pass, linear in the largest N, with no list of terms.  The stream does
-    not depend on z, so every point sums the same floats in the same order.
-    The points run in ascending order of N, each on an itertools.tee branch
-    that is dropped once read, so the tee buffer holds at most the
-    second-largest point's N // 2 + 1 floats, and the largest point reads
-    the stream past them without buffering.  One point takes no branch, so
-    its memory stays flat.
+    Every point is checked before any sum is taken.  Every point reads a
+    shared list of the stream's first terms, the second-largest point's
+    N // 2 + 1 floats, then the stream past it, which only the largest point
+    reaches.  So every point sums the same floats in the same order, in any
+    order of points, and one point, whose list is empty, runs in flat memory.
     """
+    if len(zs) != len(truncations):
+        raise ValueError(f"len(zs) = {len(zs)} but len(truncations) = {len(truncations)}")
     for z, truncation in zip(zs, truncations):
         if truncation < 4:
             raise ValueError("truncation must be at least 4 for a valid tail bound")
@@ -201,15 +199,10 @@ def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
         if truncation > MAX_TRUNCATION:
             raise ValueError(f"truncation {truncation} is above the limit "
                              f"MAX_TRUNCATION = {MAX_TRUNCATION}")
-    sums = [0.0] * len(zs)
     stream = _even_return_probabilities()
-    order = sorted(range(len(zs)), key=truncations.__getitem__)
-    for i in order[:-1]:
-        stream, branch = itertools.tee(stream)
-        sums[i] = _series(zs[i], truncations[i], branch)
-        del branch  # held on, it would keep every later term in the buffer
-    for i in order[-1:]:
-        sums[i] = _series(zs[i], truncations[i], stream)
+    shared_terms = sorted(truncations)[-2] // 2 + 1 if len(zs) > 1 else 0
+    shared = list(itertools.islice(stream, shared_terms))
+    sums = [_series(z, n, itertools.chain(shared, stream)) for z, n in zip(zs, truncations)]
     return list(map(_gf_point, zs, truncations, sums))
 
 

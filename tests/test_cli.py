@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -855,6 +856,23 @@ class TestEntryPoint:
         doc = json.loads(result.stdout)
         assert doc["values"]
         assert all(v["exact"] == "9/2^7" for v in doc["values"])
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    def test_closed_pipe_ends_by_sigpipe(self):
+        # as `hadwalk simulate -n 1000 --format csv | head -1`: the 0.3 MB of
+        # csv outgrows the pipe, so the child writes after the reader is gone
+        module, function = console_script_target()
+        launcher = f"from {module} import {function}; {function}()"
+        with subprocess.Popen(
+            [sys.executable, "-c", launcher, "simulate", "-n", "1000", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env(),
+        ) as child:
+            assert child.stdout.readline().startswith("position,")
+            child.stdout.close()
+            child.wait(timeout=60)  # a traceback fits the stderr pipe's buffer
+            stderr = child.stderr.read()
+        assert child.returncode == -signal.SIGPIPE, stderr
+        assert stderr == ""
 
     # at 1e308 the absolute target would overflow to inf and accept one panel
     @pytest.mark.parametrize("tol,message", [

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import subprocess
@@ -361,21 +360,20 @@ class TestSharedStream:
         gf_point(zs[0], max(truncations))
         assert shared == seen == list(range(1, max(truncations) // 4 + 1))
 
-    def test_one_point_takes_no_tee_branch(self, monkeypatch):
-        # a single point, so genfun --z and gf_point, sums the stream itself
-        # in flat memory; a second point is what needs a branch
-        def refuse(*args):
-            raise AssertionError("itertools.tee called")
-
-        monkeypatch.setattr(itertools, "tee", refuse)
-        assert gf_point(0.999).truncation == 24_655
-        assert genfun.gf_points([0.5], [4921])[0].truncation == 4921
-        with pytest.raises(AssertionError, match="tee called"):
-            genfun.gf_points([0.5, 0.6], [40, 40])
+    def test_one_point_buffers_nothing(self):
+        # a single point, so genfun --z and gf_point, shares no terms: held
+        # in a list, its 200 001 terms would take megabytes
+        tracemalloc.start()
+        try:
+            genfun.gf_points([0.5], [400_000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000, peak
 
     def test_buffer_holds_the_second_largest_point_only(self):
-        # the largest point reads past the others without buffering: held as
-        # tee data, its 200 001 terms would take megabytes
+        # the largest point reads past the others without buffering: held in
+        # the shared list, its 200 001 terms would take megabytes
         tracemalloc.start()
         try:
             genfun.gf_points([0.5, 0.6, 0.7], [400_000, 40, 400])
@@ -388,6 +386,8 @@ class TestSharedStream:
         ([0.5, 0.6], [40, 3], "at least 4"),
         ([0.5, 1.0], [40, 40], "z must lie"),
         ([0.5, 0.6], [40, MAX_TRUNCATION + 1], "MAX_TRUNCATION"),
+        ([0.5, 0.6], [40], r"len\(zs\) = 2 but len\(truncations\) = 1"),
+        ([0.5], [40, 60], r"len\(zs\) = 1 but len\(truncations\) = 2"),
     ])
     def test_bad_point_raises_before_any_sum(self, monkeypatch, zs, truncations, message):
         monkeypatch.setattr(genfun, "_series", None)  # any sum would raise TypeError
