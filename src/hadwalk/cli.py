@@ -30,9 +30,10 @@ MAX_SWEEP_POINTS = 10_000
 #: Largest sum of N + 1 over the points of genfun --sweep, N each point's
 #: truncation.  genfun.gf_points, which sums every point of genfun --z and
 #: --sweep, computes the return probabilities once, to the largest N, but
-#: each point's sum still grows as N + 1: sweeps just under the cap took
-#: 8.0 s (50 points at N = 2*10^6 - 1) and 7.5 s (10 000 points at N = 9999)
-#: on the same host, interpreter start included.  The shared stream buffers
+#: each point's sum still grows as N + 1: sweeps just under the cap,
+#: --sweep 0.1:0.9:50 --truncate 1999999 and --sweep 0.1:0.9:10000
+#: --truncate 9999, took 12.6-14.1 s and 11.6-13.6 s on the same host,
+#: interpreter start included.  The shared stream buffers
 #: the second-largest point's N/2 + 1 floats, at most 1 500 001 under
 #: genfun.MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate 3000000 peaked at
 #: 50 MiB RSS against 15 MiB for one point, and the 50-point sweep above at
@@ -88,7 +89,13 @@ def _cmd_simulate(args, em: Emitter) -> int:
     else:
         if args.entries is None:
             raise ValueError("--coin custom requires --entries a,b,c,d")
-        parts = [complex(p.strip()) for p in args.entries.split(",")]
+        parts = []
+        for i, text in enumerate(args.entries.split(","), 1):
+            try:
+                parts.append(complex(text.strip()))
+            except ValueError:
+                raise ValueError(f"--entries: entry {i}, {text.strip()!r}, "
+                                 "is not a complex number") from None
         if len(parts) != 4:
             raise ValueError("--entries needs exactly four complex numbers")
         coin = walk.CoinMatrix(*parts)

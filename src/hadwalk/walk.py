@@ -51,13 +51,13 @@ UNITARITY_TOL = 1e-12
 MAX_EXACT_TIME = 9000
 
 #: Largest time the float engine evolves to, sized to keep the slowest coin
-#: near 8 s.  Its time grows as T^2, and is longest for a coin whose live
+#: under 8 s.  Its time grows as T^2, and is longest for a coin whose live
 #: window keeps every slot: simulate with the coin (0.999, s, s, -0.999),
-#: s = sqrt(1 - 0.999^2), the slowest coin measured, took 3.2-3.4 / 8.1-8.2
-#: / 10.7-11.6 s at T = 35000 / 50000 / 55000, interpreter start included,
-#: with a peak RSS of 40 / 45 / 46 MiB (56 MiB at 55000 with --format json),
-#: on one core of a 2-vCPU x86-64 host.  The coin (0.6, 0.8i, 0.8i, 0.6)
-#: took 0.9-1.1 s at T = 20000.
+#: s = sqrt(1 - 0.999^2), the slowest coin measured, took 2.4 / 5.4-6.1 /
+#: 8.0-8.2 s at T = 35000 / 50000 / 55000 (the last with this cap lifted),
+#: interpreter start included, with a peak RSS of 40 / 45 / 46 MiB (56 MiB
+#: at 55000 with --format json), on one core of a 2-vCPU x86-64 host.  The
+#: coin (0.6, 0.8i, 0.8i, 0.6) took 0.84-0.90 s at T = 20000, at 34 MiB.
 MAX_FLOAT_TIME = 50_000
 
 #: A float step drops an end slot of the window whose left and right
@@ -306,30 +306,35 @@ def _float_steps(psi: FloatWaveFunction, coin: CoinMatrix, count: int) -> FloatW
     Buffer index i holds slot psi.lo + i.  A step makes the window lo..hi
     into lo..hi + 1, and trimming only raises lo or lowers hi, so buffers of
     psi's size plus `count` slots hold every window, and the loop keeps lo
-    and hi as offsets into them.  Two buffer pairs take turns as a step's
-    source and target, and a scratch array holds b R and then d R.
+    and hi as offsets into them.  Two buffer pairs, four arrays, take turns
+    as a step's source and target.  The coin entries are 0-d arrays, made
+    once, so no multiply converts a scalar.  A step forms a L in the left
+    target and b R in the right one, adds them in place, then d R in the
+    right target and c L over the source's left window, which the step no
+    longer reads, and adds those in place.
     """
     # new position 2k - (t+1) draws its left amplitude from old slot k
     # (position 2k - t, one step right) and its right amplitude from old
     # slot k - 1: left slots keep their index, right slots move up by one.
     # The coin entry stays the first factor: numpy's complex multiply may use
-    # fused multiply-adds, whose rounding depends on the operand order.
+    # fused multiply-adds, whose rounding depends on the operand order.  IEEE
+    # addition commutes, so a sum's two terms may come in either order.
     import numpy as np
 
-    a, b, c, d = map(np.complex128, (coin.a, coin.b, coin.c, coin.d))
+    a, b, c, d = (np.array(e) for e in (coin.a, coin.b, coin.c, coin.d))
     n = psi.left.size
-    left, right, new_left, new_right, scratch = (np.empty(n + count, complex) for _ in range(5))
+    left, right, new_left, new_right = (np.empty(n + count, complex) for _ in range(4))
     left[:n], right[:n] = psi.left, psi.right
     lo, hi = 0, n - 1
     for _ in range(count):
-        src_left, src_right, part = left[lo : hi + 1], right[lo : hi + 1], scratch[lo : hi + 1]
+        src_left, src_right = left[lo : hi + 1], right[lo : hi + 1]
         to_left, to_right = new_left[lo : hi + 1], new_right[lo + 1 : hi + 2]
-        np.multiply(a, src_left, out=to_left)
-        np.multiply(b, src_right, out=part)
-        np.add(to_left, part, out=to_left)
-        np.multiply(c, src_left, out=to_right)
-        np.multiply(d, src_right, out=part)
-        np.add(to_right, part, out=to_right)
+        np.multiply(a, src_left, to_left)
+        np.multiply(b, src_right, to_right)
+        to_left += to_right
+        np.multiply(d, src_right, to_right)
+        np.multiply(c, src_left, src_left)
+        to_right += src_left
         # the new top slot has no left amplitude and the bottom slot no right
         # one; a reused target holds an older step's values there
         hi += 1

@@ -120,6 +120,20 @@ class TestSimulate:
         assert out == ""
         assert "is not finite" in err
 
+    @pytest.mark.parametrize("entries,message", [
+        ("abc,0,0,1", "--entries: entry 1, 'abc', is not a complex number"),
+        (",,,", "--entries: entry 1, '', is not a complex number"),
+        ("1,0, 0,1+i", "--entries: entry 4, '1+i', is not a complex number"),
+        ("1,0,0,1,x", "--entries: entry 5, 'x', is not a complex number"),
+        ("1,0,0", "--entries needs exactly four complex numbers"),
+        ("1,0,0,1,0", "--entries needs exactly four complex numbers"),
+    ])
+    def test_bad_entries_exit_2(self, capsys, entries, message):
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "2", "--coin", "custom", "--entries", entries
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_determinism(self, capsys):
         first = run_cli(capsys, "--format", "json", "simulate", "-n", "20")
         second = run_cli(capsys, "--format", "json", "simulate", "-n", "20")

@@ -771,6 +771,27 @@ class TestFloatEngine:
         assert not np.shares_memory(first.right, psi.right)
         assert first.left.size == first.right.size == 52
 
+    @pytest.mark.parametrize("coin", [FLOAT_COINS["phases"], FLOAT_COINS["0.6,0.8j"]],
+                             ids=["phases", "0.6,0.8j"])
+    def test_many_steps_leave_their_source_unchanged(self, coin):
+        """_float_steps writes c L over each step's source window; from the
+        second step on that is one of its own buffers, never the caller's.
+        At t = 1300 the coin with a = 0.6 has trimmed both ends."""
+        psi = evolve(coin, 1300)
+        left, right = psi.left.copy(), psi.right.copy()
+        later = walk._float_steps(psi, coin, 200)
+        assert np.array_equal(psi.left.view(np.uint64), left.view(np.uint64))
+        assert np.array_equal(psi.right.view(np.uint64), right.view(np.uint64))
+        for own in (later.left, later.right):
+            assert not np.shares_memory(own, psi.left)
+            assert not np.shares_memory(own, psi.right)
+        chained = psi
+        for _ in range(200):
+            chained = chained.step(coin)
+        assert (later.time, later.lo, later.hi) == (chained.time, chained.lo, chained.hi)
+        assert np.array_equal(later.left.view(np.uint64), chained.left.view(np.uint64))
+        assert np.array_equal(later.right.view(np.uint64), chained.right.view(np.uint64))
+
     @pytest.mark.parametrize(
         "coin",
         [*FLOAT_COINS.values(), CoinMatrix(0.6, 0.48 + 0.64j, -0.48 + 0.64j, 0.6),
