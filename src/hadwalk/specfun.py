@@ -2,14 +2,14 @@
 origin, the terminating Gauss hypergeometric sum, and the complete elliptic
 integral K(k) by AGM iteration and by power series.
 
-Polynomial values are exact (Legendre as ints 2^n P_n(0)); K(k) is a float.
+Legendre values are exact ints 2^n P_n(0); P_n^(1,0)(0) and the 2F1 are exact
+Fractions that only verify needs, so fractions loads when they run; K(k) is a float.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import count, islice
 
 _AGM_MAX_ITER = 64
@@ -36,7 +36,10 @@ def legendre_p0(n: int) -> int:
     return -math.comb(n, m) if m % 2 else math.comb(n, m)
 
 
-def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fraction:
+# The two rational kernels quote Fraction in their annotations: fractions is
+# imported only in their bodies, and the annotations stay strings even where
+# the source runs without this module's __future__ import.
+def hyp2f1_terminating(a: int, b: "Fraction", c: "Fraction", z: "Fraction") -> "Fraction":
     """2F1(a,b;c;z) for a a nonpositive integer: the exact finite sum
     sum_{j=0}^{-a} (a)_j (b)_j / ((c)_j j!) z^j.
 
@@ -47,6 +50,8 @@ def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fractio
     numerator: two big-int products per term.  The only gcd is in the
     Fraction built at the end.
     """
+    from fractions import Fraction
+
     if a > 0:
         raise ValueError("first parameter must be a nonpositive integer")
     b, c, z = Fraction(b), Fraction(c), Fraction(z)
@@ -64,18 +69,14 @@ def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fractio
     return Fraction(num, den)
 
 
-def jacobi_p0(alpha: int, n: int) -> Fraction:
-    """P_n^(alpha,0)(0) for alpha in {0, 1}, via the terminating 2F1 at 1/2
-    with the gamma-ratio prefactor reduced to a binomial coefficient.
-    """
-    if alpha not in (0, 1):
-        raise ValueError("alpha must be 0 or 1")
+def jacobi_p0(n: int) -> "Fraction":
+    """P_n^(1,0)(0) = (n+1) 2F1(-n, n+2; 2; 1/2), by the terminating 2F1.
+    P_n^(0,0)(0) is Legendre's P_n(0) = legendre_p0(n) / 2^n."""
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError("n must be nonnegative")
-    prefactor = math.comb(n + alpha, n)
-    return prefactor * hyp2f1_terminating(
-        -n, Fraction(n + alpha + 1), Fraction(alpha + 1), Fraction(1, 2)
-    )
+    return (n + 1) * hyp2f1_terminating(-n, Fraction(n + 2), Fraction(2), Fraction(1, 2))
 
 
 def _check_modulus(k: float) -> None:

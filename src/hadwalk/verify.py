@@ -251,12 +251,11 @@ def _check_dp_step():
 
 
 def _check_jacobi_recurrence(n_max: int):
-    plain = [specfun.jacobi_p0(0, n) for n in range(n_max + 2)]
-    bad = [
-        n
-        for n in range(n_max + 1)
-        if plain[n] - plain[n + 1] != specfun.jacobi_p0(1, n)
-    ]
+    # P_n^(1,0)(0) = P_n(0) - P_(n+1)(0) times 2^(n+1): the 2F1 form on the
+    # left against prop1's Legendre ints 2^n P_n(0) on the right
+    plain = [specfun.legendre_p0(n) for n in range(n_max + 2)]
+    bad = [n for n in range(n_max + 1)
+           if 2 ** (n + 1) * specfun.jacobi_p0(n) != 2 * plain[n] - plain[n + 1]]
     yield _row(f"jacobi downward recurrence n<={n_max}", not bad,
                "exact rational identity", "holds" if not bad else f"{bad[:5]}")
 
@@ -268,7 +267,9 @@ def _check_hyp_chain(n_max: int):
     form 2^(n-1)/n P_(n-1)^(1,0)(0).
 
     S is taken in ints over L = lcm(1..n), as the sum of the terms times
-    L // g, and built as one Fraction; it shares no code with specfun.
+    L // g, and built as one Fraction; it shares no code with specfun.  The
+    Jacobi form is (legendre_p0(n-1) - legendre_p0(n) / 2) / n, from prop1's
+    ints by the downward recurrence: jacobi_p0(n-1) would rerun f2's 2F1.
     """
     from fractions import Fraction
 
@@ -282,7 +283,7 @@ def _check_hyp_chain(n_max: int):
         f2 = 2 ** (n - 1) * specfun.hyp2f1_terminating(
             -(n - 1), Fraction(n + 1), Fraction(2), Fraction(1, 2)
         )
-        f3 = Fraction(2 ** (n - 1), n) * specfun.jacobi_p0(1, n - 1)
+        f3 = Fraction(specfun.legendre_p0(n - 1) - specfun.legendre_p0(n) // 2, n)
         if not direct == f1 == f2 == f3:
             bad.append(n)
     yield _row(f"hypergeometric chain n<={n_max}", not bad,

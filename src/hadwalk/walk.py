@@ -42,12 +42,13 @@ UNITARITY_TOL = 1e-12
 
 #: Largest time the exact engine evolves to, and the direct route's largest
 #: even time.  A state grows as T^2/2 bits and the work as T^3:
-#: symmetric_distribution, which simulate runs, took 2.4 / 30 s at
-#: T = 4000 / 9000, and simulate --format json 2.8 / 36 s, interpreter start
-#: included, printing 4.7 / 23 MB; return-prob --method direct, which steps
-#: only the real parts, to T/2 and then in the light cone, took 0.24 / 1.3 /
-#: 15 s at T = 992 / 4000 / 9000, interpreter start included, on one core of
-#: a 2-vCPU x86-64 host.
+#: symmetric_distribution, which simulate runs, took 2.1 / 28-31 s at
+#: T = 4000 / 9000, and simulate --format json 2.4-2.7 / 27-29 s, interpreter
+#: start included, printing 4.7 / 23 MB; return-prob --method direct, which
+#: steps only the real parts, to T/2 and then in the light cone, took
+#: 0.14-0.20 / 0.79-0.88 / 9.5-11.2 s at T = 992 / 4000 / 9000, interpreter
+#: start included, on one core of a 2-vCPU x86-64 host (fresh interpreters,
+#: 2 runs each).
 MAX_EXACT_TIME = 9000
 
 #: Largest time the float engine evolves to, sized to keep the slowest coin

@@ -113,10 +113,11 @@ def test_criterion_5_watson_constants():
 
 def test_criterion_6_identity_suite():
     with Timer("criterion 6: polynomial and path-algebra identities", 60.0):
-        # Jacobi downward recurrence, exact, n <= 200
-        plain = [specfun.jacobi_p0(0, n) for n in range(202)]
+        # Jacobi downward recurrence, exact, n <= 200, scaled by 2^(n+1):
+        # plain[n] is the int 2^n P_n(0), (-1)^m C(2m, m) at n = 2m
+        plain = [0 if n % 2 else (-1) ** (n // 2) * math.comb(n, n // 2) for n in range(202)]
         for n in range(201):
-            assert plain[n] - plain[n + 1] == specfun.jacobi_p0(1, n), n
+            assert 2 * plain[n] - plain[n + 1] == 2 ** (n + 1) * specfun.jacobi_p0(n), n
 
         # hypergeometric chains, exact, n <= 50
         for n in range(1, 51):
@@ -130,13 +131,13 @@ def test_criterion_6_identity_suite():
             f2 = 2 ** (n - 1) * specfun.hyp2f1_terminating(
                 -(n - 1), Fraction(n + 1), Fraction(2), Fraction(1, 2)
             )
-            f3 = Fraction(2 ** (n - 1), n) * specfun.jacobi_p0(1, n - 1)
+            f3 = Fraction(2 ** (n - 1), n) * specfun.jacobi_p0(n - 1)
             assert direct == f1 == f2 == f3, n
             plain_sum = sum(
                 Fraction((-1) ** (g - 1) * math.comb(n - 1, g - 1) ** 2)
                 for g in range(1, n + 1)
             )
-            assert plain_sum == 2 ** (n - 1) * specfun.jacobi_p0(0, n - 1), n
+            assert plain_sum == plain[n - 1], n
 
         # Pfaff transformation on 100 random terminating instances
         rng = random.Random(97)

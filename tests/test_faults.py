@@ -189,6 +189,18 @@ def test_hyp2f1_zero_denominator_fails_the_jacobi_and_chain_rows(monkeypatch, sc
     assert failed == [("_check_jacobi_recurrence", *raised), ("_check_hyp_chain", *raised)]
 
 
+@pytest.mark.parametrize("scope,jacobi_max,chain_max", [("fast", 50, 20), ("full", 200, 50)])
+def test_unsigned_legendre_fails_the_jacobi_and_chain_rows(
+        monkeypatch, scope, jacobi_max, chain_max):
+    # 2^n P_n(0) without its sign (-1)^(n/2): prop1 squares it, so every route
+    # agrees; only the Jacobi rows, which take P_n(0) - P_(n+1)(0), read it
+    with_function_edited(monkeypatch, specfun, "legendre_p0",
+                         "-math.comb(n, m) if m % 2 else math.comb(n, m)", "math.comb(n, m)")
+    monkeypatch.setattr(genfun, "legendre_p0", specfun.legendre_p0)
+    assert failed_rows(scope) == [f"jacobi downward recurrence n<={jacobi_max}",
+                                  f"hypergeometric chain n<={chain_max}"]
+
+
 def test_constructor_off_by_one_fails_the_anchor(monkeypatch):
     # all four routes end in the constructor, so they agree on its wrong
     # value; only the anchor, which builds no DyadicRational, sees it

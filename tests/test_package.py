@@ -70,8 +70,10 @@ LAYER_IMPORTS = {
 
 
 #: Modules no hadwalk import loads: what dataclasses, typing and inspect
-#: would bring, each costing start-up time, and numpy.
-UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "numpy")
+#: would bring, each costing start-up time, numpy, and fractions, which
+#: only specfun's rational kernels and verify import when they run.
+UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize", "numpy",
+                      "fractions")
 
 
 def run_fresh(script: str, *flags: str) -> str:

@@ -141,7 +141,8 @@ class TestHyp2F1:
         assert min(kinds.values()) >= 200, kinds
 
     @pytest.mark.parametrize("a,b,c,z", [
-        # jacobi_p0(alpha, n), as verify's recurrence row reaches it (n <= 201)
+        # P_n^(alpha,0)(0) / C(n + alpha, n) for n <= 201: alpha = 1 is jacobi_p0(n),
+        # as verify's recurrence row reaches it, and alpha = 0 Legendre's P_n(0)
         *(pytest.param(-n, Fraction(n + alpha + 1), Fraction(alpha + 1), Fraction(1, 2),
                        id=f"jacobi-alpha{alpha}-n{n}")
           for alpha in (0, 1) for n in (31, 64, 100, 200, 201)),
@@ -173,23 +174,31 @@ class TestHyp2F1:
             hyp2f1_terminating(a, b, c, z)
 
 
+def jacobi_p0_szego(n):
+    """Oracle: Szego (4.3.2) at x = 0 for alpha = 1, beta = 0,
+    P_n^(1,0)(0) = 2^-n sum_s (-1)^s C(n+1, n-s) C(n, s)."""
+    return Fraction(sum((-1) ** s * math.comb(n + 1, n - s) * math.comb(n, s)
+                        for s in range(n + 1)), 2**n)
+
+
 class TestJacobiAtZero:
     def test_degree_zero(self):
-        assert jacobi_p0(0, 0) == 1
-        assert jacobi_p0(1, 0) == 1
+        assert jacobi_p0(0) == 1
 
-    def test_alpha_zero_is_legendre(self):
-        for n in range(401):
-            assert jacobi_p0(0, n) == Fraction(legendre_p0(n), 2**n)
+    def test_szego_sum(self):
+        for n in range(202):
+            got = jacobi_p0(n)
+            assert isinstance(got, Fraction)
+            assert got == jacobi_p0_szego(n), n
 
     def test_downward_recurrence(self):
-        # P^(0,0)_n(0) - P^(0,0)_{n+1}(0) = P^(1,0)_n(0)
+        # P^(1,0)_n(0) = P_n(0) - P_{n+1}(0), scaled by 2^(n+1) into ints
         for n in range(200):
-            assert jacobi_p0(0, n) - jacobi_p0(0, n + 1) == jacobi_p0(1, n)
+            assert 2 ** (n + 1) * jacobi_p0(n) == 2 * legendre_p0(n) - legendre_p0(n + 1)
 
-    def test_alpha_rejected(self):
+    def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            jacobi_p0(2, 3)
+            jacobi_p0(-1)
 
 
 class TestEllipticK:
