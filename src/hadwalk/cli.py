@@ -22,23 +22,11 @@ from . import classical, genfun, pathsum, specfun, verify, walk
 from .classical import QuadratureConvergenceError
 
 
-#: Largest point count of genfun --sweep.  It bounds the pass that solves each
-#: point's truncation before any sum is taken: 0.14 s for 10 000 points on one
-#: core of a 2-vCPU x86-64 host.
+#: Largest point count of genfun --sweep.  It bounds the list of points
+#: before it is built, and so genfun.gf_points' pass that solves each point's
+#: truncation before any sum is taken: 0.14 s for 10 000 points on one core of
+#: a 2-vCPU x86-64 host.
 MAX_SWEEP_POINTS = 10_000
-
-#: Largest sum of N + 1 over the points of genfun --sweep, N each point's
-#: truncation.  genfun.gf_points, which sums every point of genfun --z and
-#: --sweep, computes the return probabilities once, to the largest N, but
-#: each point's sum still grows as N + 1: sweeps just under the cap,
-#: --sweep 0.1:0.9:50 --truncate 1999999 and --sweep 0.1:0.9:10000
-#: --truncate 9999, took 12.6-14.1 s and 11.6-13.6 s on the same host,
-#: interpreter start included.  The shared stream buffers
-#: the second-largest point's N/2 + 1 floats, at most 1 500 001 under
-#: genfun.MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate 3000000 peaked at
-#: 50 MiB RSS against 15 MiB for one point, and the 50-point sweep above at
-#: 38-39 MiB against 15 MiB.
-MAX_SWEEP_WORK = 10**8
 
 #: Largest --precision: the most significant digits in the exact decimal
 #: expansion of any double (the largest subnormal needs 767), so no larger
@@ -200,15 +188,8 @@ def _cmd_genfun(args, em: Emitter) -> int:
     if args.sweep is not None:
         start, stop, count = args.sweep
         zs = [start + (stop - start) * i / max(count - 1, 1) for i in range(count)]
-        truncations = [
-            genfun.truncation_for(z) if args.truncate is None else args.truncate for z in zs
-        ]
-        work = sum(n + 1 for n in truncations)
-        if work > MAX_SWEEP_WORK:
-            raise ValueError(f"sweep work sum N+1 = {work} is above the limit "
-                             f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
         points = [{"z": p.z, "lhs_partial": p.lhs_partial, "rhs_closed": p.rhs_closed}
-                  for p in genfun.gf_points(zs, truncations)]
+                  for p in genfun.gf_points(zs, [args.truncate] * count)]
         em.table(list(points[0]), map(dict.values, points), json_doc={"sweep": points})
         return 0
     em.record(genfun.gf_point(args.z, args.truncate)._asdict())

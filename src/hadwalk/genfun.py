@@ -27,6 +27,19 @@ from .specfun import central_binomial, elliptic_k_from_complement, legendre_p0
 # (N = 2 466 699) took 1.5 s, interpreter start included.
 MAX_TRUNCATION = 3_000_000
 
+#: Largest sum of N + 1 over the points of one gf_points call, N each point's
+#: truncation.  gf_points computes the return probabilities once, to the
+#: largest N, but each point's sum still grows as N + 1: sweeps just under the
+#: cap, genfun --sweep 0.1:0.9:50 --truncate 1999999 and --sweep
+#: 0.1:0.9:10000 --truncate 9999, took 12.6-14.1 s and 11.6-13.6 s on the
+#: same host, interpreter start included.  The shared stream buffers the
+#: second-largest point's N/2 + 1 floats, at most 1 500 001 under
+#: MAX_TRUNCATION: --sweep 0.5:0.6:2 --truncate 3000000 peaked at 50 MiB RSS
+#: against 15 MiB for one point, and the 50-point sweep above at 38-39 MiB
+#: against 15 MiB.  One point's N + 1 is at most MAX_TRUNCATION + 1, so only
+#: a sweep can reach the cap.
+MAX_SWEEP_WORK = 10**8
+
 #: Fraction bits P of the fixed-point carry c_m = floor(2^P C(2m,m) / 4^m) in
 #: _even_return_probabilities.  At 160 bits no term up to MAX_TRUNCATION takes
 #: the exact fallback; at 40 bits every term does.
@@ -174,24 +187,25 @@ GfPoint = namedtuple("GfPoint", "z lhs_partial rhs_closed truncation tail_bound 
 
 
 def gf_point(z: float, truncation: int | None = None) -> GfPoint:
-    """Evaluate both sides at z; default truncation pushes the tail below 1e-12."""
-    if truncation is None:
-        truncation = truncation_for(z)
+    """gf_points at the one point z; a truncation of None pushes the tail below 1e-12."""
     return gf_points([z], [truncation])[0]
 
 
-def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
+def gf_points(zs: list[float], truncations: list[int | None]) -> list[GfPoint]:
     """Both sides at each z and its truncation N, the series summed from one
     stream of return probabilities run once to the largest N.
 
-    Every point is checked before any sum is taken.  Every point reads a
-    shared list of the stream's first terms, the second-largest point's
-    N // 2 + 1 floats, then the stream past it, which only the largest point
-    reaches.  So every point sums the same floats in the same order, in any
-    order of points, and one point, whose list is empty, runs in flat memory.
+    A truncation of None is truncation_for(z).  Every point, and the sum of
+    N + 1 against MAX_SWEEP_WORK, is checked before any sum.  Every point
+    reads a shared list of the stream's first terms, the second-largest
+    point's N // 2 + 1 floats, then the stream past it, which only the
+    largest point reaches.  So every point sums the same floats in the same
+    order, in any order of points, and one point, whose list is empty, runs
+    in flat memory.
     """
     if len(zs) != len(truncations):
         raise ValueError(f"len(zs) = {len(zs)} but len(truncations) = {len(truncations)}")
+    truncations = [truncation_for(z) if n is None else n for z, n in zip(zs, truncations)]
     for z, truncation in zip(zs, truncations):
         if truncation < 4:
             raise ValueError("truncation must be at least 4 for a valid tail bound")
@@ -199,6 +213,10 @@ def gf_points(zs: list[float], truncations: list[int]) -> list[GfPoint]:
         if truncation > MAX_TRUNCATION:
             raise ValueError(f"truncation {truncation} is above the limit "
                              f"MAX_TRUNCATION = {MAX_TRUNCATION}")
+    work = sum(n + 1 for n in truncations)
+    if work > MAX_SWEEP_WORK:
+        raise ValueError(f"sweep work sum N+1 = {work} is above the limit "
+                         f"MAX_SWEEP_WORK = {MAX_SWEEP_WORK}")
     stream = _even_return_probabilities()
     shared_terms = sorted(truncations)[-2] // 2 + 1 if len(zs) > 1 else 0
     shared = list(itertools.islice(stream, shared_terms))

@@ -36,10 +36,7 @@ def legendre_p0(n: int) -> int:
     return -math.comb(n, m) if m % 2 else math.comb(n, m)
 
 
-# The two rational kernels quote Fraction in their annotations: fractions is
-# imported only in their bodies, and the annotations stay strings even where
-# the source runs without this module's __future__ import.
-def hyp2f1_terminating(a: int, b: "Fraction", c: "Fraction", z: "Fraction") -> "Fraction":
+def hyp2f1_terminating(a: int, b: Fraction, c: Fraction, z: Fraction) -> Fraction:
     """2F1(a,b;c;z) for a a nonpositive integer: the exact finite sum
     sum_{j=0}^{-a} (a)_j (b)_j / ((c)_j j!) z^j.
 
@@ -69,7 +66,7 @@ def hyp2f1_terminating(a: int, b: "Fraction", c: "Fraction", z: "Fraction") -> "
     return Fraction(num, den)
 
 
-def jacobi_p0(n: int) -> "Fraction":
+def jacobi_p0(n: int) -> Fraction:
     """P_n^(1,0)(0) = (n+1) 2F1(-n, n+2; 2; 1/2), by the terminating 2F1.
     P_n^(0,0)(0) is Legendre's P_n(0) = legendre_p0(n) / 2^n."""
     from fractions import Fraction

@@ -216,6 +216,25 @@ def test_exact_stdout_pinned(capsys, command, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_STDOUT_SHA256[command, fmt]
 
 
+# sha256 of the stdout of genfun at an explicit truncation, so no pow picks
+# N.  These bytes depend only on correctly rounded +, *, / and sqrt, on
+# math.fsum and on math.pi, so they hold on every build: the sweep prints no
+# tail bound, and the one point's tail bound takes 0.5^41, which is exact.
+GENFUN_STDOUT_SHA256 = {
+    ("genfun --sweep 0.1:0.9:9 --truncate 400", "json"): "3bedf552e312fe8a7605531c0b056533f2de42768aabf97b1714fd8a58f1526a",
+    ("genfun --sweep 0.1:0.9:9 --truncate 400", "csv"): "f9967df300854f2b7d2c937ef7a39a625f09c6ee9897c69d60b0186a7827b4cd",
+    ("genfun --sweep 0.1:0.9:9 --truncate 400", "plain"): "2621ad91b3cc2660e04e4d8bc55e036f7dc149c72f7f3ec6527764875449c969",
+    ("genfun --z 0.5 --truncate 40", "json"): "5d7d329c7d5f2fba32e22e1d530072dee1cf52387f9ef36699f31ef6f59cf742",
+}
+
+
+@pytest.mark.parametrize("command,fmt", GENFUN_STDOUT_SHA256)
+def test_genfun_stdout_pinned(capsys, command, fmt):
+    code, out, err = run_cli(capsys, "--format", fmt, *command.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GENFUN_STDOUT_SHA256[command, fmt]
+
+
 class TestReturnProb:
     def test_all_methods_agree_on_table_value(self, capsys):
         doc = run_json(capsys, "return-prob", "-n", "18", "--method", "all")
@@ -482,10 +501,10 @@ class TestGenfun:
         solved = []
         solve = genfun.truncation_for
         monkeypatch.setattr(genfun, "truncation_for", lambda z: solved.append(z) or solve(z))
-        monkeypatch.setattr(cli, "MAX_SWEEP_WORK", work)
+        monkeypatch.setattr(genfun, "MAX_SWEEP_WORK", work)
         assert len(run_json(capsys, "genfun", "--sweep", "0:0.5:3")["sweep"]) == 3
         assert solved == list(zs)  # each point's truncation is solved once
-        monkeypatch.setattr(cli, "MAX_SWEEP_WORK", work - 1)
+        monkeypatch.setattr(genfun, "MAX_SWEEP_WORK", work - 1)
         code, out, err = run_cli(capsys, "genfun", "--sweep", "0:0.5:3")
         assert (code, out) == (2, "")
         assert f"= {work} is above the limit MAX_SWEEP_WORK = {work - 1}" in err
@@ -812,8 +831,9 @@ class TestGlobalFlagPlacement:
 
 
 #: Each size cap: the module that defines it, and a command at the smallest
-#: value it refuses.  The sweep's 17 points at N = MAX_SWEEP_WORK // 17 sum
-#: 17 (N + 1) terms, the fewest above the cap.
+#: value it refuses.  The sweep at N = MAX_TRUNCATION - 1 has the fewest
+#: points, MAX_SWEEP_WORK // MAX_TRUNCATION + 1, whose work sum is above the
+#: cap while each point is under MAX_TRUNCATION, which gf_points names first.
 SIZE_CAPS = {
     "MAX_EXACT_TIME": (walk, ["simulate", "-n", str(walk.MAX_EXACT_TIME + 1)]),
     "MAX_FLOAT_TIME": (walk, ["simulate", "-n", str(walk.MAX_FLOAT_TIME + 1),
@@ -831,8 +851,9 @@ SIZE_CAPS = {
     "MAX_SERIES_TERMS": (specfun, ["ellipk", "--k", "0.5", "--method", "series",
                                    "--terms", str(specfun.MAX_SERIES_TERMS + 1)]),
     "MAX_SWEEP_POINTS": (cli, ["genfun", "--sweep", f"0:0.5:{cli.MAX_SWEEP_POINTS + 1}"]),
-    "MAX_SWEEP_WORK": (cli, ["genfun", "--sweep", "0:0.5:17",
-                             "--truncate", str(cli.MAX_SWEEP_WORK // 17)]),
+    "MAX_SWEEP_WORK": (genfun, [
+        "genfun", "--sweep", f"0:0.5:{genfun.MAX_SWEEP_WORK // genfun.MAX_TRUNCATION + 1}",
+        "--truncate", str(genfun.MAX_TRUNCATION - 1)]),
 }
 
 

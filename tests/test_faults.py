@@ -25,6 +25,7 @@ Known faults that no verify row catches, listed so that nobody chases them:
   test_refit_widens_a_one_slot_pair_at_the_bound, which counts repacks.
 """
 
+import __future__
 import inspect
 import math
 
@@ -61,11 +62,14 @@ def always_equal(monkeypatch):
 
 def with_function_edited(monkeypatch, module, name, old, new):
     """Replace the function module.<name> by its own source with the one
-    occurrence of `old` replaced by `new`, run in the module's namespace."""
+    occurrence of `old` replaced by `new`, run in the module's namespace.
+    The edit is compiled under the module's `from __future__ import
+    annotations`, so its annotations stay unevaluated there too."""
     source = inspect.getsource(getattr(module, name))
     assert source.count(old) == 1
     namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
+    exec(compile(source.replace(old, new), "<string>", "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
     monkeypatch.setattr(module, name, namespace[name])
 
 
@@ -274,6 +278,21 @@ def test_flipped_dp_seed_fails_the_closed_form_row(monkeypatch, scope, lm_max, s
     # with its sign flipped: every cell with a step each way carries the
     # wrong sign, while the check of the DP's step never reads the seeds
     with_function_edited(monkeypatch, pathsum, "_dp_rows", seed, flipped)
+    assert failed_rows(scope) == [f"closed-form coefficients = DP, l,m<={lm_max}"]
+
+
+@pytest.mark.parametrize("scope,lm_max", [("fast", 12), ("full", 30)])
+@pytest.mark.parametrize(
+    "old,new",
+    [("p += sign", "p -= sign"), ("q -= sign", "q += sign"), ("r += sign", "r -= sign")],
+    ids=["p", "q", "r"],
+)
+def test_flipped_closed_form_sum_fails_only_the_dp_row(monkeypatch, scope, lm_max, old, new):
+    # one of path_sum_closed's three sums with its sign flipped: the xi route
+    # squares the coefficients, as p^2 + r^2 and q^2 + s^2, so its value and
+    # the four-oracle row do not move; only the comparison with the DP's
+    # coefficients sees the sign
+    with_function_edited(monkeypatch, pathsum, "path_sum_closed", old, new)
     assert failed_rows(scope) == [f"closed-form coefficients = DP, l,m<={lm_max}"]
 
 

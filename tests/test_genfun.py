@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hadwalk import genfun
 from hadwalk.exactnum import DyadicRational
 from hadwalk.genfun import (
+    MAX_SWEEP_WORK,
     MAX_TRUNCATION,
     gf_point,
     gf_closed_form,
@@ -344,6 +345,20 @@ class TestSharedStream:
     def test_no_points(self):
         assert genfun.gf_points([], []) == []
 
+    def test_none_is_the_default_truncation(self, monkeypatch):
+        zs = [0.99, 0.5, 0.0, 0.9]
+        explicit = genfun.gf_points(zs, default_truncations(zs))
+        solved = []
+        solve = genfun.truncation_for
+        monkeypatch.setattr(genfun, "truncation_for", lambda z: solved.append(z) or solve(z))
+        assert genfun.gf_points(zs, [None] * len(zs)) == explicit
+        assert solved == zs  # each point's truncation is solved once
+        solved.clear()
+        points = genfun.gf_points(zs, [None, 40, None, None])
+        assert solved == [0.99, 0.0, 0.9]
+        assert [p.truncation for p in points] == [2454, 40, 4, 234]
+        assert points == [gf_point(0.99), gf_point(0.5, 40), gf_point(0.0), gf_point(0.9)]
+
     @pytest.mark.parametrize("zs,truncations", [
         ([0.5, 0.7, 0.9], [1221, 4921, 24_655]),
         ([0.9, 0.7, 0.5], [24_655, 4921, 1221]),
@@ -388,6 +403,13 @@ class TestSharedStream:
         ([0.5, 0.6], [40, MAX_TRUNCATION + 1], "MAX_TRUNCATION"),
         ([0.5, 0.6], [40], r"len\(zs\) = 2 but len\(truncations\) = 1"),
         ([0.5], [40, 60], r"len\(zs\) = 1 but len\(truncations\) = 2"),
+        # 34 points at N = 2 999 999 sum 1.02e8 terms, each point under its cap
+        ([0.5] * 34, [MAX_TRUNCATION - 1] * 34,
+         rf"sweep work sum N\+1 = 102000000 is above the limit MAX_SWEEP_WORK = {MAX_SWEEP_WORK}"),
+        # above both caps, the per-point refusal comes first, as for one point
+        ([0.5] * 17, [5_882_352] * 17, "truncation 5882352 is above the limit MAX_TRUNCATION"),
+        # a None is solved before any check, so the bad z is named first
+        ([0.5, 1.0], [3, None], "z must lie"),
     ])
     def test_bad_point_raises_before_any_sum(self, monkeypatch, zs, truncations, message):
         monkeypatch.setattr(genfun, "_series", None)  # any sum would raise TypeError
